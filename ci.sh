@@ -146,7 +146,7 @@ suite_asan() {
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
                     thread_safety_regression_test
-                    ebr_test tp_scaling_test
+                    ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null
   cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
@@ -161,7 +161,7 @@ suite_tsan() {
                     columnar_test executor_test common_test sync_test
                     scheduler_test vectorized_exec_test vectorized_join_test
                     thread_safety_regression_test
-                    ebr_test tp_scaling_test
+                    ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test)
   cmake -B build-tsan -S . -DHTAP_TSAN=ON > /dev/null
   cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"

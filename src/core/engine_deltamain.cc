@@ -128,9 +128,9 @@ Result<std::vector<Row>> DeltaMainHtapEngine::Scan(const ScanRequest& req,
   // row scan goes Main + L2 + L1.
   if (req.path == PathHint::kForceRow) {
     if (path_desc != nullptr) *path_desc = "delta-row-scan";
-    return ScanRowStore(*layer_.store(req.table->id),
-                        layer_.txn_mgr()->CurrentSnapshot(), *req.pred,
-                        req.projection, ap_.ctx());
+    const ReadView view(layer_.txn_mgr());
+    return ScanRowStore(*layer_.store(req.table->id), view.snapshot(),
+                        *req.pred, req.projection, ap_.ctx());
   }
   if (path_desc != nullptr) *path_desc = "main+l2+l1-scan";
   const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;

@@ -222,7 +222,8 @@ TableStats DiskHtapEngine::RefreshedStats(TableState* ts) {
   const MvccRowStore* store = layer_.store(ts->info.id);
   std::vector<Row> sample;
   sample.reserve(2048);
-  store->Scan(layer_.txn_mgr()->CurrentSnapshot(), [&](Key, const Row& r) {
+  const ReadView view(layer_.txn_mgr());
+  store->Scan(view.snapshot(), [&](Key, const Row& r) {
     sample.push_back(r);
     return sample.size() < 2048;
   });

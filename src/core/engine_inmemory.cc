@@ -140,11 +140,11 @@ TableStats InMemoryHtapEngine::RefreshedStats(TableState* ts) {
   const MvccRowStore* store = layer_.store(ts->info.id);
   std::vector<Row> sample;
   sample.reserve(2048);
-  store->Scan(layer_.txn_mgr()->CurrentSnapshot(),
-              [&](Key, const Row& r) {
-                sample.push_back(r);
-                return sample.size() < 2048;
-              });
+  const ReadView view(layer_.txn_mgr());
+  store->Scan(view.snapshot(), [&](Key, const Row& r) {
+    sample.push_back(r);
+    return sample.size() < 2048;
+  });
   ts->stats = TableStats::Compute(ts->info.schema, sample);
   ts->stats.row_count = store->ApproxRowCount();
   ts->stats_at_csn = now;
@@ -189,13 +189,20 @@ Result<std::vector<Row>> InMemoryHtapEngine::Scan(const ScanRequest& req,
   const AccessPath path = ResolvePath(req, ts, &pk_point, &pk_key);
   if (path_desc != nullptr) *path_desc = AccessPathName(path);
 
-  const Snapshot snap = layer_.txn_mgr()->CurrentSnapshot();
-  const MvccRowStore* store = layer_.store(req.table->id);
+  if (path == AccessPath::kColumnScan) {
+    const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;
+    return ScanHtap(*ts->columns, delta,
+                    layer_.txn_mgr()->CurrentSnapshot().begin_csn, *req.pred,
+                    req.projection, ap_.ctx(), stats);
+  }
 
+  // Row paths read MVCC versions, so they pin the GC watermark.
+  const ReadView view(layer_.txn_mgr());
+  const MvccRowStore* store = layer_.store(req.table->id);
   if (path == AccessPath::kRowIndexLookup && pk_point) {
     std::vector<Row> out;
     Row row;
-    const Status st = store->Get(snap, pk_key, &row);
+    const Status st = store->Get(view.snapshot(), pk_key, &row);
     if (st.ok() && req.pred->Eval(row)) {
       if (req.projection.empty()) {
         out.push_back(std::move(row));
@@ -207,12 +214,8 @@ Result<std::vector<Row>> InMemoryHtapEngine::Scan(const ScanRequest& req,
     }
     return out;
   }
-  if (path == AccessPath::kColumnScan) {
-    const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;
-    return ScanHtap(*ts->columns, delta, snap.begin_csn, *req.pred,
-                    req.projection, ap_.ctx(), stats);
-  }
-  return ScanRowStore(*store, snap, *req.pred, req.projection, ap_.ctx());
+  return ScanRowStore(*store, view.snapshot(), *req.pred, req.projection,
+                      ap_.ctx());
 }
 
 Result<std::vector<ColumnBatch>> InMemoryHtapEngine::BatchScan(

@@ -75,10 +75,11 @@ class RowTxnLayer {
     if (s == nullptr) return Status::NotFound("no such table");
     return s->Get(txn->local->snapshot(), key, out);
   }
-  Status Read(const TableInfo& table, Key key, Row* out) const {
+  Status Read(const TableInfo& table, Key key, Row* out) {
     const MvccRowStore* s = store(table.id);
     if (s == nullptr) return Status::NotFound("no such table");
-    return s->Get(txn_mgr_.CurrentSnapshot(), key, out);
+    const ReadView view(&txn_mgr_);
+    return s->Get(view.snapshot(), key, out);
   }
   Status Commit(TxnContext* txn) {
     txn->finished = true;

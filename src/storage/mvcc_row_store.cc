@@ -16,6 +16,7 @@ MvccRowStore::MvccRowStore(uint32_t table_id, Schema schema,
       wal_(wal) {}
 
 MvccRowStore::~MvccRowStore() {
+  if (txn_mgr_ != nullptr) txn_mgr_->ForgetStore(this);
   for (ChainStripe& s : stripes_) {
     for (auto& chain : s.chains) {
       RowVersion* v = chain->latest;
@@ -103,6 +104,12 @@ void MvccRowStore::LogDml(Transaction* txn, WalRecordType type, Key key,
   wal_->Append(rec);
 }
 
+void MvccRowStore::ReleaseBytes(size_t bytes) {
+  mem_bytes_.fetch_sub(
+      std::min(mem_bytes_.load(std::memory_order_relaxed), bytes),
+      std::memory_order_relaxed);
+}
+
 Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
   if (row.size() != schema_.num_columns())
     return Status::InvalidArgument("row arity mismatch");
@@ -188,10 +195,7 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
     }
     // Updating our own uncommitted version: mutate in place.
     mem_bytes_.fetch_add(row.MemoryBytes(), std::memory_order_relaxed);
-    mem_bytes_.fetch_sub(
-        std::min(mem_bytes_.load(std::memory_order_relaxed),
-                 latest->data.MemoryBytes()),
-        std::memory_order_relaxed);
+    ReleaseBytes(latest->data.MemoryBytes());
     latest->data = row;
     txn->changes().push_back(
         ChangeEvent{table_id_, ChangeOp::kUpdate, key, row, 0});
@@ -389,10 +393,7 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
     case UndoEntry::Kind::kInsert: {
       assert(u.chain->latest == u.new_version);
       u.chain->latest = u.new_version->older;
-      mem_bytes_.fetch_sub(
-          std::min(mem_bytes_.load(std::memory_order_relaxed),
-                   sizeof(RowVersion) + u.new_version->data.MemoryBytes()),
-          std::memory_order_relaxed);
+      ReleaseBytes(sizeof(RowVersion) + u.new_version->data.MemoryBytes());
       delete u.new_version;
       versions_.fetch_sub(1, std::memory_order_relaxed);
       break;
@@ -403,10 +404,7 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
       // order: release — resurrecting the old version is a publication a
       // latch-free stamp reader may consume with its acquire load.
       u.old_version->end.store(kMaxCSN, std::memory_order_release);
-      mem_bytes_.fetch_sub(
-          std::min(mem_bytes_.load(std::memory_order_relaxed),
-                   sizeof(RowVersion) + u.new_version->data.MemoryBytes()),
-          std::memory_order_relaxed);
+      ReleaseBytes(sizeof(RowVersion) + u.new_version->data.MemoryBytes());
       delete u.new_version;
       versions_.fetch_sub(1, std::memory_order_relaxed);
       break;
@@ -418,43 +416,51 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
   }
 }
 
-size_t MvccRowStore::Vacuum(CSN watermark) {
-  size_t reclaimed = 0;
-  for (ChainStripe& s : stripes_) {
-    SpinGuard chains_guard(s.latch);
-    for (auto& chain_ptr : s.chains) {
-      VersionChain* chain = chain_ptr.get();
-      SpinGuard g(chain->latch);
-      if (chain->latest == nullptr) continue;
-      // Keep the latest version; free any older version whose end CSN is at
-      // or below the watermark (unreachable by every active or future
-      // snapshot).
-      RowVersion* keep = chain->latest;
-      RowVersion* v = keep->older;
-      while (v != nullptr) {
-        // order: acquire pairs with the commit-time release re-stamp so a
-        // freshly retired CSN is read consistently with the version data.
-        const uint64_t raw_e = v->end.load(std::memory_order_acquire);
-        if (!IsTxnId(raw_e) && raw_e != kMaxCSN && raw_e <= watermark) {
-          // This and everything older is dead.
-          keep->older = nullptr;
-          while (v != nullptr) {
-            RowVersion* older = v->older;
-            mem_bytes_.fetch_sub(
-                std::min(mem_bytes_.load(std::memory_order_relaxed),
-                         sizeof(RowVersion) + v->data.MemoryBytes()),
-                std::memory_order_relaxed);
-            delete v;
-            versions_.fetch_sub(1, std::memory_order_relaxed);
-            ++reclaimed;
-            v = older;
-          }
-          break;
-        }
-        keep = v;
-        v = v->older;
+size_t MvccRowStore::PruneChain(VersionChain* chain, CSN watermark) {
+  RowVersion* dead = nullptr;
+  {
+    SpinGuard g(chain->latch);
+    if (chain->latest == nullptr) return 0;
+    // Keep the latest version; cut at the first older version whose end CSN
+    // is at or below the watermark. It is invisible to every registered
+    // snapshot (all begin at or after the watermark), and so is everything
+    // older, whose end CSNs are smaller still.
+    RowVersion* keep = chain->latest;
+    for (RowVersion* v = keep->older; v != nullptr; keep = v, v = v->older) {
+      // order: acquire pairs with the commit-time release re-stamp so a
+      // freshly retired CSN is read consistently with the version data.
+      const uint64_t raw_e = v->end.load(std::memory_order_acquire);
+      if (!IsTxnId(raw_e) && raw_e != kMaxCSN && raw_e <= watermark) {
+        keep->older = nullptr;
+        dead = v;
+        break;
       }
     }
+  }
+  // Unlinked under the latch, which every reader holds while it walks the
+  // chain, so no reader can still reach these versions.
+  size_t reclaimed = 0;
+  while (dead != nullptr) {
+    RowVersion* older = dead->older;
+    ReleaseBytes(sizeof(RowVersion) + dead->data.MemoryBytes());
+    delete dead;
+    ++reclaimed;
+    dead = older;
+  }
+  versions_.fetch_sub(reclaimed, std::memory_order_relaxed);
+  return reclaimed;
+}
+
+size_t MvccRowStore::Vacuum(CSN watermark) {
+  size_t reclaimed = 0;
+  std::vector<VersionChain*> chains;
+  for (ChainStripe& s : stripes_) {
+    chains.clear();
+    {
+      SpinGuard g(s.latch);
+      for (const auto& chain : s.chains) chains.push_back(chain.get());
+    }
+    for (VersionChain* chain : chains) reclaimed += PruneChain(chain, watermark);
   }
   return reclaimed;
 }

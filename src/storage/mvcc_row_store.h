@@ -102,8 +102,15 @@ class MvccRowStore {
 
   // ---- Maintenance -------------------------------------------------------
 
-  /// Frees versions no longer visible to any snapshot at or after
-  /// `watermark`. Returns number of versions reclaimed.
+  /// Frees `chain`'s versions that no snapshot at or after `watermark` can
+  /// see: the first non-latest version whose end CSN is <= `watermark`, and
+  /// everything older. They are unlinked under the chain latch and freed
+  /// after it is released. Returns the number of versions reclaimed.
+  /// TransactionManager calls this on the chains each commit retires.
+  size_t PruneChain(VersionChain* chain, CSN watermark);
+
+  /// PruneChain over every chain of the store. Returns number of versions
+  /// reclaimed.
   size_t Vacuum(CSN watermark);
 
   /// Number of live (latest, non-deleted) rows — approximate under
@@ -136,6 +143,9 @@ class MvccRowStore {
 
   void LogDml(Transaction* txn, WalRecordType type, Key key, const Row& row);
 
+  /// Subtracts a freed version's footprint from mem_bytes_, saturating at 0.
+  void ReleaseBytes(size_t bytes);
+
   const uint32_t table_id_;
   const Schema schema_;
   TransactionManager* const txn_mgr_;
@@ -147,7 +157,8 @@ class MvccRowStore {
   // creating chains for different keys rarely contend (a same-key race
   // serializes on its stripe and double-checks the index under the latch).
   // Chains are owned here and never freed until the store dies (keys are
-  // never unindexed; fully-dead chains are invisible to scans).
+  // never unindexed; fully-dead chains are invisible to scans), so the
+  // transaction manager's retire lists may hold chain pointers.
   static constexpr size_t kChainStripes = 64;
   struct alignas(64) ChainStripe {
     SpinLatch latch{LockRank::kStoreChains, "row-store-chains"};

@@ -19,16 +19,18 @@ TransactionManager::TransactionManager(WalWriter* wal, size_t commit_shards)
 
 std::unique_ptr<Transaction> TransactionManager::Begin() {
   const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+  ActiveShard& as = active_shard(id);
+  MutexLock lk(&as.mu);
+  // Read the snapshot CSN inside the critical section that registers the
+  // transaction. A Watermark() scan either finds it here, or scanned this
+  // shard before we locked it, and so loaded committed_ before this load:
+  // either way its result is <= our begin CSN (DESIGN.md §17).
   // order: acquire pairs with the acq_rel CAS in RecomputeCommitted — every
   // version stamped at or below this watermark is fully published before we
   // read at it.
   const CSN begin = committed_.load(std::memory_order_acquire);
   auto txn = std::make_unique<Transaction>(id, begin);
-  ActiveShard& as = active_shard(id);
-  {
-    MutexLock lk(&as.mu);
-    as.txns.emplace(id, txn.get());
-  }
+  as.txns.emplace(id, txn.get());
   return txn;
 }
 
@@ -100,17 +102,49 @@ Status TransactionManager::Commit(Transaction* txn) {
   }
 
   // Retire the CSN from the frontier: every version is stamped, so the
-  // watermark may now advance past it.
+  // watermark may now advance past it. The versions this commit superseded
+  // go on the shard's retire list in the same critical section.
+  bool gc_due;
   {
     MutexLock lk(&cs.mu);
     cs.inflight.erase(csn);
+    for (const UndoEntry& u : txn->undo())
+      if (u.kind == UndoEntry::Kind::kUpdate)
+        cs.retired.push_back(RetireEntry{csn, u.store, u.chain});
+    gc_due = ++cs.commits % kGcEveryCommits == 0;
   }
   RecomputeCommitted();
   DrainPublishQueue();
 
   EraseActive(txn->id());
   commits_.fetch_add(1, std::memory_order_relaxed);
+  if (gc_due) CollectGarbage(cs);
   return Status::OK();
+}
+
+void TransactionManager::CollectGarbage(CommitShard& cs) {
+  const CSN w = Watermark();
+  std::vector<RetireEntry> due;
+  {
+    MutexLock lk(&cs.mu);
+    if (w <= cs.pruned_to) return;  // a reader still pins the last bound
+    cs.pruned_to = w;
+    const auto live = std::partition(
+        cs.retired.begin(), cs.retired.end(),
+        [w](const RetireEntry& e) { return e.csn > w; });
+    due.assign(live, cs.retired.end());
+    cs.retired.erase(live, cs.retired.end());
+  }
+  // Outside the shard mutex: pruning takes each chain latch and frees.
+  for (const RetireEntry& e : due) e.store->PruneChain(e.chain, w);
+}
+
+void TransactionManager::ForgetStore(const MvccRowStore* store) {
+  for (const auto& shard : shards_) {
+    MutexLock lk(&shard->mu);
+    std::erase_if(shard->retired,
+                  [store](const RetireEntry& e) { return e.store == store; });
+  }
 }
 
 void TransactionManager::RecomputeCommitted() {
@@ -188,9 +222,12 @@ bool TransactionManager::GetCommitInfo(uint64_t txn_id, CSN* commit_csn,
 }
 
 CSN TransactionManager::Watermark() const {
-  // committed_ is loaded first and only grows, and every transaction that
-  // begins after this load gets begin_csn >= wm, so the result is a valid
-  // lower bound even though shards are scanned one at a time.
+  // committed_ is loaded first and only grows. A transaction missing from
+  // the scan registered in its shard after we scanned that shard, and
+  // Begin() reads its begin CSN under the same shard mutex, so that read
+  // comes after our load and begin_csn >= wm. Hence the result is a valid
+  // lower bound even though shards are scanned one at a time. (Reading
+  // committed_ before taking the shard mutex in Begin() would break this.)
   // order: acquire pairs with the watermark CAS release (same edge as
   // Begin()); a vacuum driven by this bound must see the covered stamps.
   CSN wm = committed_.load(std::memory_order_acquire);

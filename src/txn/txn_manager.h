@@ -16,6 +16,11 @@
 // Sink publication stays globally CSN-ordered via a small pending queue
 // drained under `publish_mu_`; no commit ever holds a global mutex across
 // WAL sync, stamping, and publication the way the old `commit_mu_` did.
+//
+// Commits also drive version reclamation (DESIGN.md §17): each update
+// commit records the chains it superseded a version on in its shard's
+// retire list, and every kGcEveryCommits-th commit of a shard prunes the
+// chains whose superseding CSN the GC watermark covers.
 
 #ifndef HTAP_TXN_TXN_MANAGER_H_
 #define HTAP_TXN_TXN_MANAGER_H_
@@ -49,7 +54,13 @@ class TransactionManager {
 
   static constexpr size_t kDefaultCommitShards = 8;
 
+  /// A shard runs a GC step on every kGcEveryCommits-th of its commits. So
+  /// with no reader holding the watermark back, a chain carries at most
+  /// about commit_shard_count() * kGcEveryCommits superseded versions.
+  static constexpr uint32_t kGcEveryCommits = 32;
+
   /// Starts a transaction with a snapshot of everything committed so far.
+  /// Its begin CSN holds the GC watermark down until it commits or aborts.
   std::unique_ptr<Transaction> Begin();
 
   /// Commits: WAL commit record + group sync, CSN assignment, version
@@ -62,6 +73,11 @@ class TransactionManager {
 
   /// Read-only snapshot at "now". Every version with a CSN at or below the
   /// snapshot is guaranteed fully stamped (min-frontier invariant).
+  ///
+  /// It does not pin the GC watermark: once later commits run, the
+  /// versions it needs may be reclaimed. Use it for a quiesced store (tests,
+  /// benches) or for its CSN alone (column scans); a row-store read that
+  /// may overlap commits takes a ReadView.
   Snapshot CurrentSnapshot() const {
     // order: acquire pairs with the watermark CAS release in
     // RecomputeCommitted — stamps covered by the snapshot are visible.
@@ -85,9 +101,14 @@ class TransactionManager {
   /// version stamp).
   bool GetCommitInfo(uint64_t txn_id, CSN* commit_csn, TxnState* state) const;
 
-  /// Oldest begin CSN among active transactions (or the committed CSN if
-  /// none): versions dead before this are unreachable and can be vacuumed.
+  /// Oldest begin CSN among active transactions and read views (or the
+  /// committed CSN if none): versions dead before this are unreachable and
+  /// can be vacuumed.
   CSN Watermark() const;
+
+  /// Drops every retire-list entry that names `store` (called by its
+  /// destructor; the store must be quiescent).
+  void ForgetStore(const MvccRowStore* store);
 
   /// Registers a sink to receive committed changes in CSN order.
   void RegisterSink(ChangeSink* sink);
@@ -105,6 +126,15 @@ class TransactionManager {
   size_t commit_shard_count() const { return shards_.size(); }
 
  private:
+  friend class ReadView;
+
+  /// A chain on which the commit at `csn` superseded a version.
+  struct RetireEntry {
+    CSN csn;
+    MvccRowStore* store;
+    VersionChain* chain;
+  };
+
   /// In-flight commit frontier for one shard: CSNs allocated to committing
   /// transactions whose versions are not yet fully stamped. Allocation and
   /// insertion happen atomically under `mu` so a frontier scan can never
@@ -112,6 +142,9 @@ class TransactionManager {
   struct alignas(64) CommitShard {
     Mutex mu{LockRank::kTxnShard, "txn-commit-shard"};
     std::set<CSN> inflight GUARDED_BY(mu);
+    std::vector<RetireEntry> retired GUARDED_BY(mu);
+    uint32_t commits GUARDED_BY(mu) = 0;
+    CSN pruned_to GUARDED_BY(mu) = 0;  // watermark of the last GC step
   };
 
   struct alignas(64) ActiveShard {
@@ -127,6 +160,10 @@ class TransactionManager {
   }
 
   void EraseActive(uint64_t txn_id);
+
+  /// One GC step for `cs`: prunes every retired chain whose CSN the current
+  /// Watermark() covers.
+  void CollectGarbage(CommitShard& cs);
 
   /// Recomputes committed_ = min over shards of (min inflight - 1), capped
   /// by allocated_, and publishes it monotonically (CAS-max).
@@ -157,6 +194,27 @@ class TransactionManager {
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_{0};
   std::atomic<uint64_t> conflicts_{0};
+};
+
+/// A registered read-only snapshot for row-store reads outside a
+/// transaction. It is Begin()-registered, so its begin CSN holds the GC
+/// watermark down until the view is destroyed; it writes nothing and its
+/// end is not counted as a commit.
+class ReadView {
+ public:
+  explicit ReadView(TransactionManager* mgr)
+      : mgr_(mgr), txn_(mgr->Begin()) {}
+  ~ReadView() { mgr_->EraseActive(txn_->id()); }
+
+  ReadView(const ReadView&) = delete;
+  ReadView& operator=(const ReadView&) = delete;
+
+  /// txn_id 0: the view has no own writes to see.
+  Snapshot snapshot() const { return Snapshot{txn_->begin_csn(), 0}; }
+
+ private:
+  TransactionManager* const mgr_;
+  const std::unique_ptr<Transaction> txn_;
 };
 
 }  // namespace htap

@@ -69,11 +69,12 @@ uint64_t WalWriter::Append(const WalRecord& rec) {
 Status WalWriter::Sync() {
   MutexLock lk(&mu_);
   if (buffer_.empty()) return Status::OK();
-  memory_log_.append(buffer_);
   if (file_) {
     const size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
     if (n != buffer_.size()) return Status::IOError("wal short write");
     if (options_.sync_on_commit) std::fflush(file_);
+  } else {
+    memory_log_.append(buffer_);
   }
   flushed_lsn_ = tail_lsn_;
   buffer_.clear();

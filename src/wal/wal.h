@@ -79,15 +79,18 @@ class WalWriter {
     return sync_count_;
   }
 
-  /// Copy of the full log contents (in-memory backend or test use).
+  /// Copy of the log contents: the whole log for the in-memory backend;
+  /// only the unflushed group for a file backend, whose log is read back
+  /// with WalReader::ReadFile.
   std::string ContentsForTest() const;
 
  private:
   const Options options_;
   mutable Mutex mu_{LockRank::kWal, "wal-writer"};
   std::string buffer_ GUARDED_BY(mu_);      // unflushed group
-  std::string memory_log_ GUARDED_BY(mu_);  // in-memory backend (always kept;
-                                            // cheap + used by replication)
+  // The in-memory backend: flushed groups of a writer with no open file.
+  // A file-backed writer keeps no resident copy of what it wrote.
+  std::string memory_log_ GUARDED_BY(mu_);
   uint64_t tail_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t flushed_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t sync_count_ GUARDED_BY(mu_) = 0;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <thread>
 
 #include "common/random.h"
@@ -225,6 +227,9 @@ TEST_F(MvccTest, ChangeSinkReceivesCommitOrderedEvents) {
 }
 
 TEST_F(MvccTest, VacuumReclaimsDeadVersions) {
+  // 21 commits spread over the commit shards: no shard reaches a GC step,
+  // so every superseded version is still on the chain when Vacuum runs.
+  static_assert(21 < TransactionManager::kGcEveryCommits);
   auto t0 = mgr_.Begin();
   store_.Insert(t0.get(), MakeRow(1, 0));
   mgr_.Commit(t0.get());
@@ -257,6 +262,79 @@ TEST_F(MvccTest, VacuumPreservesVersionsVisibleToActiveTxns) {
   ASSERT_TRUE(store_.Get(reader->snapshot(), 1, &out).ok());
   EXPECT_EQ(out.Get(1).AsInt64(), 0);  // old version survived
   mgr_.Commit(reader.get());
+}
+
+// Commit-driven GC: 10k updates of one key with no reader leave at most one
+// GC window of superseded versions on the chain, not one per update.
+TEST_F(MvccTest, CommitDrivenGcBoundsVersionsWithoutReaders) {
+  const size_t window =
+      mgr_.commit_shard_count() * TransactionManager::kGcEveryCommits;
+  auto t0 = mgr_.Begin();
+  ASSERT_TRUE(store_.Insert(t0.get(), MakeRow(1, 0)).ok());
+  ASSERT_TRUE(mgr_.Commit(t0.get()).ok());
+  const size_t bytes_one_version = store_.MemoryBytes();
+  size_t peak = 0;
+  for (int i = 1; i <= 10000; ++i) {
+    auto t = mgr_.Begin();
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(1, i)).ok());
+    ASSERT_TRUE(mgr_.Commit(t.get()).ok());
+    peak = std::max(peak, store_.VersionCount());
+  }
+  EXPECT_LE(peak, window + 1);
+  EXPECT_LE(store_.MemoryBytes(), bytes_one_version * (window + 1));
+  Row out;
+  ASSERT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 1, &out).ok());
+  EXPECT_EQ(out.Get(1).AsInt64(), 10000);
+}
+
+// An open transaction or ReadView keeps the version its snapshot reads
+// alive through every GC step; once the last one closes, the next steps
+// reclaim it. A ReadView's end is not counted as a commit.
+TEST_F(MvccTest, ReadersPinVersionsUntilTheyClose) {
+  const size_t window =
+      mgr_.commit_shard_count() * TransactionManager::kGcEveryCommits;
+  auto t0 = mgr_.Begin();
+  ASSERT_TRUE(store_.Insert(t0.get(), MakeRow(1, 0)).ok());
+  ASSERT_TRUE(mgr_.Commit(t0.get()).ok());
+
+  auto update_n = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      auto t = mgr_.Begin();
+      Row cur;
+      ASSERT_TRUE(store_.Get(t->snapshot(), 1, &cur).ok());
+      ASSERT_TRUE(
+          store_.Update(t.get(), MakeRow(1, cur.Get(1).AsInt64() + 1)).ok());
+      ASSERT_TRUE(mgr_.Commit(t.get()).ok());
+    }
+  };
+
+  auto txn_reader = mgr_.Begin();
+  auto view = std::make_unique<ReadView>(&mgr_);
+  update_n(4 * window);
+  Row out;
+  ASSERT_TRUE(store_.Get(txn_reader->snapshot(), 1, &out).ok());
+  EXPECT_EQ(out.Get(1).AsInt64(), 0);
+  ASSERT_TRUE(store_.Get(view->snapshot(), 1, &out).ok());
+  EXPECT_EQ(out.Get(1).AsInt64(), 0);
+  // Every superseded version ended after the pinned snapshot: none is
+  // reclaimable yet.
+  EXPECT_EQ(store_.VersionCount(), 4 * window + 1);
+
+  // The transaction closes; the view alone still pins the old version.
+  ASSERT_TRUE(mgr_.Commit(txn_reader.get()).ok());
+  update_n(window);
+  ASSERT_TRUE(store_.Get(view->snapshot(), 1, &out).ok());
+  EXPECT_EQ(out.Get(1).AsInt64(), 0);
+  EXPECT_EQ(store_.VersionCount(), 5 * window + 1);
+
+  const uint64_t commits = mgr_.commits();
+  view.reset();
+  EXPECT_EQ(mgr_.commits(), commits);
+  // One window of commits gives every shard a GC step.
+  update_n(window);
+  EXPECT_LE(store_.VersionCount(), window + 1);
+  ASSERT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 1, &out).ok());
+  EXPECT_EQ(out.Get(1).AsInt64(), static_cast<int64_t>(6 * window));
 }
 
 TEST_F(MvccTest, ApplyCommittedMatchesTransactionalPath) {
@@ -363,11 +441,13 @@ TEST_F(MvccTest, ConcurrentContendedWritersSerialize) {
 }
 
 // Property: a snapshot taken at any point sees exactly the committed state
-// as of that point, regardless of later activity.
+// as of that point, regardless of later activity — including the version
+// reclamation that later commits drive, since each checkpoint is a ReadView.
 TEST_F(MvccTest, PropertySnapshotStability) {
   Random rng(99);
   std::map<Key, int64_t> model;  // committed state
-  std::vector<std::pair<Snapshot, std::map<Key, int64_t>>> checkpoints;
+  std::vector<std::pair<std::unique_ptr<ReadView>, std::map<Key, int64_t>>>
+      checkpoints;
 
   for (int step = 0; step < 500; ++step) {
     auto txn = mgr_.Begin();
@@ -400,13 +480,14 @@ TEST_F(MvccTest, PropertySnapshotStability) {
     } else if (txn->active()) {
       mgr_.Abort(txn.get());
     }
-    if (step % 50 == 0) checkpoints.emplace_back(mgr_.CurrentSnapshot(), model);
+    if (step % 50 == 0)
+      checkpoints.emplace_back(std::make_unique<ReadView>(&mgr_), model);
   }
 
   // Every historical snapshot still reads its exact historical state.
-  for (const auto& [snap, expected] : checkpoints) {
+  for (const auto& [view, expected] : checkpoints) {
     std::map<Key, int64_t> got;
-    store_.Scan(snap, [&](Key k, const Row& r) {
+    store_.Scan(view->snapshot(), [&](Key k, const Row& r) {
       got[k] = r.Get(1).AsInt64();
       return true;
     });

@@ -5,7 +5,9 @@
 //    and a final value-sum invariant holds.
 //  * Sharded-commit visibility: a snapshot's sum over accounts is always a
 //    multiple of the invariant total — a snapshot can never observe a CSN
-//    above the min per-shard frontier (i.e. a half-stamped transaction).
+//    above the min per-shard frontier (i.e. a half-stamped transaction),
+//    and commit-driven version GC never frees what a registered snapshot
+//    still reads.
 //  * Sink publication stays strictly CSN-ordered under concurrent commits.
 //
 // All tests here are in the TSan suite (ci.sh) and must stay clean with
@@ -160,10 +162,15 @@ Schema AccountSchema() {
 }
 
 // Transfer workload: every committed transaction moves an amount between two
-// accounts, preserving the total. A concurrent reader summing all accounts
+// accounts, preserving the total. Concurrent readers summing all accounts
 // at one snapshot must always see exactly the initial total — if a snapshot
 // could ever observe a CSN above the min per-shard frontier, it would catch
 // a transaction with only one leg stamped and the sum would drift.
+//
+// The transfers also drive version GC (DESIGN.md §17) while three kinds of
+// reader run: ReadView point reads, ReadView row-path scans, and read-only
+// transactions from Begin(). A version freed while a registered snapshot
+// still needs it shows up as a missing account.
 TEST(ShardedCommitTest, SnapshotNeverSeesHalfStampedTransfer) {
   TransactionManager mgr(nullptr, /*commit_shards=*/8);
   MvccRowStore store(1, AccountSchema(), &mgr, nullptr);
@@ -171,7 +178,7 @@ TEST(ShardedCommitTest, SnapshotNeverSeesHalfStampedTransfer) {
   constexpr int kAccounts = 32;
   constexpr int64_t kInitial = 1000;
   constexpr int kWriters = 4;
-  constexpr int kTransfersPerWriter = 400;
+  constexpr int kTransfersPerWriter = 1000;
 
   {
     auto txn = mgr.Begin();
@@ -183,20 +190,49 @@ TEST(ShardedCommitTest, SnapshotNeverSeesHalfStampedTransfer) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> bad_sums{0};
-  std::thread auditor([&] {
+  std::atomic<uint64_t> audits{0};
+  auto check = [&](int seen, int64_t sum) {
+    audits.fetch_add(1, std::memory_order_relaxed);
+    if (seen != kAccounts || sum != kAccounts * kInitial)
+      bad_sums.fetch_add(1, std::memory_order_relaxed);
+  };
+  auto sum_by_get = [&](const Snapshot& snap) {
+    int64_t sum = 0;
+    int seen = 0;
+    Row out;
+    for (int a = 0; a < kAccounts; ++a) {
+      if (store.Get(snap, a, &out).ok()) {
+        sum += out.Get(1).AsInt64();
+        ++seen;
+      }
+    }
+    check(seen, sum);
+  };
+  std::vector<std::thread> auditors;
+  auditors.emplace_back([&] {  // point reads under a ReadView
     while (!stop.load(std::memory_order_acquire)) {
-      const Snapshot snap = mgr.CurrentSnapshot();
+      const ReadView view(&mgr);
+      sum_by_get(view.snapshot());
+    }
+  });
+  auditors.emplace_back([&] {  // row-path scans under a ReadView
+    while (!stop.load(std::memory_order_acquire)) {
+      const ReadView view(&mgr);
       int64_t sum = 0;
       int seen = 0;
-      Row out;
-      for (int a = 0; a < kAccounts; ++a) {
-        if (store.Get(snap, a, &out).ok()) {
-          sum += out.Get(1).AsInt64();
-          ++seen;
-        }
-      }
-      if (seen != kAccounts || sum != kAccounts * kInitial)
-        bad_sums.fetch_add(1, std::memory_order_relaxed);
+      store.Scan(view.snapshot(), [&](Key, const Row& r) {
+        sum += r.Get(1).AsInt64();
+        ++seen;
+        return true;
+      });
+      check(seen, sum);
+    }
+  });
+  auditors.emplace_back([&] {  // read-only transactions
+    while (!stop.load(std::memory_order_acquire)) {
+      auto txn = mgr.Begin();
+      sum_by_get(txn->snapshot());
+      ASSERT_TRUE(mgr.Commit(txn.get()).ok());
     }
   });
 
@@ -240,10 +276,26 @@ TEST(ShardedCommitTest, SnapshotNeverSeesHalfStampedTransfer) {
   }
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_release);
-  auditor.join();
+  for (auto& t : auditors) t.join();
 
   EXPECT_EQ(bad_sums.load(), 0u);
+  EXPECT_GT(audits.load(), 0u);
   EXPECT_GT(committed.load(), 0u);
+
+  // An auditor descheduled mid-read can pin the watermark for the whole
+  // run. With the readers gone, one window of commits gives every shard a
+  // GC step, and every chain is pruned down to its recent updates.
+  const size_t window =
+      mgr.commit_shard_count() * TransactionManager::kGcEveryCommits;
+  for (size_t i = 0; i < window; ++i) {
+    auto txn = mgr.Begin();
+    const Key k = static_cast<Key>(i % kAccounts);
+    Row r;
+    ASSERT_TRUE(store.Get(txn->snapshot(), k, &r).ok());
+    ASSERT_TRUE(store.Update(txn.get(), r).ok());
+    ASSERT_TRUE(mgr.Commit(txn.get()).ok());
+  }
+  EXPECT_LE(store.VersionCount(), kAccounts + window);
 
   // Quiesced: the watermark equals the allocation frontier and the final
   // sum is intact.

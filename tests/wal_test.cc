@@ -113,6 +113,32 @@ TEST(WalWriterTest, FileBackendRoundTrip) {
   std::remove(path.c_str());
 }
 
+// A file-backed writer keeps no resident copy of what it flushed, across
+// many group commits, and the file still round-trips every record.
+TEST(WalWriterTest, FileBackendKeepsNoResidentCopy) {
+  const std::string path = ::testing::TempDir() + "htap_wal_resident.wal";
+  std::remove(path.c_str());
+  {
+    WalWriter::Options o;
+    o.path = path;
+    WalWriter w(o);
+    for (int group = 0; group < 50; ++group) {
+      for (int i = 0; i < 10; ++i)
+        w.Append(MakeDml(WalRecordType::kUpdate, group, 3, group * 10 + i));
+      ASSERT_TRUE(w.Sync().ok());
+      EXPECT_TRUE(w.ContentsForTest().empty());
+    }
+    w.Append(MakeDml(WalRecordType::kInsert, 99, 3, 12345));
+    EXPECT_FALSE(w.ContentsForTest().empty());  // the unflushed group only
+  }  // the destructor flushes the last group
+  auto res = WalReader::ReadFile(path);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res->size(), 501u);
+  for (int k = 0; k < 500; ++k) EXPECT_EQ((*res)[k].key, k);
+  EXPECT_EQ((*res)[500].key, 12345);
+  std::remove(path.c_str());
+}
+
 TEST(RecoveryTest, ReplaysOnlyCommittedInCommitOrder) {
   WalWriter w({});
   // Txn 1 commits, txn 2 aborts, txn 3 never finishes, txn 4 commits after 1.

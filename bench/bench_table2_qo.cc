@@ -65,7 +65,7 @@ int main() {
     auto db = MakeDb(ArchitectureKind::kDiskRowPlusDistributedColumn, 1,
                      false);
     SetupAdapt(db.get(), acfg);
-    auto* engine = static_cast<DiskHtapEngine*>(db->engine());
+    auto* engine = static_cast<LocalHtapEngine*>(db->engine());
     const TableInfo* info = db->catalog()->Find("adapt_wide");
 
     // Hot workload touches the first 4 payload columns.
@@ -89,7 +89,7 @@ int main() {
       opts.column_memory_budget_bytes = budget_kib * 1024;
       auto bdb = std::move(*Database::Open(opts));
       SetupAdapt(bdb.get(), acfg);
-      auto* beng = static_cast<DiskHtapEngine*>(bdb->engine());
+      auto* beng = static_cast<LocalHtapEngine*>(bdb->engine());
       const TableInfo* binfo = bdb->catalog()->Find("adapt_wide");
       for (int i = 0; i < 12; ++i) bdb->Query(hot);  // heat the advisor
       auto sel = beng->RefreshColumnSelection(*binfo);

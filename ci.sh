@@ -145,7 +145,7 @@ suite_asan() {
   local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
-                    thread_safety_regression_test
+                    thread_safety_regression_test database_test
                     ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null
@@ -160,7 +160,7 @@ suite_tsan() {
   local TSAN_TESTS=(parallel_scan_test parallel_join_test grace_join_test
                     columnar_test executor_test common_test sync_test
                     scheduler_test vectorized_exec_test vectorized_join_test
-                    thread_safety_regression_test
+                    thread_safety_regression_test database_test
                     ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test)
   cmake -B build-tsan -S . -DHTAP_TSAN=ON > /dev/null

@@ -33,8 +33,7 @@ void Tour(ArchitectureKind arch) {
               Describe(arch));
 
   DatabaseOptions options;
-  options.architecture = arch;
-  options.data_dir = "/tmp";
+  options.architecture = arch;  // no data_dir: WAL and heaps stay private
   options.background_sync = false;  // make the staging visible
   options.dist.num_shards = 2;
   auto db = std::move(*Database::Open(options));

@@ -45,9 +45,9 @@ enum class LockRank : uint16_t {
   kTxnCommit = 200,     // TransactionManager::publish_mu_ (orders sink publication)
   kTxnShard = 210,      // TransactionManager per-shard commit frontier (inflight CSNs)
   kTxnSinks = 250,      // TransactionManager::sinks_mu_ (held while notifying engines)
-  kEngineTableSync = 280,  // per-TableState IMCS merge mutex (disk engine;
-                           // held across the generation snapshot + drain)
-  kEngineTables = 300,  // each engine's tables_mu_ (table-map + per-table state)
+  kEngineTableSync = 280,  // per-TableState loaded-column merge mutex (local
+                           // engine; held across generation snapshot + drain)
+  kEngineTables = 300,  // LocalHtapEngine::tables_mu_ (table map + state)
   kEngineTableStats = 350,  // per-TableState stats mutex (held across store sampling)
   kSyncMerge = 400,     // DataSynchronizer::mu_ / per-table IMCS merge mutex
   kDiskHeap = 450,      // DiskRowStore::mu_ (heap file + buffer pool)

@@ -2,21 +2,38 @@
 
 namespace htap {
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {
-  switch (options_.architecture) {
-    case ArchitectureKind::kRowPlusInMemoryColumn:
-      engine_ = std::make_unique<InMemoryHtapEngine>(options_, &catalog_);
-      break;
-    case ArchitectureKind::kDistributedRowPlusColumnReplica:
-      engine_ = std::make_unique<DistributedHtapEngine>(options_, &catalog_);
-      break;
+namespace {
+
+/// The parts each single-process architecture combines (DESIGN.md §2).
+LocalPreset LocalPresetFor(ArchitectureKind arch) {
+  switch (arch) {
     case ArchitectureKind::kDiskRowPlusDistributedColumn:
-      engine_ = std::make_unique<DiskHtapEngine>(options_, &catalog_);
-      break;
+      return {.wal_name = "diskrow",
+              .disk_heap = true,
+              .column_scan_desc = "imcs-pushdown",
+              .row_scan_desc = "disk-heap-scan"};
     case ArchitectureKind::kColumnPlusDeltaRow:
-      engine_ = std::make_unique<DeltaMainHtapEngine>(options_, &catalog_);
-      break;
+      return {.wal_name = "deltamain",
+              .l1l2_delta = true,
+              .column_primary = true,
+              .column_scan_desc = "main+l2+l1-scan",
+              .row_scan_desc = "delta-row-scan"};
+    default:
+      return {.wal_name = "inmemory",
+              .column_scan_desc = "column-scan",
+              .row_scan_desc = "row-full-scan"};
   }
+}
+
+}  // namespace
+
+Database::Database(DatabaseOptions options) : options_(std::move(options)) {
+  if (options_.architecture ==
+      ArchitectureKind::kDistributedRowPlusColumnReplica)
+    engine_ = std::make_unique<DistributedHtapEngine>(options_, &catalog_);
+  else
+    engine_ = std::make_unique<LocalHtapEngine>(
+        LocalPresetFor(options_.architecture), options_, &catalog_);
 }
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {

@@ -179,6 +179,7 @@ FreshnessInfo DistributedHtapEngine::Freshness(const TableInfo& tbl) {
     const Micros t = db_->CommitTimeOf(f.fresh_visible_csn + 1);
     if (t > 0 && env_.Now() > t) f.fresh_time_lag_micros = env_.Now() - t;
   }
+  f.pending_delta_entries = db_->LearnerPendingEntries(tbl.id);
   return f;
 }
 

@@ -1,0 +1,704 @@
+// Architectures (a), (c) and (d): one local engine built from parts.
+//
+// Transactions run against the MVCC row stores and the WAL; each commit's
+// changes fan out to the table's delta (and, for (c), write through to its
+// disk heap). Analytical scans pick the row side or the column side by the
+// preset's access-path rule. (a) and (d) keep a merged column table synced
+// by the daemon; (c) keeps only the columns the advisor loaded, merged on
+// scan, and falls back to scanning the disk heap (paying buffer-pool I/O)
+// when a query touches a column that is not loaded.
+
+#include <stdlib.h>
+
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <thread>
+
+#include "core/engines.h"
+
+namespace htap {
+
+/// Background merge driver: one thread syncing every registered
+/// synchronizer on interval/threshold triggers.
+class SyncDaemon {
+ public:
+  SyncDaemon(TransactionManager* txn_mgr, Micros interval_micros,
+             size_t entry_threshold)
+      : txn_mgr_(txn_mgr),
+        interval_micros_(interval_micros),
+        entry_threshold_(entry_threshold) {}
+
+  ~SyncDaemon() { Stop(); }
+
+  void AddTask(DataSynchronizer* sync) {
+    MutexLock lk(&tasks_mu_);
+    tasks_.push_back(sync);
+  }
+
+  void Start() {
+    if (thread_.joinable()) return;
+    // order: relaxed — the std::thread constructor below synchronizes-with
+    // the new thread, so the reset needs no edge of its own.
+    stop_.store(false, std::memory_order_relaxed);
+    thread_ = std::thread([this] { Loop(); });
+  }
+
+  void Stop() {
+    // order: release pairs with Loop()'s acquire — everything written
+    // before the stop request is visible to the loop's final iteration.
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  Status SyncAllNow() {
+    const CSN target = txn_mgr_->LastCommittedCsn();
+    MutexLock lk(&tasks_mu_);
+    for (DataSynchronizer* t : tasks_) HTAP_RETURN_NOT_OK(t->SyncTo(target));
+    return Status::OK();
+  }
+
+  void Loop() {
+    Micros slept = 0;
+    const Micros tick = 1000;
+    // order: acquire pairs with Stop()'s release store.
+    while (!stop_.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(tick));
+      slept += tick;
+      bool threshold_hit = false;
+      if (entry_threshold_ != 0) {
+        MutexLock lk(&tasks_mu_);
+        for (DataSynchronizer* t : tasks_)
+          threshold_hit |= t->PendingEntries() >= entry_threshold_;
+      }
+      if (slept >= interval_micros_ || threshold_hit) {
+        SyncAllNow();
+        slept = 0;
+      }
+    }
+  }
+
+  TransactionManager* const txn_mgr_;
+  const Micros interval_micros_;
+  const size_t entry_threshold_;
+  // Outermost lock in the system: held across SyncTo(), which reaches the
+  // sync, table-latch, delta, and catalog locks (DESIGN.md §11).
+  Mutex tasks_mu_{LockRank::kSyncDaemon, "sync-daemon-tasks"};
+  std::vector<DataSynchronizer*> tasks_ GUARDED_BY(tasks_mu_);
+  std::atomic<bool> stop_{false};
+  // htap-lint: guarded-by — touched only from Start()/Stop()/dtor, which
+  // the owning engine serializes; never from the daemon thread itself.
+  std::thread thread_;
+};
+
+/// Column access resolved for one scan request: the access-path decision
+/// plus — when the column side serves — the pinned generation and the
+/// predicate, projection and fresh-scan delta in its layout.
+struct LocalHtapEngine::ScanAccess {
+  AccessPath path = AccessPath::kRowFullScan;
+  Key pk_key = 0;  // the pinned key when path == kRowIndexLookup
+  std::shared_ptr<ColumnTable> columns;  // null: the row side serves
+  Predicate pred;
+  std::vector<int> proj;
+  const DeltaReader* delta = nullptr;  // null for a stale (merged-only) scan
+  std::unique_ptr<DeltaReader> projected_delta;  // owns `delta` if remapped
+};
+
+namespace {
+
+std::unique_ptr<WalWriter> MakeWal(const DatabaseOptions& options,
+                                   const char* name) {
+  if (!options.wal_enabled) return nullptr;
+  WalWriter::Options wo;
+  if (!options.data_dir.empty())
+    wo.path = options.data_dir + "/" + name + ".wal";
+  wo.sync_on_commit = options.sync_on_commit;
+  return std::make_unique<WalWriter>(wo);
+}
+
+/// data_dir, or — for a disk heap with no data_dir — a fresh directory
+/// private to one engine, which removes it on destruction. Empty if none
+/// could be made.
+std::string HeapDir(const LocalPreset& preset, const DatabaseOptions& options) {
+  if (!preset.disk_heap || !options.data_dir.empty()) return options.data_dir;
+  std::error_code ec;
+  std::string dir =
+      (std::filesystem::temp_directory_path(ec) / "htap-heap-XXXXXX").string();
+  return ec || mkdtemp(dir.data()) == nullptr ? std::string() : dir;
+}
+
+/// Distinct columns a scan request touches (for advisor heat + costing).
+std::vector<int> TouchedColumns(const ScanRequest& req) {
+  std::vector<int> cols = req.pred->ReferencedColumns();
+  for (int c : req.projection)
+    if (std::find(cols.begin(), cols.end(), c) == cols.end())
+      cols.push_back(c);
+  if (cols.empty())
+    for (size_t i = 0; i < req.table->schema.num_columns(); ++i)
+      cols.push_back(static_cast<int>(i));
+  return cols;
+}
+
+/// Whether a column generation holding base columns `loaded` can serve a
+/// request touching `touched` — the survey's "columns for a new query may
+/// have not been selected" caveat.
+bool Serves(const std::vector<int>& loaded, const std::vector<int>& touched,
+            const ScanRequest& req) {
+  if (req.projection.empty() &&
+      loaded.size() != req.table->schema.num_columns())
+    return false;
+  return std::all_of(touched.begin(), touched.end(), [&](int c) {
+    return std::find(loaded.begin(), loaded.end(), c) != loaded.end();
+  });
+}
+
+/// If the predicate is (a conjunction containing) pk = <const>, extract it.
+bool ExtractPkPoint(const Predicate& pred, int pk_index, Key* key) {
+  for (const Predicate* c : pred.Conjuncts()) {
+    if (c->kind() == Predicate::Kind::kCompare && c->op() == CmpOp::kEq &&
+        c->column() == pk_index && c->literal().is_int64()) {
+      *key = c->literal().AsInt64();
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `row` reduced to `cols`, in that order (empty = all columns).
+Row ProjectRow(const std::vector<int>& cols, const Row& row) {
+  if (cols.empty()) return row;
+  Row out;
+  for (int c : cols) out.Append(row.Get(static_cast<size_t>(c)));
+  return out;
+}
+
+/// Remaps a base-schema predicate onto a loaded-column layout.
+Predicate RemapPredicate(const Predicate& pred,
+                         const std::vector<int>& base_to_loaded) {
+  switch (pred.kind()) {
+    case Predicate::Kind::kTrue:
+      return Predicate::True();
+    case Predicate::Kind::kCompare:
+      return Predicate::Compare(
+          base_to_loaded[static_cast<size_t>(pred.column())], pred.op(),
+          pred.literal());
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr:
+    case Predicate::Kind::kNot: {
+      std::vector<Predicate> children;
+      for (const auto& c : pred.children())
+        children.push_back(RemapPredicate(c, base_to_loaded));
+      if (pred.kind() == Predicate::Kind::kAnd)
+        return Predicate::And(std::move(children));
+      if (pred.kind() == Predicate::Kind::kOr)
+        return Predicate::Or(std::move(children));
+      return Predicate::Not(std::move(children[0]));
+    }
+  }
+  return Predicate::True();
+}
+
+/// Wraps a full-row delta so its entries appear in a loaded-column layout
+/// during the delta+column union.
+class ProjectingDeltaReader : public DeltaReader {
+ public:
+  ProjectingDeltaReader(const DeltaReader* inner, std::vector<int> loaded)
+      : inner_(inner), loaded_(std::move(loaded)) {}
+
+  void ScanVisible(CSN snapshot,
+                   const std::function<void(const DeltaEntry&)>& visit)
+      const override {
+    inner_->ScanVisible(snapshot, [&](const DeltaEntry& e) {
+      DeltaEntry proj;
+      proj.op = e.op;
+      proj.key = e.key;
+      proj.csn = e.csn;
+      if (e.op != ChangeOp::kDelete) proj.row = ProjectRow(loaded_, e.row);
+      visit(proj);
+    });
+  }
+  size_t EntryCount() const override { return inner_->EntryCount(); }
+  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
+
+ private:
+  const DeltaReader* inner_;
+  std::vector<int> loaded_;
+};
+
+}  // namespace
+
+LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
+                                 const DatabaseOptions& options,
+                                 Catalog* catalog)
+    : preset_(preset),
+      options_(options),
+      catalog_(catalog),
+      heap_dir_(HeapDir(preset, options)),
+      wal_(MakeWal(options, preset.wal_name)),
+      txn_mgr_(wal_.get(), options.commit_shards),
+      ap_(options_) {
+  txn_mgr_.RegisterSink(this);
+  txn_mgr_.RegisterSink(&freshness_);
+  if (options_.background_sync && !preset_.disk_heap) {
+    daemon_ = std::make_unique<SyncDaemon>(&txn_mgr_,
+                                           options_.sync_interval_micros,
+                                           options_.sync_entry_threshold);
+    daemon_->Start();
+  }
+}
+
+LocalHtapEngine::~LocalHtapEngine() {
+  if (daemon_) daemon_->Stop();
+  if (options_.data_dir.empty() && !heap_dir_.empty()) {
+    {
+      MutexLock lk(&tables_mu_);
+      tables_.clear();  // closes the heap files
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(heap_dir_, ec);
+  }
+}
+
+LocalHtapEngine::TableState::TableState(
+    const TableInfo& table, std::unique_ptr<DeltaStore> staged,
+    std::unique_ptr<DiskRowStore> disk_heap,
+    std::shared_ptr<ColumnTable> column_side)
+    : info(table),
+      delta(std::move(staged)),
+      heap(std::move(disk_heap)),
+      columns(std::move(column_side)) {
+  for (size_t c = 0; c < info.schema.num_columns(); ++c)
+    loaded.push_back(static_cast<int>(c));
+}
+
+LocalHtapEngine::TableState* LocalHtapEngine::FindTable(
+    uint32_t table_id) const {
+  MutexLock lk(&tables_mu_);
+  const auto it = tables_.find(table_id);
+  return it == tables_.end() ? nullptr : it->second.get();
+}
+
+MvccRowStore* LocalHtapEngine::Store(uint32_t table_id) const {
+  const auto it = stores_.find(table_id);
+  return it == stores_.end() ? nullptr : it->second.get();
+}
+
+Status LocalHtapEngine::CreateTable(const TableInfo& info) {
+  if (stores_.count(info.id) != 0)
+    return Status::AlreadyExists("table id in use");
+  stores_[info.id] = std::make_unique<MvccRowStore>(info.id, info.schema,
+                                                    &txn_mgr_, wal_.get());
+  std::unique_ptr<DiskRowStore> heap;
+  if (preset_.disk_heap) {
+    if (heap_dir_.empty()) return Status::IOError("no heap directory");
+    heap = std::make_unique<DiskRowStore>(
+        heap_dir_ + "/" + info.name + ".heap", info.schema,
+        options_.buffer_pool_pages);
+    HTAP_RETURN_NOT_OK(heap->Open());
+  }
+  std::unique_ptr<DeltaStore> delta;
+  if (preset_.l1l2_delta)
+    delta = std::make_unique<L1L2DeltaStore>(info.schema,
+                                             options_.l1_spill_threshold);
+  else
+    delta = std::make_unique<InMemoryDeltaStore>();
+  auto columns = std::make_shared<ColumnTable>(info.schema);
+  if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
+  auto ts = std::make_unique<TableState>(info, std::move(delta),
+                                         std::move(heap), std::move(columns));
+  if (!preset_.disk_heap) {
+    ts->sync = std::make_unique<DataSynchronizer>(
+        SyncStrategy::kInMemoryMerge, ts->columns.get(),
+        std::make_unique<DeltaSourceAdapter<DeltaStore>>(ts->delta.get()));
+    // Every merge republishes incremental TableStats to the catalog, so join
+    // planning can happen at plan time from metadata (DESIGN.md §10).
+    ts->sync->EnableStatsMaintenance(
+        [this, name = info.name](const TableStats& st, CSN as_of) {
+          catalog_->PublishStats(name, st, as_of);
+        },
+        options_.stats_compact_delete_threshold);
+    if (daemon_) daemon_->AddTask(ts->sync.get());
+  }
+  MutexLock lk(&tables_mu_);
+  tables_[info.id] = std::move(ts);
+  return Status::OK();
+}
+
+std::unique_ptr<TxnContext> LocalHtapEngine::Begin() {
+  auto ctx = std::make_unique<TxnContext>();
+  ctx->local = txn_mgr_.Begin();
+  return ctx;
+}
+
+Status LocalHtapEngine::Insert(TxnContext* t, const TableInfo& tbl,
+                               const Row& r) {
+  MvccRowStore* s = Store(tbl.id);
+  if (s == nullptr) return Status::NotFound("no such table");
+  return s->Insert(t->local.get(), r);
+}
+
+Status LocalHtapEngine::Update(TxnContext* t, const TableInfo& tbl,
+                               const Row& r) {
+  MvccRowStore* s = Store(tbl.id);
+  if (s == nullptr) return Status::NotFound("no such table");
+  return s->Update(t->local.get(), r);
+}
+
+Status LocalHtapEngine::Delete(TxnContext* t, const TableInfo& tbl, Key key) {
+  MvccRowStore* s = Store(tbl.id);
+  if (s == nullptr) return Status::NotFound("no such table");
+  return s->Delete(t->local.get(), key);
+}
+
+Status LocalHtapEngine::Get(TxnContext* t, const TableInfo& tbl, Key key,
+                            Row* out) {
+  const MvccRowStore* s = Store(tbl.id);
+  if (s == nullptr) return Status::NotFound("no such table");
+  return s->Get(t->local->snapshot(), key, out);
+}
+
+Status LocalHtapEngine::Commit(TxnContext* t) {
+  t->finished = true;
+  return txn_mgr_.Commit(t->local.get());
+}
+
+Status LocalHtapEngine::Abort(TxnContext* t) {
+  t->finished = true;
+  return txn_mgr_.Abort(t->local.get());
+}
+
+Status LocalHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
+  const MvccRowStore* s = Store(tbl.id);
+  if (s == nullptr) return Status::NotFound("no such table");
+  const ReadView view(&txn_mgr_);
+  return s->Get(view.snapshot(), key, out);
+}
+
+void LocalHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
+  // One pass splits the commit by table, so each table's parts see only
+  // their own changes. The TP commit path pays the delta append (for (d),
+  // occasionally the L1->L2 dictionary-encoding spill: the cost behind
+  // Table 1's "Low TP scalability" for that architecture).
+  std::map<uint32_t, std::vector<ChangeEvent>> by_table;
+  for (const ChangeEvent& ev : events) by_table[ev.table_id].push_back(ev);
+  for (auto& [tid, table_events] : by_table) {
+    TableState* ts = FindTable(tid);
+    if (ts == nullptr) continue;
+    if (ts->heap != nullptr) {  // write-through to the durable heap
+      for (const ChangeEvent& ev : table_events) {
+        if (ev.op == ChangeOp::kDelete)
+          ts->heap->Delete(ev.key);
+        else
+          ts->heap->Put(ev.row);
+      }
+    }
+    ts->delta->AppendBatch(std::move(table_events));
+  }
+}
+
+Status LocalHtapEngine::SyncLoadedColumns(
+    TableState* ts, CSN target, std::shared_ptr<ColumnTable>* columns_out,
+    std::vector<int>* loaded_out) {
+  // merge_mu serializes drain+apply: two unserialized drains could apply
+  // delta batches out of commit order, and a drain concurrent with
+  // RefreshColumnSelection could lose its entries into a superseded
+  // generation. It is taken *before* tables_mu_ (rank 280 < 300) so the
+  // generation snapshot below is the one current for the whole merge.
+  MutexLock merge_lk(&ts->merge_mu);
+  std::shared_ptr<ColumnTable> columns;
+  std::vector<int> loaded;
+  {
+    MutexLock lk(&tables_mu_);
+    columns = ts->columns;
+    loaded = ts->loaded;
+  }
+  std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
+  for (DeltaEntry& e : entries)
+    if (e.op != ChangeOp::kDelete) e.row = ProjectRow(loaded, e.row);
+  ApplyEntriesToColumnTable(columns.get(), entries, target);
+  if (columns_out != nullptr) *columns_out = std::move(columns);
+  if (loaded_out != nullptr) *loaded_out = std::move(loaded);
+  return Status::OK();
+}
+
+TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
+  const CSN now = txn_mgr_.LastCommittedCsn();
+  MutexLock lk(&ts->stats_mu);
+  if (ts->stats.row_count != 0 &&
+      now < ts->stats_at_csn + options_.stats_refresh_interval)
+    return ts->stats;
+  const MvccRowStore* store = Store(ts->info.id);
+  std::vector<Row> sample;
+  sample.reserve(2048);
+  const ReadView view(&txn_mgr_);
+  store->Scan(view.snapshot(), [&](Key, const Row& r) {
+    sample.push_back(r);
+    return sample.size() < 2048;
+  });
+  ts->stats = TableStats::Compute(ts->info.schema, sample);
+  ts->stats.row_count = store->ApproxRowCount();
+  ts->stats_at_csn = now;
+  // With no sync driver to maintain stats incrementally, the sampling
+  // refresher doubles as the catalog publisher (DESIGN.md §10).
+  if (ts->sync == nullptr)
+    catalog_->PublishStats(ts->info.name, ts->stats, now);
+  return ts->stats;
+}
+
+Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
+    const TableInfo& tbl) {
+  if (!preset_.disk_heap)
+    return Status::NotSupported("the preset loads every column");
+  TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  const TableStats table_stats = RefreshedStats(ts);
+  const std::vector<size_t> col_bytes =
+      EstimateColumnBytes(tbl.schema, table_stats);
+  ColumnAdvisor::Selection sel =
+      advisor_.Advise(tbl.name, col_bytes, options_.column_memory_budget_bytes);
+
+  // The primary key column always rides along (delta-union identity).
+  const int pk = tbl.schema.pk_index();
+  if (std::find(sel.columns.begin(), sel.columns.end(), pk) ==
+      sel.columns.end()) {
+    sel.columns.insert(sel.columns.begin(), pk);
+    std::sort(sel.columns.begin(), sel.columns.end());
+  }
+
+  // Rebuild the column side on the new projection from the durable heap, as
+  // a new generation. merge_mu keeps SyncLoadedColumns out for the whole
+  // drain+rebuild, so no merge can strand drained entries in the superseded
+  // generation; in-flight scans keep their pinned shared_ptr alive until
+  // they finish.
+  MutexLock merge_lk(&ts->merge_mu);
+  auto columns = std::make_shared<ColumnTable>(tbl.schema.Project(sel.columns));
+  if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
+  ts->delta->DrainUpTo(kMaxCSN);  // heap already reflects these
+  std::vector<Row> rows;
+  HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& r) {
+    rows.push_back(ProjectRow(sel.columns, r));
+    return true;
+  }));
+  columns->AppendBatch(rows, txn_mgr_.LastCommittedCsn());
+  {
+    MutexLock lk(&tables_mu_);
+    ts->loaded = sel.columns;
+    ts->columns = std::move(columns);
+  }
+  return sel;
+}
+
+std::vector<int> LocalHtapEngine::LoadedColumns(uint32_t table_id) const {
+  MutexLock lk(&tables_mu_);
+  const auto it = tables_.find(table_id);
+  return it == tables_.end() ? std::vector<int>{} : it->second->loaded;
+}
+
+Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
+    const ScanRequest& req, TableState* ts) {
+  ScanAccess acc;
+  const std::vector<int> touched = TouchedColumns(req);
+  if (preset_.column_primary) {
+    acc.path = req.path == PathHint::kForceRow ? AccessPath::kRowFullScan
+                                               : AccessPath::kColumnScan;
+  } else {
+    std::vector<int> loaded;
+    {
+      MutexLock lk(&tables_mu_);
+      loaded = ts->loaded;
+    }
+    const bool column_capable = Serves(loaded, touched, req);
+    const TableStats table_stats = RefreshedStats(ts);
+    const bool pk_point =
+        ExtractPkPoint(*req.pred, req.table->schema.pk_index(), &acc.pk_key);
+    switch (req.path) {
+      case PathHint::kForceRow:
+        acc.path = AccessPath::kRowFullScan;
+        break;
+      case PathHint::kForceColumn:
+        if (!column_capable)
+          return Status::InvalidArgument("columns not loaded in IMCS");
+        acc.path = AccessPath::kColumnScan;
+        break;
+      case PathHint::kAuto: {
+        AccessQuery q;
+        q.stats = &table_stats;
+        q.pred = req.pred;
+        q.columns_needed = touched.size();
+        q.total_columns = req.table->schema.num_columns();
+        q.delta_entries = ts->delta->EntryCount();
+        q.pk_point_lookup = pk_point;
+        q.column_store_available = column_capable;
+        acc.path = ChooseAccessPath(CostModel{}, q).path;
+        break;
+      }
+    }
+  }
+  if (acc.path != AccessPath::kColumnScan) return acc;
+
+  // Pin the generation to scan. Loaded columns merge on scan first;
+  // SyncLoadedColumns pins the generation it merged into, so a concurrent
+  // RefreshColumnSelection cannot free it under the scan that follows.
+  std::shared_ptr<ColumnTable> columns;
+  std::vector<int> loaded;
+  if (ts->sync == nullptr) {
+    HTAP_RETURN_NOT_OK(SyncLoadedColumns(ts, txn_mgr_.LastCommittedCsn(),
+                                         &columns, &loaded));
+  } else {
+    MutexLock lk(&tables_mu_);
+    columns = ts->columns;
+    loaded = ts->loaded;
+  }
+  // Re-check against the generation actually pinned: a concurrent refresh
+  // may have evicted a touched column since the capability check above.
+  if (!Serves(loaded, touched, req)) {
+    if (req.path == PathHint::kForceColumn)
+      return Status::InvalidArgument("columns not loaded in IMCS");
+    return acc;  // the row side serves instead
+  }
+  const size_t num_columns = req.table->schema.num_columns();
+  bool base_layout = loaded.size() == num_columns;
+  for (size_t i = 0; base_layout && i < num_columns; ++i)
+    base_layout = loaded[i] == static_cast<int>(i);
+  if (base_layout) {
+    acc.pred = *req.pred;
+    acc.proj = req.projection;
+    if (req.require_fresh) acc.delta = ts->delta.get();
+  } else {
+    std::vector<int> base_to_loaded(num_columns, -1);
+    for (size_t i = 0; i < loaded.size(); ++i)
+      base_to_loaded[static_cast<size_t>(loaded[i])] = static_cast<int>(i);
+    acc.pred = RemapPredicate(*req.pred, base_to_loaded);
+    for (int c : req.projection)
+      acc.proj.push_back(base_to_loaded[static_cast<size_t>(c)]);
+    if (req.require_fresh) {
+      acc.projected_delta = std::make_unique<ProjectingDeltaReader>(
+          ts->delta.get(), std::move(loaded));
+      acc.delta = acc.projected_delta.get();
+    }
+  }
+  acc.columns = std::move(columns);
+  return acc;
+}
+
+Result<std::vector<Row>> LocalHtapEngine::Scan(const ScanRequest& req,
+                                               ScanStats* stats,
+                                               std::string* path_desc) {
+  TableState* ts = FindTable(req.table->id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  if (preset_.disk_heap)
+    advisor_.RecordAccess(req.table->name, TouchedColumns(req));
+  HTAP_ASSIGN_OR_RETURN(ScanAccess acc, ResolveAccess(req, ts));
+
+  if (acc.columns != nullptr) {
+    if (path_desc != nullptr) *path_desc = preset_.column_scan_desc;
+    return ScanHtap(*acc.columns, acc.delta, txn_mgr_.LastCommittedCsn(),
+                    acc.pred, acc.proj, ap_.ctx(), stats);
+  }
+  std::vector<Row> out;
+  if (acc.path == AccessPath::kRowIndexLookup) {
+    if (path_desc != nullptr) *path_desc = AccessPathName(acc.path);
+    Row row;
+    if (Read(*req.table, acc.pk_key, &row).ok() && req.pred->Eval(row))
+      out.push_back(ProjectRow(req.projection, row));
+    return out;
+  }
+  if (path_desc != nullptr) *path_desc = preset_.row_scan_desc;
+  if (ts->heap == nullptr) {
+    // Row paths read MVCC versions, so they pin the GC watermark.
+    const ReadView view(&txn_mgr_);
+    return ScanRowStore(*Store(req.table->id), view.snapshot(), *req.pred,
+                        req.projection, ap_.ctx());
+  }
+  // Scan the disk heap through the buffer pool.
+  HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& row) {
+    if (req.pred->Eval(row)) out.push_back(ProjectRow(req.projection, row));
+    return true;
+  }));
+  return out;
+}
+
+Result<std::vector<ColumnBatch>> LocalHtapEngine::BatchScan(
+    const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
+  TableState* ts = FindTable(req.table->id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  HTAP_ASSIGN_OR_RETURN(ScanAccess acc, ResolveAccess(req, ts));
+  if (acc.columns == nullptr)
+    return Status::NotSupported("the row side serves this scan");
+  // Record the access only once it is certain this path serves the query;
+  // a decline falls back to Scan, which records unconditionally.
+  if (preset_.disk_heap)
+    advisor_.RecordAccess(req.table->name, TouchedColumns(req));
+  if (path_desc != nullptr) *path_desc = preset_.column_scan_desc;
+  return ScanHtapBatches(*acc.columns, acc.delta, txn_mgr_.LastCommittedCsn(),
+                         acc.pred, acc.proj, ap_.ctx(), stats);
+}
+
+Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
+                                             QueryExecInfo* info) {
+  const ScanFn scan = [this](const ScanRequest& req, ScanStats* stats,
+                             std::string* desc) {
+    return Scan(req, stats, desc);
+  };
+  BatchScanFn batch_scan;
+  if (ap_.vectorized)
+    batch_scan = [this](const ScanRequest& req, ScanStats* stats,
+                        std::string* desc) {
+      return BatchScan(req, stats, desc);
+    };
+  return RunPlan(plan, *catalog_, scan, info,
+                 ap_.ctx(txn_mgr_.LastCommittedCsn()), batch_scan);
+}
+
+Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {
+  TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  const CSN target = txn_mgr_.LastCommittedCsn();
+  if (ts->sync == nullptr)
+    return SyncLoadedColumns(ts, target, nullptr, nullptr);
+  return ts->sync->SyncTo(target);
+}
+
+FreshnessInfo LocalHtapEngine::Freshness(const TableInfo& tbl) {
+  FreshnessInfo f;
+  MutexLock lk(&tables_mu_);
+  const auto it = tables_.find(tbl.id);
+  if (it == tables_.end()) return f;
+  f.committed_csn = txn_mgr_.LastCommittedCsn();
+  f.visible_csn = it->second->columns->merged_csn();
+  f.csn_lag = freshness_.CsnLag(f.committed_csn, f.visible_csn);
+  f.time_lag_micros = freshness_.TimeLagMicros(f.visible_csn);
+  f.fresh_visible_csn = f.committed_csn;  // fresh scans union the delta
+  f.fresh_time_lag_micros = 0;
+  f.pending_delta_entries = it->second->delta->EntryCount();
+  return f;
+}
+
+EngineStats LocalHtapEngine::Stats() {
+  EngineStats s;
+  s.commits = txn_mgr_.commits();
+  s.aborts = txn_mgr_.aborts();
+  s.conflicts = txn_mgr_.conflicts();
+  for (const auto& [tid, store] : stores_)
+    s.row_store_bytes += store->MemoryBytes();
+  MutexLock lk(&tables_mu_);
+  for (const auto& [tid, ts] : tables_) {
+    if (ts->sync != nullptr) {
+      const SyncStats ss = ts->sync->stats();
+      s.merges += ss.merges;
+      s.entries_merged += ss.entries_merged;
+    }
+    s.column_store_bytes += ts->columns->MemoryBytes();
+    s.delta_bytes += ts->delta->MemoryBytes();
+    s.column_encodings.Merge(ts->columns->EncodingStats());
+    if (ts->heap != nullptr) {
+      const BufferPoolStats bp = ts->heap->pool_stats();
+      s.buffer_pool_hits += bp.hits;
+      s.buffer_pool_misses += bp.misses;
+    }
+  }
+  return s;
+}
+
+}  // namespace htap

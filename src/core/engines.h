@@ -1,18 +1,19 @@
 // The four architecture presets of the survey's taxonomy (Figure 1 /
-// Table 1), each an HtapEngine:
+// Table 1), as two HtapEngines:
 //
-//  (a) InMemoryHtapEngine   — primary row store + in-memory column store
-//                             (Oracle dual-format / SQL Server CSI style).
-//  (b) DistributedHtapEngine — distributed row store + column replica
-//                             (TiDB style; wraps sim::DistributedDb).
-//  (c) DiskHtapEngine       — disk row store + in-memory column-store
-//                             cluster (MySQL Heatwave style).
-//  (d) DeltaMainHtapEngine  — primary column store + delta row store
-//                             (SAP HANA style).
+//  LocalHtapEngine       — one process, built from parts a LocalPreset picks:
+//                          (a) primary row store + in-memory column store
+//                          (Oracle dual-format / SQL Server CSI style),
+//                          (c) disk row store + in-memory column store
+//                          (MySQL Heatwave style), and (d) primary column
+//                          store + delta row store (SAP HANA style).
+//  DistributedHtapEngine — (b) distributed row store + column replica
+//                          (TiDB style; wraps sim::DistributedDb).
 
 #ifndef HTAP_CORE_ENGINES_H_
 #define HTAP_CORE_ENGINES_H_
 
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -22,10 +23,13 @@
 #include "core/catalog.h"
 #include "core/options.h"
 #include "core/query_runner.h"
-#include "core/row_txn_layer.h"
 #include "opt/column_advisor.h"
 #include "opt/optimizer.h"
 #include "storage/disk_row_store.h"
+#include "storage/mvcc_row_store.h"
+#include "sync/sync.h"
+#include "txn/txn_manager.h"
+#include "wal/wal.h"
 
 namespace htap {
 
@@ -72,14 +76,37 @@ struct ApScanRuntime {
   }
 };
 
-// ---------------------------------------------------------------------------
-// (a) Primary row store + in-memory column store
-// ---------------------------------------------------------------------------
+class SyncDaemon;
 
-class InMemoryHtapEngine : public HtapEngine, public ChangeSink {
+/// The parts a LocalHtapEngine is built from (DESIGN.md §2). Database::Open
+/// derives one from ArchitectureKind; nothing else chooses it. Every preset
+/// keeps the MVCC row store as the transactional and recovery anchor (for
+/// (d) it plays HANA's persisted row images; DESIGN.md §6).
+struct LocalPreset {
+  const char* wal_name = "";  // WAL file stem under DatabaseOptions::data_dir
+  /// Delta part: HANA's L1 (rows) -> L2 (columnar) delta instead of the
+  /// row-wise in-memory delta.
+  bool l1l2_delta = false;
+  /// Access-path rule: the column side serves every scan except a forced
+  /// row scan, instead of the cost-based choice.
+  bool column_primary = false;
+  /// (c)'s parts: commits write through to a disk heap that serves row
+  /// scans, and the column side holds only the columns the advisor loaded,
+  /// merged lazily on scan instead of by the sync daemon.
+  bool disk_heap = false;
+  /// QueryExecInfo::access_path when the column side / row side serves.
+  const char* column_scan_desc = "";
+  const char* row_scan_desc = "";
+};
+
+/// Architectures (a), (c) and (d): one transaction manager, one WAL and one
+/// MVCC row store per table, plus the per-table delta and column parts the
+/// preset picks.
+class LocalHtapEngine : public HtapEngine, public ChangeSink {
  public:
-  InMemoryHtapEngine(const DatabaseOptions& options, Catalog* catalog);
-  ~InMemoryHtapEngine() override;
+  LocalHtapEngine(const LocalPreset& preset, const DatabaseOptions& options,
+                  Catalog* catalog);
+  ~LocalHtapEngine() override;
 
   Status CreateTable(const TableInfo& info) override;
   std::unique_ptr<TxnContext> Begin() override;
@@ -99,225 +126,90 @@ class InMemoryHtapEngine : public HtapEngine, public ChangeSink {
   void OnCommit(const std::vector<ChangeEvent>& events) override;
   ThreadPool* ApScanPool() override { return ap_.pool.get(); }
 
-  TransactionManager* txn_mgr() { return layer_.txn_mgr(); }
-  ColumnTable* column_table(uint32_t table_id);
-  InMemoryDeltaStore* delta(uint32_t table_id);
+  /// Re-runs the column advisor and reloads the column side with the
+  /// selected columns under the configured memory budget. Returns the
+  /// selection; NotSupported unless the preset loads columns (disk_heap).
+  Result<ColumnAdvisor::Selection> RefreshColumnSelection(
+      const TableInfo& tbl);
+
+  /// Columns currently loaded in the column side for a table (base indexes).
+  std::vector<int> LoadedColumns(uint32_t table_id) const;
 
  private:
   struct TableState {
-    // htap-lint: guarded-by — set in CreateTable before the state is
-    // published into tables_; immutable afterwards.
-    TableInfo info;
-    std::unique_ptr<InMemoryDeltaStore> delta;
-    std::unique_ptr<ColumnTable> columns;
+    /// Every column starts loaded; RefreshColumnSelection applies the
+    /// advisor + budget once a workload has been observed.
+    TableState(const TableInfo& table, std::unique_ptr<DeltaStore> staged,
+               std::unique_ptr<DiskRowStore> disk_heap,
+               std::shared_ptr<ColumnTable> column_side);
+
+    const TableInfo info;
+    const std::unique_ptr<DeltaStore> delta;  // staged changes for the columns
+    const std::unique_ptr<DiskRowStore> heap;  // durable row heap (disk_heap)
+    // The column side. Only RefreshColumnSelection replaces it, wholesale,
+    // as a new generation: readers copy the shared_ptr + loaded vector out
+    // under tables_mu_, and the old store stays alive until the last scan
+    // drops it (a scan must never dereference a generation it did not pin).
+    std::shared_ptr<ColumnTable> columns;
+    // htap-lint: guarded-by — guarded by the owning engine's tables_mu_
+    // (copied out with columns under that lock); not expressible lexically
+    // from a nested struct.
+    std::vector<int> loaded;  // base column indexes, in the columns' layout
+    // Merges the delta into `columns` on the daemon; null for disk_heap,
+    // whose loaded columns merge on scan (SyncLoadedColumns).
     std::unique_ptr<DataSynchronizer> sync;
+    // Serializes SyncLoadedColumns' "snapshot the current generation + drain
+    // the delta + apply" so concurrent scans cannot apply drained batches
+    // out of commit order (or drain entries into a superseded generation).
+    Mutex merge_mu{LockRank::kEngineTableSync, "local-column-merge"};
     // Plan-time row-store stats: refreshed from a snapshot scan while
     // concurrent queries copy them out, so they carry their own mutex.
-    Mutex stats_mu{LockRank::kEngineTableStats, "inmemory-table-stats"};
+    Mutex stats_mu{LockRank::kEngineTableStats, "local-table-stats"};
     TableStats stats GUARDED_BY(stats_mu);
     uint64_t stats_at_csn GUARDED_BY(stats_mu) = 0;
   };
+  struct ScanAccess;
 
+  TableState* FindTable(uint32_t table_id) const;
+  MvccRowStore* Store(uint32_t table_id) const;
   Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
                                 std::string* path_desc);
-  /// Vectorized scan: serves only the column access path, as ColumnBatches
-  /// straight off the encoded segments; declines everything else with
-  /// NotSupported (the runner falls back to Scan).
+  /// Vectorized scan: serves only scans the column side serves, as
+  /// ColumnBatches straight off the encoded segments; declines everything
+  /// else with NotSupported (the runner falls back to Scan).
   Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
                                              ScanStats* stats,
                                              std::string* path_desc);
-  /// The access-path decision shared by Scan and BatchScan.
-  AccessPath ResolvePath(const ScanRequest& req, TableState* ts,
-                         bool* pk_point, Key* pk_key);
+  /// The access-path decision shared by Scan and BatchScan, plus — when the
+  /// column side serves — the pinned generation and the request remapped
+  /// onto its layout.
+  Result<ScanAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
+  /// Drains the delta up to `target` into the current loaded-column
+  /// generation and (optionally) returns that generation to scan.
+  Status SyncLoadedColumns(TableState* ts, CSN target,
+                           std::shared_ptr<ColumnTable>* columns_out,
+                           std::vector<int>* loaded_out);
   /// Refreshes the sampled row-store stats if stale and returns a copy.
   TableStats RefreshedStats(TableState* ts);
 
+  const LocalPreset preset_;
   const DatabaseOptions options_;
   Catalog* catalog_;
+  const std::string heap_dir_;  // where disk_heap presets keep heap files
   std::unique_ptr<WalWriter> wal_;
-  // htap-lint: guarded-by — tables register only during engine init /
-  // CreateTable (no concurrent phase); the txn manager and row stores
-  // inside carry their own locks.
-  RowTxnLayer layer_;
+  TransactionManager txn_mgr_;
+  // Row stores register only in CreateTable (no concurrent phase), so the
+  // TP path reads this map without a lock; the stores carry their own.
+  std::map<uint32_t, std::unique_ptr<MvccRowStore>> stores_;
   FreshnessTracker freshness_;
-  ColumnAdvisor advisor_;
+  ColumnAdvisor advisor_;   // disk_heap presets only
   const ApScanRuntime ap_;  // config + pool, fixed at construction
   // TableState pointers are stable: entries are never erased, so a pointer
   // copied out under the lock stays valid for the engine's lifetime.
   std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
       GUARDED_BY(tables_mu_);
   std::unique_ptr<SyncDaemon> daemon_;
-  mutable Mutex tables_mu_{LockRank::kEngineTables, "inmemory-tables"};
-};
-
-// ---------------------------------------------------------------------------
-// (d) Primary column store + delta row store
-// ---------------------------------------------------------------------------
-
-class DeltaMainHtapEngine : public HtapEngine, public ChangeSink {
- public:
-  DeltaMainHtapEngine(const DatabaseOptions& options, Catalog* catalog);
-  ~DeltaMainHtapEngine() override;
-
-  Status CreateTable(const TableInfo& info) override;
-  std::unique_ptr<TxnContext> Begin() override;
-  Status Insert(TxnContext* t, const TableInfo& tbl, const Row& r) override;
-  Status Update(TxnContext* t, const TableInfo& tbl, const Row& r) override;
-  Status Delete(TxnContext* t, const TableInfo& tbl, Key key) override;
-  Status Get(TxnContext* t, const TableInfo& tbl, Key key, Row* out) override;
-  Status Commit(TxnContext* t) override;
-  Status Abort(TxnContext* t) override;
-  Status Read(const TableInfo& tbl, Key key, Row* out) override;
-  Result<QueryResult> Execute(const QueryPlan& plan,
-                              QueryExecInfo* info) override;
-  Status ForceSync(const TableInfo& tbl) override;
-  FreshnessInfo Freshness(const TableInfo& tbl) override;
-  EngineStats Stats() override;
-
-  void OnCommit(const std::vector<ChangeEvent>& events) override;
-  ThreadPool* ApScanPool() override { return ap_.pool.get(); }
-
-  L1L2DeltaStore* delta(uint32_t table_id);
-  ColumnTable* main(uint32_t table_id);
-
- private:
-  struct TableState {
-    // htap-lint: guarded-by — set in CreateTable before the state is
-    // published into tables_; immutable afterwards.
-    TableInfo info;
-    std::unique_ptr<L1L2DeltaStore> delta;   // L1 + L2
-    std::unique_ptr<ColumnTable> main;       // the primary column store
-    std::unique_ptr<DataSynchronizer> sync;
-  };
-
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized scan over Main + delta; declines only a forced row scan.
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
-
-  const DatabaseOptions options_;
-  Catalog* catalog_;
-  std::unique_ptr<WalWriter> wal_;
-  // htap-lint: guarded-by — tables register only during engine init /
-  // CreateTable (no concurrent phase); internals carry their own locks.
-  RowTxnLayer layer_;  // the delta row store with MVCC semantics
-  FreshnessTracker freshness_;
-  const ApScanRuntime ap_;  // config + pool, fixed at construction
-  std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
-      GUARDED_BY(tables_mu_);
-  std::unique_ptr<SyncDaemon> daemon_;
-  mutable Mutex tables_mu_{LockRank::kEngineTables, "deltamain-tables"};
-};
-
-// ---------------------------------------------------------------------------
-// (c) Disk row store + distributed in-memory column store
-// ---------------------------------------------------------------------------
-
-class DiskHtapEngine : public HtapEngine, public ChangeSink {
- public:
-  DiskHtapEngine(const DatabaseOptions& options, Catalog* catalog);
-  ~DiskHtapEngine() override;
-
-  Status CreateTable(const TableInfo& info) override;
-  std::unique_ptr<TxnContext> Begin() override;
-  Status Insert(TxnContext* t, const TableInfo& tbl, const Row& r) override;
-  Status Update(TxnContext* t, const TableInfo& tbl, const Row& r) override;
-  Status Delete(TxnContext* t, const TableInfo& tbl, Key key) override;
-  Status Get(TxnContext* t, const TableInfo& tbl, Key key, Row* out) override;
-  Status Commit(TxnContext* t) override;
-  Status Abort(TxnContext* t) override;
-  Status Read(const TableInfo& tbl, Key key, Row* out) override;
-  Result<QueryResult> Execute(const QueryPlan& plan,
-                              QueryExecInfo* info) override;
-  Status ForceSync(const TableInfo& tbl) override;
-  FreshnessInfo Freshness(const TableInfo& tbl) override;
-  EngineStats Stats() override;
-
-  void OnCommit(const std::vector<ChangeEvent>& events) override;
-  ThreadPool* ApScanPool() override { return ap_.pool.get(); }
-
-  /// Re-runs the column advisor and reloads the IMCS with the selected
-  /// columns under the configured memory budget. Returns the selection.
-  Result<ColumnAdvisor::Selection> RefreshColumnSelection(
-      const TableInfo& tbl);
-
-  /// Columns currently loaded in the IMCS for a table (base indexes).
-  std::vector<int> LoadedColumns(uint32_t table_id) const;
-
- private:
-  struct TableState {
-    // htap-lint: guarded-by — set in CreateTable before the state is
-    // published into tables_; immutable afterwards.
-    TableInfo info;
-    std::unique_ptr<DiskRowStore> heap;          // durable row heap
-    std::unique_ptr<InMemoryDeltaStore> delta;   // staged changes for IMCS
-    // The IMCS generation: RefreshColumnSelection replaces the pair
-    // wholesale; readers copy the shared_ptr + loaded vector out under
-    // tables_mu_ and the old store stays alive until the last scan drops it
-    // (a scan must never dereference a generation it did not pin).
-    std::shared_ptr<ColumnTable> imcs;           // loaded-column store
-    // htap-lint: guarded-by — guarded by the owning engine's tables_mu_
-    // (copied out with imcs under that lock); not expressible lexically
-    // from a nested struct.
-    std::vector<int> loaded;                     // base column indexes
-    // Serializes "snapshot the current generation + drain the delta +
-    // apply" so concurrent scans cannot apply drained batches out of commit
-    // order (or drain entries into a superseded generation).
-    Mutex merge_mu{LockRank::kEngineTableSync, "disk-imcs-merge"};
-    Mutex stats_mu{LockRank::kEngineTableStats, "disk-table-stats"};
-    TableStats stats GUARDED_BY(stats_mu);
-    uint64_t stats_at_csn GUARDED_BY(stats_mu) = 0;
-  };
-
-  /// Column access resolved for one scan request: the access-path decision
-  /// plus — when the IMCS is serving — the pinned generation and the
-  /// predicate/projection remapped onto its loaded-column layout.
-  struct ImcsAccess {
-    AccessPath path = AccessPath::kRowFullScan;
-    bool pk_point = false;
-    Key pk_key = 0;
-    bool imcs_ready = false;  // path == kColumnScan and capability held
-    std::shared_ptr<ColumnTable> imcs;
-    std::vector<int> loaded;
-    Predicate pred;           // remapped onto the IMCS layout
-    std::vector<int> proj;    // remapped projection
-  };
-
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized scan: serves only when the pinned IMCS generation holds
-  /// every referenced column (NotSupported otherwise — the survey's
-  /// "columns may not have been selected" caveat applies to batches too).
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
-  /// The path decision + IMCS pinning shared by Scan and BatchScan.
-  Result<ImcsAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
-  /// Drains the delta up to `target` into the current IMCS generation and
-  /// (optionally) returns the synced generation for the caller to scan.
-  Status SyncImcs(TableState* ts, CSN target,
-                  std::shared_ptr<ColumnTable>* imcs_out,
-                  std::vector<int>* loaded_out);
-  static Row ProjectToLoaded(const std::vector<int>& loaded, const Row& row);
-  /// Refreshes the sampled row-store stats if stale (publishing to the
-  /// catalog) and returns a copy.
-  TableStats RefreshedStats(TableState* ts);
-
-  const DatabaseOptions options_;
-  Catalog* catalog_;
-  std::unique_ptr<WalWriter> wal_;
-  // htap-lint: guarded-by — tables register only during engine init /
-  // CreateTable (no concurrent phase); internals carry their own locks.
-  RowTxnLayer layer_;
-  FreshnessTracker freshness_;
-  ColumnAdvisor advisor_;
-  const ApScanRuntime ap_;  // config + pool, fixed at construction
-  // TableState pointers are stable (entries never erased); see (a).
-  std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
-      GUARDED_BY(tables_mu_);
-  mutable Mutex tables_mu_{LockRank::kEngineTables, "disk-tables"};
+  mutable Mutex tables_mu_{LockRank::kEngineTables, "local-tables"};
 };
 
 // ---------------------------------------------------------------------------

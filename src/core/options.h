@@ -31,7 +31,8 @@ const char* ArchitectureName(ArchitectureKind k);
 struct DatabaseOptions {
   ArchitectureKind architecture = ArchitectureKind::kRowPlusInMemoryColumn;
 
-  /// Directory for WAL and heap files; empty = fully in-memory WAL.
+  /// Directory for WAL and heap files; empty = in-memory WAL, and (c)'s
+  /// heap files in a private temp directory removed on close.
   std::string data_dir;
   bool wal_enabled = true;
   bool sync_on_commit = false;  // fsync the WAL group at commit

@@ -10,8 +10,8 @@ size_t EntryBytes(const DeltaEntry& e) {
   return sizeof(DeltaEntry) + e.row.MemoryBytes();
 }
 
-DeltaEntry FromEvent(const ChangeEvent& ev) {
-  return DeltaEntry{ev.op, ev.key, ev.row, ev.csn};
+DeltaEntry FromEvent(ChangeEvent&& ev) {
+  return DeltaEntry{ev.op, ev.key, std::move(ev.row), ev.csn};
 }
 
 }  // namespace
@@ -26,12 +26,10 @@ void InMemoryDeltaStore::Append(const DeltaEntry& e) {
   entries_.push_back(e);
 }
 
-void InMemoryDeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                     uint32_t table_id) {
+void InMemoryDeltaStore::AppendBatch(std::vector<ChangeEvent> events) {
   MutexLock lk(&mu_);
-  for (const auto& ev : events) {
-    if (ev.table_id != table_id) continue;
-    entries_.push_back(FromEvent(ev));
+  for (auto& ev : events) {
+    entries_.push_back(FromEvent(std::move(ev)));
     mem_bytes_ += EntryBytes(entries_.back());
   }
 }
@@ -84,13 +82,9 @@ void L1L2DeltaStore::Append(const DeltaEntry& e) {
   if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
 }
 
-void L1L2DeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                 uint32_t table_id) {
+void L1L2DeltaStore::AppendBatch(std::vector<ChangeEvent> events) {
   MutexLock lk(&mu_);
-  for (const auto& ev : events) {
-    if (ev.table_id != table_id) continue;
-    l1_.push_back(FromEvent(ev));
-  }
+  for (auto& ev : events) l1_.push_back(FromEvent(std::move(ev)));
   if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
 }
 
@@ -258,11 +252,10 @@ void LogDeltaStore::AppendFile(const std::vector<DeltaEntry>& entries) {
     key_index_.Insert(entries[i].key, (seq << 32) | i);
 }
 
-void LogDeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                uint32_t table_id) {
+void LogDeltaStore::AppendBatch(std::vector<ChangeEvent> events) {
   std::vector<DeltaEntry> entries;
-  for (const auto& ev : events)
-    if (ev.table_id == table_id) entries.push_back(FromEvent(ev));
+  entries.reserve(events.size());
+  for (auto& ev : events) entries.push_back(FromEvent(std::move(ev)));
   AppendFile(entries);
 }
 

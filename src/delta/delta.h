@@ -1,7 +1,7 @@
 // Delta stores: the write-side staging areas that give HTAP architectures
 // their freshness/efficiency trade-offs (Table 2, AP + DS rows).
 //
-// Three designs from the survey, behind one read interface:
+// Three designs from the survey, behind one DeltaStore interface:
 //  * InMemoryDeltaStore — row-wise in-memory delta (Oracle SMU, SQL Server
 //    delta rowgroups, DB2 BLU shadow tables).
 //  * L1L2DeltaStore     — SAP HANA's two-stage delta: L1 keeps raw rows,
@@ -53,14 +53,26 @@ class DeltaReader {
   virtual size_t MemoryBytes() const = 0;
 };
 
+/// A delta store: commit fan-out appends one table's changes, the merge
+/// pipeline drains them, and scans read them through DeltaReader.
+class DeltaStore : public DeltaReader {
+ public:
+  /// Stages one commit's changes to this store's table, in commit order.
+  virtual void AppendBatch(std::vector<ChangeEvent> events) = 0;
+
+  /// Removes and returns all entries with csn <= csn, in commit order (the
+  /// merge pipeline consumes these).
+  virtual std::vector<DeltaEntry> DrainUpTo(CSN csn) = 0;
+};
+
 // ---------------------------------------------------------------------------
 // In-memory row-wise delta
 // ---------------------------------------------------------------------------
 
-class InMemoryDeltaStore : public DeltaReader {
+class InMemoryDeltaStore : public DeltaStore {
  public:
   void Append(const DeltaEntry& e);
-  void AppendBatch(const std::vector<ChangeEvent>& events, uint32_t table_id);
+  void AppendBatch(std::vector<ChangeEvent> events) override;
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
@@ -68,9 +80,7 @@ class InMemoryDeltaStore : public DeltaReader {
   size_t EntryCount() const override;
   size_t MemoryBytes() const override;
 
-  /// Removes and returns all entries with csn <= csn (the merge pipeline
-  /// consumes these).
-  std::vector<DeltaEntry> DrainUpTo(CSN csn);
+  std::vector<DeltaEntry> DrainUpTo(CSN csn) override;
 
   /// CSN of the newest staged entry (0 if empty).
   CSN max_csn() const;
@@ -85,13 +95,13 @@ class InMemoryDeltaStore : public DeltaReader {
 // SAP HANA-style L1 (rows) -> L2 (columnar) delta
 // ---------------------------------------------------------------------------
 
-class L1L2DeltaStore : public DeltaReader {
+class L1L2DeltaStore : public DeltaStore {
  public:
   /// `l1_spill_threshold`: entries held row-wise before converting to L2.
   L1L2DeltaStore(Schema schema, size_t l1_spill_threshold = 4096);
 
   void Append(const DeltaEntry& e);
-  void AppendBatch(const std::vector<ChangeEvent>& events, uint32_t table_id);
+  void AppendBatch(std::vector<ChangeEvent> events) override;
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
@@ -102,9 +112,8 @@ class L1L2DeltaStore : public DeltaReader {
   /// Force L1 -> L2 conversion regardless of threshold.
   void SpillL1();
 
-  /// Removes all entries with csn <= csn, returning them in commit order
-  /// (L2 chunks first, then remaining L1) for the merge into Main.
-  std::vector<DeltaEntry> DrainUpTo(CSN csn);
+  /// L2 chunks drain first, then the remaining L1, for the merge into Main.
+  std::vector<DeltaEntry> DrainUpTo(CSN csn) override;
 
   size_t l1_size() const;
   size_t l2_size() const;
@@ -136,13 +145,14 @@ class L1L2DeltaStore : public DeltaReader {
 // TiDB-style log-based (disk) delta files
 // ---------------------------------------------------------------------------
 
-class LogDeltaStore : public DeltaReader {
+class LogDeltaStore : public DeltaStore {
  public:
   LogDeltaStore() = default;
 
   /// Seals a batch of changes into one encoded delta file.
   void AppendFile(const std::vector<DeltaEntry>& entries);
-  void AppendBatch(const std::vector<ChangeEvent>& events, uint32_t table_id);
+  /// Seals one commit's changes into one file.
+  void AppendBatch(std::vector<ChangeEvent> events) override;
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
@@ -154,9 +164,8 @@ class LogDeltaStore : public DeltaReader {
   /// the survey's "delta items efficiently located with key lookups").
   bool LookupLatest(Key key, DeltaEntry* out) const;
 
-  /// Removes all files whose max csn <= csn; returns their decoded entries
-  /// in order (the log-based delta merge consumes these).
-  std::vector<DeltaEntry> DrainUpTo(CSN csn);
+  /// Removes only whole files, those whose max csn <= csn.
+  std::vector<DeltaEntry> DrainUpTo(CSN csn) override;
 
   size_t num_files() const;
   /// Cumulative bytes decoded by reads — the "expensive delta read" cost the

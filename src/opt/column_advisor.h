@@ -3,8 +3,7 @@
 // Mirrors Oracle 21c's Heatmap / MySQL Heatwave auto-loading: every query
 // records which columns it touched; the advisor ranks columns by access
 // heat per byte and greedily fills a memory budget. Architecture (c) uses
-// this to decide which columns live in the in-memory column-store cluster;
-// architecture (a) uses it to bound IMCU population.
+// this to decide which columns live in the in-memory column-store cluster.
 
 #ifndef HTAP_OPT_COLUMN_ADVISOR_H_
 #define HTAP_OPT_COLUMN_ADVISOR_H_

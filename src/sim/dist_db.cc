@@ -236,8 +236,14 @@ DistributedDb::DistributedDb(SimEnv* env, Options options)
       ShardRuntime* rtp = &rt;
       rt.machines[rt.learner_id] = std::make_unique<ShardStateMachine>(
           [rtp](const std::vector<ChangeEvent>& events) {
-            for (auto& [tid, delta] : rtp->learner.deltas)
-              delta->AppendBatch(events, tid);
+            std::map<uint32_t, std::vector<ChangeEvent>> by_table;
+            for (const ChangeEvent& ev : events)
+              by_table[ev.table_id].push_back(ev);
+            for (auto& [tid, evs] : by_table) {
+              const auto it = rtp->learner.deltas.find(tid);
+              if (it != rtp->learner.deltas.end())
+                it->second->AppendBatch(std::move(evs));
+            }
           });
     }
 
@@ -705,6 +711,15 @@ CSN DistributedDb::LearnerReplicatedCsn(uint32_t) const {
       csn = std::max(csn, it->second->last_applied_csn());
   }
   return csn;
+}
+
+size_t DistributedDb::LearnerPendingEntries(uint32_t table_id) const {
+  size_t n = 0;
+  for (const auto& rt : shards_) {
+    const auto it = rt.learner.deltas.find(table_id);
+    if (it != rt.learner.deltas.end()) n += it->second->EntryCount();
+  }
+  return n;
 }
 
 Micros DistributedDb::CommitTimeOf(CSN csn) const {

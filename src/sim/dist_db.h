@@ -278,6 +278,8 @@ class DistributedDb {
   CSN LearnerMergedCsn(uint32_t table_id) const;
   /// Newest CSN present in learner deltas+tables (replication frontier).
   CSN LearnerReplicatedCsn(uint32_t table_id) const;
+  /// Changes staged in the table's learner deltas, summed over shards.
+  size_t LearnerPendingEntries(uint32_t table_id) const;
   /// Virtual-time lag between last commit and the learner frontier.
   Micros CommitTimeOf(CSN csn) const;
   /// Virtual-time age of the oldest committed change above `frontier`

@@ -221,6 +221,30 @@ TEST_P(DatabaseTest, DuplicateTableRejected) {
   EXPECT_TRUE(db_->CreateTable("orders", OrdersSchema()).IsAlreadyExists());
 }
 
+TEST_P(DatabaseTest, CommitStagesChangesOnlyInTheTablesItWrites) {
+  for (const char* name : {"t1", "t2", "t3"})
+    ASSERT_TRUE(db_->CreateTable(name, OrdersSchema()).ok());
+  const auto pending = [&](const char* t) {
+    return db_->Freshness(t).pending_delta_entries;
+  };
+  auto txn = db_->Begin();
+  for (int i = 0; i < 3; ++i)
+    ASSERT_TRUE(txn->Insert("t1", Order(i, 1, "a", 1.0)).ok());
+  for (int i = 0; i < 2; ++i)
+    ASSERT_TRUE(txn->Insert("t2", Order(i, 1, "b", 1.0)).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  if (GetParam() == ArchitectureKind::kDistributedRowPlusColumnReplica) {
+    // Replication is asynchronous: point reads advance the simulated clock
+    // until the learners have staged the commit.
+    Row row;
+    for (int i = 0; i < 100000 && pending("t1") + pending("t2") < 5; ++i)
+      db_->GetRow("t1", 0, &row);
+  }
+  EXPECT_EQ(pending("t1"), 3u);
+  EXPECT_EQ(pending("t2"), 2u);
+  EXPECT_EQ(pending("t3"), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllArchitectures, DatabaseTest,
     ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
@@ -280,6 +304,12 @@ TEST(InMemoryEngineTest, HybridPathPicksIndexForPointAndColumnForScan) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(info2.access_path, "column-scan");
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 2000 / 7 + (3 < 2000 % 7 ? 1 : 0));
+
+  // (a) keeps every column loaded; only (c) reselects them.
+  auto* engine = static_cast<LocalHtapEngine*>(db->engine());
+  EXPECT_TRUE(engine->RefreshColumnSelection(*db->catalog()->Find("orders"))
+                  .status()
+                  .IsNotSupported());
 }
 
 TEST(DeltaMainEngineTest, ScansGoThroughMainPlusDelta) {
@@ -314,7 +344,7 @@ TEST(DiskEngineTest, ColumnSelectionGatesPushdown) {
   for (int i = 0; i < 500; ++i)
     ASSERT_TRUE(db->InsertRow("orders", Order(i, i % 5, "r", 2.0)).ok());
 
-  auto* engine = static_cast<DiskHtapEngine*>(db->engine());
+  auto* engine = static_cast<LocalHtapEngine*>(db->engine());
   // Build heat on columns {0,1} only, then re-select under the budget.
   QueryPlan warm;
   warm.table = "orders";
@@ -343,6 +373,40 @@ TEST(DiskEngineTest, ColumnSelectionGatesPushdown) {
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 500);
   db.reset();
   std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(DiskEngineTest, EmptyDataDirKeepsHeapsPrivate) {
+  // With no data_dir, (c) keeps its WAL in memory and its heap files in a
+  // directory of its own: databases open together, or one after another,
+  // never see each other's rows.
+  DatabaseOptions opts;
+  opts.architecture = ArchitectureKind::kDiskRowPlusDistributedColumn;
+  opts.background_sync = false;
+  const auto open_with_rows = [&](Key first_key, int n) {
+    auto db = std::move(*Database::Open(opts));
+    EXPECT_TRUE(db->CreateTable("orders", OrdersSchema()).ok());
+    for (Key k = first_key; k < first_key + n; ++k)
+      EXPECT_TRUE(db->InsertRow("orders", Order(k, 1, "x", 1.0)).ok());
+    return db;
+  };
+  const auto heap_rows = [](Database* db) {
+    QueryPlan plan;
+    plan.table = "orders";
+    plan.path = PathHint::kForceRow;
+    plan.aggs = {AggSpec::Count("n")};
+    QueryExecInfo info;
+    auto res = db->Query(plan, &info);
+    EXPECT_EQ(info.access_path, "disk-heap-scan");
+    return res.ok() ? res->rows[0].Get(0).AsInt64() : -1;
+  };
+  {
+    auto first = open_with_rows(0, 5);
+    auto second = open_with_rows(100, 3);
+    EXPECT_EQ(heap_rows(first.get()), 5);
+    EXPECT_EQ(heap_rows(second.get()), 3);
+  }
+  auto third = open_with_rows(200, 2);
+  EXPECT_EQ(heap_rows(third.get()), 2);
 }
 
 TEST(DistEngineTest, StaleColumnScanLagsWithoutSync) {

@@ -51,7 +51,7 @@ TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      d->AppendBatch(evs);
     }
   } router;
   router.d = delta_ptr;
@@ -177,7 +177,7 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      d->AppendBatch(evs);
     }
   } router;
   router.d = &delta;

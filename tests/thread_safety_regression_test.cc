@@ -57,7 +57,7 @@ TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      d->AppendBatch(evs);
     }
   } router;
   router.d = delta_ptr;
@@ -195,7 +195,7 @@ TEST_F(EngineRaceTest, StatsRefreshRacesConcurrentScans) {
 
 TEST_F(EngineRaceTest, ColumnSelectionRefreshRacesScans) {
   Open(ArchitectureKind::kDiskRowPlusDistributedColumn);
-  auto* disk = dynamic_cast<DiskHtapEngine*>(db_->engine());
+  auto* disk = dynamic_cast<LocalHtapEngine*>(db_->engine());
   ASSERT_NE(disk, nullptr);
   const TableInfo* info = db_->catalog()->Find("kv");
   ASSERT_NE(info, nullptr);

@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "benchlib/chbench.h"
@@ -15,19 +18,32 @@
 namespace htap {
 namespace bench {
 
-/// Fresh database of the given architecture with a scratch data dir.
-inline std::unique_ptr<Database> MakeDb(ArchitectureKind arch,
-                                        int dist_shards = 3,
-                                        bool background_sync = true,
-                                        size_t parallel_scan_threads = 0) {
-  static int counter = 0;
-  const std::string dir =
-      "/tmp/htap_bench_" + std::to_string(getpid()) + "_" +
-      std::to_string(counter++);
-  std::system(("mkdir -p " + dir).c_str());
+/// Closes the database, then removes its scratch data dir (WAL and (c)'s
+/// heap files).
+struct ScratchDbDeleter {
+  std::string dir;
+  void operator()(Database* db) const {
+    delete db;
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+using ScratchDb = std::unique_ptr<Database, ScratchDbDeleter>;
+
+/// Fresh database of the given architecture with a scratch data dir under
+/// the system temp dir; the dir goes away when the returned handle does.
+inline ScratchDb MakeDb(ArchitectureKind arch, int dist_shards = 3,
+                        bool background_sync = true,
+                        size_t parallel_scan_threads = 0) {
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "htap_bench_XXXXXX").string();
+  if (mkdtemp(tmpl.data()) == nullptr) {
+    std::perror("mkdtemp");
+    std::abort();
+  }
   DatabaseOptions opts;
   opts.architecture = arch;
-  opts.data_dir = dir;
+  opts.data_dir = tmpl;
   opts.background_sync = background_sync;
   opts.sync_interval_micros = 10000;
   opts.dist.num_shards = dist_shards;
@@ -39,9 +55,10 @@ inline std::unique_ptr<Database> MakeDb(ArchitectureKind arch,
   auto res = Database::Open(opts);
   if (!res.ok()) {
     std::fprintf(stderr, "open failed: %s\n", res.status().ToString().c_str());
+    std::filesystem::remove_all(tmpl);
     std::abort();
   }
-  return std::move(*res);
+  return ScratchDb(res->release(), ScratchDbDeleter{tmpl});
 }
 
 inline const char* ShortArchName(ArchitectureKind k) {

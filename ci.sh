@@ -10,8 +10,8 @@
 #   bench  — bench smokes + regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
-#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests and
-#            the EBR/OLC concurrency tests
+#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
+#            the EBR/OLC concurrency tests and Value's ownership tests
 #   tsan   — TSan over the concurrency tests (zero suppressions)
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
@@ -20,7 +20,8 @@
 #   lint   — scripts/htap_lint.py project-invariant pass (concurrency
 #            discipline, EBR pin safety, rank-table drift) plus its fixture
 #            selftest — skipped with a notice when python3 is not installed
-#   all    — everything above plus the spill-run leak check
+#   all    — everything above plus the temp-file leak check (also run after
+#            `bench`)
 #
 # Sanitizer test output is additionally scraped for report markers
 # (ThreadSanitizer:, ERROR: AddressSanitizer, runtime error:) so a report
@@ -65,10 +66,13 @@ run_sanitized() {
   fi
 }
 
-# Grace-join spill runs land in the system temp dir (unless overridden);
-# start from a clean slate so the leak check below is meaningful.
+# Grace-join spill runs and the bench harnesses' scratch databases
+# (bench/bench_util.h MakeDb) land in the system temp dir (unless
+# overridden); start from a clean slate so the leak check below is
+# meaningful.
 SPILL_DIR="${TMPDIR:-/tmp}"
 rm -f "$SPILL_DIR"/htap-spill-*
+rm -rf "$SPILL_DIR"/htap_bench_*
 
 suite_tier1() {
   echo "== tier-1: build + ctest =="
@@ -120,6 +124,15 @@ suite_bench() {
     FAILED_SUITES+=("bench/scaleout")
   fi
 
+  echo "== bench smoke: Figure 1 dataflow on all four presets =="
+  # Opens one MakeDb scratch database per architecture; the leak check
+  # after this suite fails if any of their data dirs is left behind.
+  cmake --build build -j "$JOBS" --target bench_fig1_dataflow
+  if ! ./build/bench/bench_fig1_dataflow > build/bench_fig1.log; then
+    echo "FAIL: fig1 dataflow bench" >&2
+    FAILED_SUITES+=("bench/fig1-dataflow")
+  fi
+
   echo "== bench regression gate (vs BENCH_baseline.json) =="
   # Accumulated, not fail-fast: a throughput blip on a noisy runner must not
   # mask correctness-suite results below.
@@ -141,13 +154,13 @@ suite_rank() {
 }
 
 suite_asan() {
-  echo "== asan+ubsan: executor/join/spill + EBR/OLC tests =="
+  echo "== asan+ubsan: executor/join/spill + EBR/OLC + Value ownership tests =="
   local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
                     thread_safety_regression_test database_test
                     ebr_test tp_scaling_test mvcc_test wal_test
-                    sim_test raft_test dist_db_test)
+                    sim_test raft_test dist_db_test types_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null
   cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
@@ -162,7 +175,7 @@ suite_tsan() {
                     scheduler_test vectorized_exec_test vectorized_join_test
                     thread_safety_regression_test database_test
                     ebr_test tp_scaling_test mvcc_test wal_test
-                    sim_test raft_test dist_db_test)
+                    sim_test raft_test dist_db_test types_test)
   cmake -B build-tsan -S . -DHTAP_TSAN=ON > /dev/null
   cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"
   for t in "${TSAN_TESTS[@]}"; do
@@ -229,21 +242,22 @@ suite_lint() {
 }
 
 suite_spill_check() {
-  echo "== spill-run leak check =="
+  echo "== temp-file leak check (spill runs, bench scratch databases) =="
   local leaks
-  leaks=$(find "$SPILL_DIR" -maxdepth 1 -name 'htap-spill-*' 2>/dev/null || true)
+  leaks=$(find "$SPILL_DIR" -maxdepth 1 \( -name 'htap-spill-*' -o \
+          -name 'htap_bench_*' \) 2>/dev/null || true)
   if [[ -n "$leaks" ]]; then
-    echo "FAIL: leaked spill runs:" >&2
+    echo "FAIL: leaked temp files:" >&2
     echo "$leaks" >&2
     FAILED_SUITES+=("spill/leak-check")
   else
-    echo "no leaked htap-spill-* files"
+    echo "no leaked htap-spill-* files or htap_bench_* dirs"
   fi
 }
 
 case "$SUITE" in
   tier1)  suite_tier1 ;;
-  bench)  suite_bench ;;
+  bench)  suite_bench; suite_spill_check ;;
   rank)   suite_rank ;;
   asan)   suite_asan ;;
   tsan)   suite_tsan ;;

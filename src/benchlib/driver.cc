@@ -97,6 +97,10 @@ DriverReport RunMixedWorkload(Database* db, const ChConfig& ch,
       }
       counters.new_orders.store(txns.new_orders(), std::memory_order_relaxed);
       if (cfg.olap_clients > 0) {
+        // Sample the replication lag the query starts from: a fresh learner
+        // scan pumps the simulation until the learners catch up, so a
+        // sample taken after it would always read zero.
+        RecordFreshness(db, cfg.olap_require_fresh, &counters);
         const Stopwatch qt;
         auto res = db->Query(queries[qi % queries.size()].plan);
         ++qi;
@@ -105,7 +109,6 @@ DriverReport RunMixedWorkload(Database* db, const ChConfig& ch,
           counters.query_micros.fetch_add(
               static_cast<uint64_t>(qt.ElapsedMicros()),
               std::memory_order_relaxed);
-          RecordFreshness(db, cfg.olap_require_fresh, &counters);
         }
       }
     }

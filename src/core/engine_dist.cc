@@ -105,9 +105,16 @@ Status DistributedHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
              : Status::NotFound("no such key (or no leader)");
 }
 
+void DistributedHtapEngine::AwaitLearners() {
+  const Micros deadline = env_.Now() + options_.sim_timeout_micros;
+  while (!db_->LearnersCaughtUp() && env_.Now() < deadline)
+    env_.RunUntil(env_.Now() + options_.sim_step_micros);
+}
+
 Result<std::vector<Row>> DistributedHtapEngine::Scan(const ScanRequest& req,
                                                      ScanStats* stats,
                                                      std::string* path_desc) {
+  if (req.require_fresh) AwaitLearners();
   if (path_desc != nullptr)
     *path_desc = req.require_fresh ? "learner-logdelta+column-scan"
                                    : "learner-column-scan";
@@ -119,6 +126,7 @@ Result<std::vector<ColumnBatch>> DistributedHtapEngine::BatchScan(
     const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
   if (req.path == PathHint::kForceRow)
     return Status::NotSupported("forced row scan");
+  if (req.require_fresh) AwaitLearners();
   if (path_desc != nullptr)
     *path_desc = req.require_fresh ? "learner-logdelta+column-scan"
                                    : "learner-column-scan";

@@ -246,6 +246,11 @@ class DistributedHtapEngine : public HtapEngine {
   Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
                                              ScanStats* stats,
                                              std::string* path_desc);
+  /// Before a require_fresh scan: pumps virtual time until every shard's
+  /// learner holds all its leader committed, so the delta-union scan
+  /// reflects each commit the caller has seen (bounded by
+  /// sim_timeout_micros; a learner that stays down leaves the scan stale).
+  void AwaitLearners();
 
   DatabaseOptions options_;
   Catalog* catalog_;

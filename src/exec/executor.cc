@@ -1070,11 +1070,12 @@ std::vector<size_t> EstimateBatchRowBytes(
   for (const ColumnBatch& b : batches) {
     b.ForEachActive([&](size_t i) {
       // Mirrors Row::MemoryBytes for the materialized image of this row:
-      // the Row shell, one Value per column, and string heap payloads.
+      // the Row shell, one Value per column, and each string cell's
+      // out-of-line std::string (pinned by vectorized_join_test).
       size_t bytes = sizeof(Row) + b.columns.size() * sizeof(Value);
       for (const ColumnVector& cv : b.columns)
         if (cv.type() == Type::kString && !cv.IsNull(i))
-          bytes += cv.GetString(i).capacity();
+          bytes += Value::StringHeapBytes(cv.GetString(i));
       out.push_back(bytes);
     });
   }

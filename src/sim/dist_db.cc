@@ -736,25 +736,33 @@ Micros DistributedDb::FreshnessLagMicros(CSN frontier) const {
   return env_->Now() - it->second;
 }
 
-bool DistributedDb::Converged() const {
+bool DistributedDb::LearnersCaughtUp() const {
   if (!pending_decisions_.empty()) return false;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const RaftGroup* g = groups_[s].get();
+  for (const auto& g : groups_) {
     RaftNode* leader = g->leader();
     if (leader == nullptr) return false;
+    const uint64_t commit = leader->commit_index();
+    for (NodeId id : g->learner_ids()) {
+      RaftNode* n = g->node(id);
+      if (!n->alive() || n->commit_index() != commit ||
+          n->last_applied() != commit)
+        return false;
+    }
+  }
+  return true;
+}
+
+bool DistributedDb::Converged() const {
+  // The learner anchors freshness: it must be live and fully applied.
+  if (!LearnersCaughtUp()) return false;
+  for (const auto& g : groups_) {
+    RaftNode* leader = g->leader();
     const uint64_t commit = leader->commit_index();
     if (leader->last_applied() != commit) return false;
     for (NodeId id : g->voter_ids()) {
       RaftNode* n = g->node(id);
       if (!n->alive()) continue;  // a crashed voter catches up on Restart
       if (n->commit_index() != commit || n->last_applied() != commit)
-        return false;
-    }
-    // The learner anchors freshness: it must be live and fully applied.
-    for (NodeId id : g->learner_ids()) {
-      RaftNode* n = g->node(id);
-      if (!n->alive() || n->commit_index() != commit ||
-          n->last_applied() != commit)
         return false;
     }
   }

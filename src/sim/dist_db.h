@@ -277,7 +277,13 @@ class DistributedDb {
   /// when merged only (no delta).
   CSN LearnerMergedCsn(uint32_t table_id) const;
   /// Newest CSN present in learner deltas+tables (replication frontier).
+  /// The maximum over shards: one shard's learner can reach it while
+  /// another still lags — LearnersCaughtUp() is the every-shard check.
   CSN LearnerReplicatedCsn(uint32_t table_id) const;
+  /// True when every shard has a leader, each shard's learner is live and
+  /// has applied its leader's whole committed log, and no 2PC decision is
+  /// outstanding: a delta-union learner scan then reflects every commit.
+  bool LearnersCaughtUp() const;
   /// Changes staged in the table's learner deltas, summed over shards.
   size_t LearnerPendingEntries(uint32_t table_id) const;
   /// Virtual-time lag between last commit and the learner frontier.

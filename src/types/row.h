@@ -72,10 +72,12 @@ class Row {
     return true;
   }
 
+  /// The Row shell, the vector's Value slots and each string cell's
+  /// out-of-line heap bytes (Value::StringHeapBytes).
   size_t MemoryBytes() const {
     size_t b = sizeof(Row) + values_.capacity() * sizeof(Value);
     for (const auto& v : values_)
-      if (v.is_string()) b += v.AsString().capacity();
+      if (v.is_string()) b += Value::StringHeapBytes(v.AsString());
     return b;
   }
 

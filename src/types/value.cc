@@ -1,6 +1,7 @@
 #include "types/value.h"
 
 #include <cstring>
+#include <variant>
 
 namespace htap {
 
@@ -35,6 +36,8 @@ const char* TypeName(Type t) {
   }
   return "UNKNOWN";
 }
+
+void Value::ThrowBadAccess() { throw std::bad_variant_access(); }
 
 int Value::Compare(const Value& other) const {
   // NULL sorts first.

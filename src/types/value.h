@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <variant>
 
 namespace htap {
 
@@ -23,30 +22,69 @@ enum class Type : uint8_t {
 /// Name of a Type for error messages and EXPLAIN output.
 const char* TypeName(Type t);
 
-/// A single scalar value, possibly NULL. Small enough to pass by value in
-/// row-at-a-time paths; the columnar engine avoids Value entirely.
+/// A single scalar value, possibly NULL. Every cell of every row image the
+/// engine holds is one of these, so the box is kept to 16 bytes: an 8-byte
+/// payload (int64, double, or an owned out-of-line std::string*) and a
+/// 1-byte tag (DESIGN.md §18). Copies deep-copy the string; a move is
+/// noexcept and leaves the source NULL. The columnar engine avoids Value
+/// entirely.
 class Value {
  public:
   /// NULL value.
-  Value() : v_(std::monostate{}) {}
-  Value(int64_t v) : v_(v) {}             // NOLINT(google-explicit-constructor)
-  Value(double v) : v_(v) {}              // NOLINT(google-explicit-constructor)
-  Value(std::string v) : v_(std::move(v)) {}  // NOLINT
-  Value(const char* v) : v_(std::string(v)) {}  // NOLINT
+  Value() noexcept { u_.i = 0; }
+  Value(int64_t v) noexcept : tag_(Tag::kInt64) { u_.i = v; }  // NOLINT
+  Value(double v) noexcept : tag_(Tag::kDouble) { u_.d = v; }  // NOLINT
+  Value(std::string v) : tag_(Tag::kString) {  // NOLINT
+    u_.s = new std::string(std::move(v));
+  }
+  Value(const char* v) : Value(std::string(v)) {}  // NOLINT
+
+  Value(const Value& o) : tag_(o.tag_), u_(o.u_) {
+    if (tag_ == Tag::kString) u_.s = new std::string(*o.u_.s);
+  }
+  Value(Value&& o) noexcept : tag_(o.tag_), u_(o.u_) { o.tag_ = Tag::kNull; }
+  Value& operator=(const Value& o) {
+    if (this == &o) return *this;
+    if (tag_ == Tag::kString && o.tag_ == Tag::kString) {
+      *u_.s = *o.u_.s;  // reuse this string's buffer
+      return *this;
+    }
+    return *this = Value(o);
+  }
+  Value& operator=(Value&& o) noexcept {
+    if (this == &o) return *this;
+    if (tag_ == Tag::kString) delete u_.s;
+    tag_ = o.tag_;
+    u_ = o.u_;
+    o.tag_ = Tag::kNull;
+    return *this;
+  }
+  ~Value() {
+    if (tag_ == Tag::kString) delete u_.s;
+  }
 
   static Value Null() { return Value(); }
 
-  bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
-  bool is_int64() const { return std::holds_alternative<int64_t>(v_); }
-  bool is_double() const { return std::holds_alternative<double>(v_); }
-  bool is_string() const { return std::holds_alternative<std::string>(v_); }
+  bool is_null() const { return tag_ == Tag::kNull; }
+  bool is_int64() const { return tag_ == Tag::kInt64; }
+  bool is_double() const { return tag_ == Tag::kDouble; }
+  bool is_string() const { return tag_ == Tag::kString; }
 
-  int64_t AsInt64() const { return std::get<int64_t>(v_); }
-  double AsDouble() const {
-    if (is_int64()) return static_cast<double>(std::get<int64_t>(v_));
-    return std::get<double>(v_);
+  /// Typed access. A wrong-typed access throws std::bad_variant_access;
+  /// AsDouble also widens an int64.
+  int64_t AsInt64() const {
+    if (tag_ != Tag::kInt64) ThrowBadAccess();
+    return u_.i;
   }
-  const std::string& AsString() const { return std::get<std::string>(v_); }
+  double AsDouble() const {
+    if (tag_ == Tag::kDouble) return u_.d;
+    if (tag_ != Tag::kInt64) ThrowBadAccess();
+    return static_cast<double>(u_.i);
+  }
+  const std::string& AsString() const {
+    if (tag_ != Tag::kString) ThrowBadAccess();
+    return *u_.s;
+  }
 
   /// Type tag; NULL values have no type — callers must check is_null() first.
   Type type() const {
@@ -77,14 +115,35 @@ class Value {
   /// malformed input.
   static bool DecodeFrom(const std::string& in, size_t* pos, Value* out);
 
-  /// Approximate heap footprint in bytes (for memory accounting).
+  /// Heap bytes a string cell holds outside the box: the std::string
+  /// object and its buffer. Row::MemoryBytes and the batch-side estimate
+  /// (EstimateBatchRowBytes) count strings with this one rule.
+  static size_t StringHeapBytes(const std::string& s) {
+    return sizeof(std::string) + s.capacity();
+  }
+
+  /// Approximate footprint in bytes (for memory accounting).
   size_t MemoryBytes() const {
-    return sizeof(Value) + (is_string() ? AsString().capacity() : 0);
+    return sizeof(Value) + (is_string() ? StringHeapBytes(*u_.s) : 0);
   }
 
  private:
-  std::variant<std::monostate, int64_t, double, std::string> v_;
+  enum class Tag : uint8_t { kNull, kInt64, kDouble, kString };
+  // Trivially copyable, so `u_ = o.u_` copies the payload bytes without
+  // reading whichever member is inactive.
+  union Payload {
+    int64_t i;
+    double d;
+    std::string* s;
+  };
+
+  [[noreturn]] static void ThrowBadAccess();
+
+  Tag tag_ = Tag::kNull;
+  Payload u_;
 };
+
+static_assert(sizeof(Value) == 16, "Value is an 8-byte payload plus a tag");
 
 /// Typed hash primitives. Each returns exactly what Value::Hash() returns
 /// for the same scalar, so vectorized key extraction and batch aggregation

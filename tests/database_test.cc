@@ -140,6 +140,29 @@ TEST_P(DatabaseTest, FreshQueriesSeeUnmergedWrites) {
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 10);
 }
 
+TEST_P(DatabaseTest, FreshAggregateRightAfterCommitMatchesMerged) {
+  // One transaction spanning every shard on (b); no sync, no point reads
+  // in between: the fresh answer must already count every row.
+  auto txn = db_->Begin();
+  for (int i = 0; i < 200; ++i)
+    ASSERT_TRUE(txn->Insert("orders", Order(i, i % 5, i % 2 ? "w" : "e",
+                                            i * 0.5))
+                    .ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  QueryPlan plan;
+  plan.table = "orders";
+  plan.where = Predicate::Gt(1, Value(int64_t{1}));
+  plan.aggs = {AggSpec::Count("n"), AggSpec::Sum(3, "total")};
+  plan.require_fresh = true;
+  auto fresh = db_->Query(plan);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_TRUE(db_->ForceSync("orders").ok());
+  auto merged = db_->Query(plan);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->rows[0].Get(0).AsInt64(), 120);
+  EXPECT_EQ(fresh->rows[0].ToString(), merged->rows[0].ToString());
+}
+
 TEST_P(DatabaseTest, FreshnessImprovesWithSync) {
   for (int i = 0; i < 25; ++i)
     ASSERT_TRUE(db_->InsertRow("orders", Order(i, 1, "x", 1.0)).ok());

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
+
 #include "types/row.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -75,6 +81,127 @@ TEST(ValueTest, DecodeRejectsTruncation) {
   size_t pos = 0;
   Value out;
   EXPECT_FALSE(Value::DecodeFrom(buf, &pos, &out));
+}
+
+// A string long enough to defeat std::string's small-string buffer, so a
+// shallow copy or a double free would touch the same heap block.
+const std::string kLong(100, 'q');
+
+TEST(ValueTest, CopyDeepCopiesTheString) {
+  Value a(kLong);
+  Value b(a);
+  EXPECT_EQ(b.AsString(), kLong);
+  EXPECT_NE(&a.AsString(), &b.AsString());
+  Value c(int64_t{3});
+  c = a;  // number <- string
+  EXPECT_EQ(c.AsString(), kLong);
+  EXPECT_NE(&a.AsString(), &c.AsString());
+  Value d("short");
+  d = a;  // string <- string reuses d's own string
+  EXPECT_EQ(d.AsString(), kLong);
+  EXPECT_NE(&a.AsString(), &d.AsString());
+  a = Value(1.5);  // string <- number frees a's string; the copies live on
+  EXPECT_EQ(b.AsString(), kLong);
+  EXPECT_EQ(c.AsString(), kLong);
+  EXPECT_EQ(d.AsString(), kLong);
+}
+
+TEST(ValueTest, MoveTransfersTheStringAndLeavesNull) {
+  Value a(kLong);
+  const std::string* held = &a.AsString();
+  Value b(std::move(a));
+  EXPECT_TRUE(a.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&b.AsString(), held);
+  Value c(int64_t{9});
+  c = std::move(b);
+  EXPECT_TRUE(b.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(&c.AsString(), held);
+  Value d(kLong);
+  d = std::move(c);  // string <- string frees d's old string
+  EXPECT_TRUE(c.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(d.AsString(), kLong);
+  Value n(int64_t{4});
+  Value m(std::move(n));
+  EXPECT_TRUE(n.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(m.AsInt64(), 4);
+  static_assert(std::is_nothrow_move_constructible_v<Value>);
+  static_assert(std::is_nothrow_move_assignable_v<Value>);
+}
+
+TEST(ValueTest, SelfAssignmentIsSafe) {
+  Value a(kLong);
+  Value& alias = a;
+  a = alias;
+  EXPECT_EQ(a.AsString(), kLong);
+  a = std::move(alias);
+  ASSERT_TRUE(a.is_string());
+  EXPECT_EQ(a.AsString(), kLong);
+  Value x(2.25);
+  Value& xa = x;
+  x = xa;
+  EXPECT_DOUBLE_EQ(x.AsDouble(), 2.25);
+}
+
+TEST(ValueTest, VectorOfStringsSurvivesReallocationAndSwap) {
+  std::vector<Value> v;
+  for (int i = 0; i < 1000; ++i) {  // many reallocations
+    if (i % 3 == 0) {
+      v.emplace_back(kLong + std::to_string(i));
+    } else if (i % 3 == 1) {
+      v.emplace_back(int64_t{i});
+    } else {
+      v.emplace_back();
+    }
+  }
+  std::vector<Value> w{Value("w"), Value(kLong)};
+  v.swap(w);
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v[1].AsString(), kLong);
+  ASSERT_EQ(w.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 3 == 0) {
+      EXPECT_EQ(w[i].AsString(), kLong + std::to_string(i));
+    } else if (i % 3 == 1) {
+      EXPECT_EQ(w[i].AsInt64(), i);
+    } else {
+      EXPECT_TRUE(w[i].is_null());
+    }
+  }
+  std::swap(w[0], w[1]);
+  EXPECT_EQ(w[0].AsInt64(), 1);
+  EXPECT_EQ(w[1].AsString(), kLong + "0");
+  const std::vector<Value> copy = w;  // element-wise deep copies
+  w.clear();
+  EXPECT_EQ(copy[3].AsString(), kLong + "3");
+}
+
+TEST(ValueTest, WrongTypedAccessThrows) {
+  EXPECT_THROW(Value().AsInt64(), std::bad_variant_access);
+  EXPECT_THROW(Value(1.5).AsInt64(), std::bad_variant_access);
+  EXPECT_THROW(Value("1").AsInt64(), std::bad_variant_access);
+  EXPECT_THROW(Value().AsDouble(), std::bad_variant_access);
+  EXPECT_THROW(Value("1.5").AsDouble(), std::bad_variant_access);
+  EXPECT_THROW(Value().AsString(), std::bad_variant_access);
+  EXPECT_THROW(Value(int64_t{1}).AsString(), std::bad_variant_access);
+  EXPECT_THROW(Value(1.5).AsString(), std::bad_variant_access);
+  // AsDouble widens an int64.
+  EXPECT_DOUBLE_EQ(Value(int64_t{7}).AsDouble(), 7.0);
+}
+
+TEST(ValueTest, MemoryBytesCountsTheOutOfLineString) {
+  EXPECT_EQ(Value().MemoryBytes(), sizeof(Value));
+  EXPECT_EQ(Value(int64_t{1}).MemoryBytes(), sizeof(Value));
+  EXPECT_EQ(Value(1.0).MemoryBytes(), sizeof(Value));
+  const Value s(kLong);
+  EXPECT_EQ(s.MemoryBytes(),
+            sizeof(Value) + sizeof(std::string) + s.AsString().capacity());
+  EXPECT_GE(s.MemoryBytes(), sizeof(Value) + sizeof(std::string) + 100);
+  const Value e("");
+  EXPECT_EQ(e.MemoryBytes(),
+            sizeof(Value) + sizeof(std::string) + e.AsString().capacity());
+  const Row r{Value(int64_t{1}), Value(kLong), Value::Null(), Value(2.0)};
+  EXPECT_EQ(r.MemoryBytes(), sizeof(Row) + 3 * sizeof(Value) +
+                                 s.MemoryBytes());
 }
 
 TEST(SchemaTest, ValidateRequirements) {

@@ -65,6 +65,34 @@ TEST(RowsToBatchesTest, RoundTripsAtEveryBatchSize) {
   EXPECT_TRUE(RowsToBatches({}, FactSchema(), {}, 64).empty());
 }
 
+// The grace-join budget makes the same spill decision on the row and batch
+// routes only if the batch-side estimate mirrors Row::MemoryBytes exactly.
+TEST(RowsToBatchesTest, BatchRowBytesMirrorRowMemoryBytes) {
+  const Schema schema({{"id", Type::kInt64},
+                       {"score", Type::kDouble},
+                       {"tag", Type::kString},
+                       {"note", Type::kString}});
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 203; ++i) {
+    // Strings from empty through short (in-buffer) to long (heap) lengths.
+    Row r{Value(i), Value(i * 0.5), Value(std::string(i % 40, 'a')),
+          Value("n" + std::to_string(i))};
+    if (i % 5 == 0) r.Set(1, Value::Null());
+    if (i % 7 == 0) r.Set(2, Value::Null());
+    if (i % 11 == 0) r.Set(3, Value::Null());
+    rows.push_back(std::move(r));
+  }
+  for (size_t batch_rows : {size_t{0}, size_t{1}, size_t{16}, size_t{64},
+                            size_t{1000}}) {
+    const std::vector<size_t> est =
+        EstimateBatchRowBytes(RowsToBatches(rows, schema, {}, batch_rows));
+    ASSERT_EQ(est.size(), rows.size()) << "batch_rows=" << batch_rows;
+    for (size_t i = 0; i < rows.size(); ++i)
+      ASSERT_EQ(est[i], rows[i].MemoryBytes())
+          << "batch_rows=" << batch_rows << " row " << i;
+  }
+}
+
 TEST(SpillPageTest, EncodeDecodeRoundTripsEveryKind) {
   const auto round_trip = [](const SpillPage& page) {
     std::string buf;

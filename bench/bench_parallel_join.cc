@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "bench_util.h"
@@ -77,7 +78,9 @@ void FillColumnTable(ColumnTable* table, std::vector<Row> rows, int key_col) {
   for (size_t lo = 0; lo < rows.size(); lo += kGroupRows) {
     const size_t hi = std::min(rows.size(), lo + kGroupRows);
     table->AppendBatch(
-        std::vector<Row>(rows.begin() + lo, rows.begin() + hi), /*csn=*/1);
+        std::vector<Row>(std::make_move_iterator(rows.begin() + lo),
+                         std::make_move_iterator(rows.begin() + hi)),
+        /*csn=*/1);
   }
   for (size_t g = 0; g < table->num_groups(); ++g) {
     if (table->group(g)->columns[key_col].encoding() !=

@@ -103,7 +103,7 @@ int main() {
                           Value(i % 2 ? "odd" : "even"),
                           Value(static_cast<double>(i % 1000) * 0.5)});
       if (batch.size() == kGroupRows) {
-        table.AppendBatch(batch, 1);
+        table.AppendBatch(std::move(batch), 1);
         batch.clear();
       }
     }

@@ -77,7 +77,7 @@ int main() {
     base.reserve(kBaseRows);
     for (size_t i = 0; i < kBaseRows; ++i)
       base.push_back(MakeRow(static_cast<Key>(i), static_cast<int64_t>(i)));
-    table.AppendBatch(base, /*up_to_csn=*/1);
+    table.AppendBatch(std::move(base), /*up_to_csn=*/1);
   }
 
   // Stage the unmerged tail into each delta design.

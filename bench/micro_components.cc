@@ -1,15 +1,20 @@
 // Google-benchmark microbenchmarks for the individual substrates: B+-tree
-// operations, column encodings, columnar vs row scans, MVCC transaction
-// path, WAL append, and Raft replication (virtual-time cost per commit).
+// operations, column encodings and the encoding advisor, the delta merge,
+// columnar vs row scans, MVCC transaction path, WAL append, and Raft
+// replication (virtual-time cost per commit).
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "columnar/column_table.h"
+#include "columnar/compression_advisor.h"
 #include "common/random.h"
 #include "exec/executor.h"
 #include "index/btree.h"
 #include "sim/raft.h"
 #include "storage/mvcc_row_store.h"
+#include "sync/sync.h"
 #include "txn/txn_manager.h"
 #include "wal/wal.h"
 
@@ -92,6 +97,82 @@ void BM_DecodeScan(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeScan)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
+// Advisor cost per column shape: 0 = narrow ints (FOR frame under 32 bits:
+// no distinct count), 1 = sorted wide-range keys, 2 = shuffled wide-range
+// ints (distinct count by sort), 3 = doubles (runs only), 4 =
+// low-cardinality strings.
+ColumnVector AdvisorColumn(int shape, size_t n) {
+  Random rng(5);
+  ColumnVector v(shape == 3 ? Type::kDouble
+                            : shape == 4 ? Type::kString : Type::kInt64);
+  for (size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case 0: v.AppendInt64(static_cast<int64_t>(rng.Uniform(1000))); break;
+      case 1: v.AppendInt64(static_cast<int64_t>(i) << 36); break;
+      case 2: v.AppendInt64(static_cast<int64_t>(rng.Next64() >> 8)); break;
+      case 3: v.AppendDouble(rng.NextDouble() * 100); break;
+      default: v.AppendString("tag" + std::to_string(rng.Uniform(40)));
+    }
+  }
+  return v;
+}
+
+void BM_AdviseEncoding(benchmark::State& state) {
+  constexpr size_t kN = 65536;
+  const ColumnVector v = AdvisorColumn(static_cast<int>(state.range(0)), kN);
+  for (auto _ : state) {
+    const CompressionAdvice a = AdviseEncoding(v);
+    benchmark::DoNotOptimize(a.chosen);
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK(BM_AdviseEncoding)->DenseRange(0, 4);
+
+// ---- Delta merge ---------------------------------------------------------
+
+// One drained batch folded and merged into an empty advised column table:
+// the set-up merge of a lazily synced table. range(0) = entries; range(1) = 1
+// when every key is inserted and then updated (half as many rows survive).
+// Rows are orderline-shaped: nine ints and a double.
+void BM_MergeDeltaBatch(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const bool repeated = state.range(1) != 0;
+  std::vector<ColumnDef> cols;
+  for (int c = 0; c < 9; ++c)
+    cols.push_back({"c" + std::to_string(c), Type::kInt64});
+  cols.push_back({"amount", Type::kDouble});
+  const Schema schema(cols);
+  Random rng(6);
+  std::vector<DeltaEntry> proto(n);
+  for (size_t i = 0; i < n; ++i) {
+    DeltaEntry& e = proto[i];
+    const size_t k = repeated ? i / 2 : i;
+    e.op = repeated && i % 2 == 1 ? ChangeOp::kUpdate : ChangeOp::kInsert;
+    e.key = static_cast<Key>(k) << 8;
+    e.csn = i + 1;
+    Row r{Value(e.key)};
+    for (int c = 1; c < 9; ++c)
+      r.Append(Value(static_cast<int64_t>(rng.Uniform(1000))));
+    r.Append(Value(rng.NextDouble() * 100));
+    e.row = std::move(r);
+  }
+  std::unique_ptr<ColumnTable> table;
+  for (auto _ : state) {
+    state.PauseTiming();  // copying the batch and freeing the last table
+    table = std::make_unique<ColumnTable>(schema);
+    table->EnableCompressionAdvisor(true);
+    std::vector<DeltaEntry> entries = proto;
+    state.ResumeTiming();
+    ApplyEntriesToColumnTable(table.get(), std::move(entries), n);
+    benchmark::DoNotOptimize(table.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_MergeDeltaBatch)
+    ->ArgsProduct({{1000, 16000, 240000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 // ---- Scans -------------------------------------------------------------
 
 Schema ScanSchema() {
@@ -108,7 +189,7 @@ void BM_ColumnScanFiltered(benchmark::State& state) {
                        Value(static_cast<int64_t>(rng.Uniform(100))),
                        Value(static_cast<int64_t>(rng.Uniform(1000000))),
                        Value(static_cast<int64_t>(i % 7))});
-  table.AppendBatch(rows, 1);
+  table.AppendBatch(std::move(rows), 1);
   const Predicate pred = Predicate::Eq(1, Value(int64_t{42}));
   for (auto _ : state) {
     auto out = ScanHtap(table, nullptr, kMaxCSN - 1, pred, {0});

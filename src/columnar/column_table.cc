@@ -9,30 +9,28 @@ void ColumnTable::EnableCompressionAdvisor(bool on) {
   advise_encodings_ = on;
 }
 
-void ColumnTable::AppendBatch(const std::vector<Row>& rows, CSN up_to_csn) {
+void ColumnTable::AppendBatch(std::vector<Row> rows, CSN up_to_csn) {
   if (!rows.empty()) {
     WriteGuard g(latch_);
-    AppendBatchLocked(rows);
+    AppendBatchLocked(std::move(rows));
   }
   // order: release — freshness probes read merged_csn_ with acquire outside
   // the latch; the merged rows must be visible before the watermark.
   merged_csn_.store(up_to_csn, std::memory_order_release);
 }
 
-void ColumnTable::AppendBatchLocked(const std::vector<Row>& rows) {
-  // Updates: delete-mark existing positions first.
-  for (const Row& r : rows) {
-    const Key key = r.GetKey(schema_);
-    const auto it = key_index_.find(key);
-    if (it != key_index_.end()) {
-      groups_[it->second.first]->deleted.Set(it->second.second);
-    }
-  }
-
+void ColumnTable::AppendBatchLocked(std::vector<Row> rows) {
   auto group = std::make_unique<RowGroup>();
   group->num_rows = rows.size();
   group->keys.reserve(rows.size());
-  for (const Row& r : rows) group->keys.push_back(r.GetKey(schema_));
+  for (const Row& r : rows) {
+    const Key key = r.GetKey(schema_);
+    // Updates: delete-mark existing positions first.
+    const auto it = key_index_.find(key);
+    if (it != key_index_.end())
+      groups_[it->second.first]->deleted.Set(it->second.second);
+    group->keys.push_back(key);
+  }
   group->deleted.Resize(rows.size());
 
   group->columns.reserve(schema_.num_columns());
@@ -93,7 +91,7 @@ size_t ColumnTable::Compact() {
   }
   groups_.clear();
   key_index_.clear();
-  if (!live.empty()) AppendBatchLocked(live);
+  if (!live.empty()) AppendBatchLocked(std::move(live));
   for (auto& gp : groups_) after += gp->MemoryBytes();
   return before > after ? before - after : 0;
 }
@@ -133,9 +131,18 @@ size_t ColumnTable::live_rows() const {
 
 size_t ColumnTable::MemoryBytes() const {
   ReadGuard g(latch_);
-  size_t b = sizeof(*this) + key_index_.size() * 24;
+  size_t b = sizeof(*this) +
+             KeyIndexBytes(key_index_.size(), key_index_.bucket_count());
   for (const auto& gp : groups_) b += gp->MemoryBytes();
   return b;
+}
+
+size_t ColumnTable::KeyIndexBytes(size_t entries, size_t buckets) {
+  // glibc malloc: an 8-byte chunk header, chunks in 16-byte steps.
+  constexpr size_t kNodeBytes =
+      (sizeof(void*) + sizeof(KeyIndex::value_type) + sizeof(size_t) + 15) /
+      16 * 16;
+  return buckets * sizeof(void*) + entries * kNodeBytes;
 }
 
 EncodingBreakdown ColumnTable::EncodingStats() const {

@@ -50,9 +50,11 @@ class ColumnTable {
 
   // ---- Sync-pipeline write API (single writer; scans may run concurrently)
 
-  /// Appends a batch of rows as one new row group. Rows whose key already
-  /// exists are treated as updates: the old position is delete-marked first.
-  void AppendBatch(const std::vector<Row>& rows, CSN up_to_csn);
+  /// Appends a batch of rows as one new row group, in the given order. Rows
+  /// whose key already exists are treated as updates: the old position is
+  /// delete-marked first. Takes the rows by value: callers done with them
+  /// move them in.
+  void AppendBatch(std::vector<Row> rows, CSN up_to_csn);
 
   /// Positionally delete-marks the row with this key. Returns false if the
   /// key is not present.
@@ -96,6 +98,8 @@ class ColumnTable {
 
   /// Rows not delete-marked.
   size_t live_rows() const;
+  /// Row groups plus the key index: its bucket array and one heap node per
+  /// key (KeyIndexBytes).
   size_t MemoryBytes() const;
 
   /// Per-encoding segment counts and bytes across all row groups — the
@@ -111,13 +115,19 @@ class ColumnTable {
   RWLatch& latch() const RETURN_CAPABILITY(latch_) { return latch_; }
 
  private:
-  void AppendBatchLocked(const std::vector<Row>& rows) REQUIRES(latch_);
+  void AppendBatchLocked(std::vector<Row> rows) REQUIRES(latch_);
+
+  // key -> (group, offset) of its live row.
+  using KeyIndex = std::unordered_map<Key, std::pair<uint32_t, uint32_t>>;
+  /// Heap bytes of a key index holding `entries` keys over `buckets`
+  /// buckets: one pointer per bucket, and per key a node with a next
+  /// pointer and the (key, position) pair, rounded up to its malloc chunk.
+  static size_t KeyIndexBytes(size_t entries, size_t buckets);
 
   const Schema schema_;
   bool advise_encodings_ GUARDED_BY(latch_) = false;
   std::vector<std::unique_ptr<RowGroup>> groups_ GUARDED_BY(latch_);
-  std::unordered_map<Key, std::pair<uint32_t, uint32_t>> key_index_
-      GUARDED_BY(latch_);
+  KeyIndex key_index_ GUARDED_BY(latch_);
   std::atomic<CSN> merged_csn_{0};
   mutable RWLatch latch_{LockRank::kTableLatch, "column-table"};
 };

@@ -1,6 +1,7 @@
 #include "columnar/compression_advisor.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 namespace htap {
@@ -27,53 +28,78 @@ size_t CountRuns(const std::vector<T>& vals) {
   return runs;
 }
 
-}  // namespace
-
-SegmentValueStats CollectSegmentStats(const ColumnVector& values) {
-  SegmentValueStats st;
-  st.rows = values.size();
-  for (size_t i = 0; i < st.rows; ++i)
-    if (values.IsNull(i)) ++st.nulls;
-
+/// Fills `runs`, the int range and `string_bytes`: one pass, no allocation.
+void CollectRunStats(const ColumnVector& values, SegmentValueStats* st) {
   switch (values.type()) {
     case Type::kInt64: {
       const auto& v = values.ints();
-      st.runs = CountRuns(v);
-      std::unordered_set<int64_t> distinct(v.begin(), v.end());
-      st.distinct = distinct.size();
+      st->runs = CountRuns(v);
       if (!v.empty()) {
         const auto [mn, mx] = std::minmax_element(v.begin(), v.end());
-        st.int_min = *mn;
-        st.int_max = *mx;
+        st->int_min = *mn;
+        st->int_max = *mx;
+      }
+      break;
+    }
+    case Type::kDouble:
+      st->runs = CountRuns(values.doubles());
+      break;
+    case Type::kString:
+      st->runs = CountRuns(values.strings());
+      for (const auto& s : values.strings()) st->string_bytes += s.size();
+      break;
+  }
+}
+
+/// Fills `distinct` and `distinct_string_bytes`.
+void CollectDistinct(const ColumnVector& values, SegmentValueStats* st) {
+  switch (values.type()) {
+    case Type::kInt64: {
+      // The runs of the sorted values. Key columns usually arrive sorted,
+      // so most calls sort nothing.
+      const auto& v = values.ints();
+      if (std::is_sorted(v.begin(), v.end())) {
+        st->distinct = CountRuns(v);
+      } else {
+        std::vector<int64_t> sorted = v;
+        std::sort(sorted.begin(), sorted.end());
+        st->distinct = CountRuns(sorted);
       }
       break;
     }
     case Type::kDouble: {
       const auto& v = values.doubles();
-      st.runs = CountRuns(v);
-      std::unordered_set<double> distinct(v.begin(), v.end());
-      st.distinct = distinct.size();
+      st->distinct = std::unordered_set<double>(v.begin(), v.end()).size();
       break;
     }
     case Type::kString: {
-      const auto& v = values.strings();
-      st.runs = CountRuns(v);
-      std::unordered_set<std::string> distinct;
-      for (const auto& s : v) {
-        st.string_bytes += s.size();
-        if (distinct.insert(s).second) st.distinct_string_bytes += s.size();
-      }
-      st.distinct = distinct.size();
+      std::unordered_set<std::string_view> distinct;
+      for (const auto& s : values.strings())
+        if (distinct.insert(s).second) st->distinct_string_bytes += s.size();
+      st->distinct = distinct.size();
       break;
     }
   }
-  return st;
 }
 
-CompressionAdvice AdviseEncoding(const ColumnVector& values) {
-  const SegmentValueStats st = CollectSegmentStats(values);
+/// Whether DICTIONARY can be the choice, i.e. whether the distinct count
+/// matters. Never on DOUBLE, where it is inapplicable. On INT64 only when
+/// the FOR frame is 32 bits or wider: narrower, FOR costs at most
+/// 8 + ceil(31n/8) <= 8 + 4n bytes, below DICTIONARY's 4n + 8 * distinct
+/// for two or more distinct values, and a single value packs in a 0-bit
+/// frame (8 bytes). FOR then always undercuts DICTIONARY.
+bool DictionaryCanWin(Type type, const SegmentValueStats& st) {
+  if (type == Type::kDouble) return false;
+  if (type == Type::kString) return true;
+  return BitsFor(static_cast<uint64_t>(st.int_max) -
+                 static_cast<uint64_t>(st.int_min)) >= 32;
+}
+
+/// Estimates every candidate and picks one (see the file header).
+/// DICTIONARY is a candidate only when `dictionary` is set.
+CompressionAdvice Choose(Type type, const SegmentValueStats& st,
+                         bool dictionary) {
   const size_t n = st.rows;
-  const Type type = values.type();
 
   // Payload-byte estimates per encoding, mirroring the shapes the encoders
   // emit (EncodedColumn::MemoryBytes counts the same vectors). The null
@@ -96,7 +122,7 @@ CompressionAdvice AdviseEncoding(const ColumnVector& values) {
   cand[idx(EncodingType::kPlain)].bytes = n * value_bytes + st.string_bytes;
 
   // DICTIONARY: one 4-byte code per slot plus the distinct entries.
-  if (type != Type::kDouble) {
+  if (dictionary) {
     auto& c = cand[idx(EncodingType::kDictionary)];
     c.applicable = true;
     c.bytes = n * 4 + st.distinct * value_bytes + st.distinct_string_bytes;
@@ -139,6 +165,34 @@ CompressionAdvice AdviseEncoding(const ColumnVector& values) {
     }
   }
   return advice;
+}
+
+}  // namespace
+
+SegmentValueStats CollectSegmentStats(const ColumnVector& values) {
+  SegmentValueStats st;
+  st.rows = values.size();
+  for (size_t i = 0; i < st.rows; ++i)
+    if (values.IsNull(i)) ++st.nulls;
+  CollectRunStats(values, &st);
+  CollectDistinct(values, &st);
+  return st;
+}
+
+CompressionAdvice AdviseFromStats(Type type, const SegmentValueStats& st) {
+  return Choose(type, st, type != Type::kDouble);
+}
+
+CompressionAdvice AdviseEncoding(const ColumnVector& values) {
+  // Only the statistics the choice can depend on: `nulls` never enters it,
+  // and the distinct count (the one pass that allocates) only when
+  // DICTIONARY can win.
+  SegmentValueStats st;
+  st.rows = values.size();
+  CollectRunStats(values, &st);
+  const bool dictionary = DictionaryCanWin(values.type(), st);
+  if (dictionary) CollectDistinct(values, &st);
+  return Choose(values.type(), st, dictionary);
 }
 
 }  // namespace htap

@@ -2,9 +2,9 @@
 //
 // ChooseEncoding (encoding.h) picks an encoding from coarse heuristics with
 // fixed thresholds. The advisor instead *estimates the encoded size in
-// bytes* of every applicable encoding from one pass of observed value
-// statistics (row count, distinct values, run structure, integer range,
-// null density) and picks the smallest — with a bias requiring a compressed
+// bytes* of every applicable encoding from observed value statistics (row
+// count, distinct values, run structure, integer range, string payload)
+// and picks the smallest — with a bias requiring a compressed
 // encoding to beat PLAIN by at least 1/8 of PLAIN's footprint, so marginal
 // wins do not pay dictionary/unpack overhead at scan time.
 //
@@ -22,7 +22,9 @@ namespace htap {
 
 /// Estimated encoded footprint of one candidate encoding. `applicable` is
 /// false when the encoding cannot represent the column (FOR on non-INT64,
-/// dictionary on DOUBLE) — `bytes` is meaningless then.
+/// dictionary on DOUBLE), and in AdviseEncoding also for dictionary on an
+/// INT64 column it cannot win (a FOR frame under 32 bits) — `bytes` is
+/// meaningless then.
 struct EncodingEstimate {
   EncodingType encoding = EncodingType::kPlain;
   size_t bytes = 0;
@@ -36,10 +38,10 @@ struct CompressionAdvice {
   std::array<EncodingEstimate, kNumEncodings> candidates{};
 };
 
-/// Observed value statistics the estimates derive from; filled by one pass
-/// over the segment's values. Distinct/run/range counts are over the RAW
-/// slot values (null placeholders included) because that is exactly what
-/// the encoders consume — nulls ride in a separate bitmap.
+/// Observed value statistics the estimates derive from. Distinct/run/range
+/// counts are over the RAW slot values (null placeholders included) because
+/// that is exactly what the encoders consume — nulls ride in a separate
+/// bitmap.
 struct SegmentValueStats {
   size_t rows = 0;
   size_t nulls = 0;
@@ -51,10 +53,19 @@ struct SegmentValueStats {
   int64_t int_max = 0;
 };
 
-/// Collects SegmentValueStats from `values` in one pass.
+/// Collects every field of SegmentValueStats from `values`.
 SegmentValueStats CollectSegmentStats(const ColumnVector& values);
 
-/// Re-picks the segment encoding from observed stats (see file header).
+/// The choice from full statistics (CollectSegmentStats): every applicable
+/// candidate estimated (see file header).
+CompressionAdvice AdviseFromStats(Type type, const SegmentValueStats& st);
+
+/// Picks the segment encoding. Chooses what AdviseFromStats(type,
+/// CollectSegmentStats(values)) chooses, but collects only the statistics
+/// the choice can depend on: never `nulls`, and `distinct` only on STRING
+/// columns and INT64 columns whose FOR frame is 32 bits or wider — for
+/// other INT64 columns FOR always undercuts DICTIONARY, and DOUBLE has no
+/// DICTIONARY (DESIGN.md §19).
 CompressionAdvice AdviseEncoding(const ColumnVector& values);
 
 }  // namespace htap

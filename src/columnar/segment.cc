@@ -10,23 +10,36 @@ Segment Segment::BuildWithEncoding(const ColumnVector& values,
                                    EncodingType enc) {
   Segment s;
   s.data_ = Encode(values, enc);
-  bool first = true;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values.IsNull(i)) {
-      s.has_nulls_ = true;
-      continue;
-    }
-    const Value v = values.GetValue(i);
-    if (first) {
-      s.min_ = v;
-      s.max_ = v;
-      first = false;
-    } else {
-      if (v < s.min_) s.min_ = v;
-      if (s.max_ < v) s.max_ = v;
-    }
+  switch (values.type()) {
+    case Type::kInt64: s.FillZoneMap(values, values.ints()); break;
+    case Type::kDouble: s.FillZoneMap(values, values.doubles()); break;
+    case Type::kString: s.FillZoneMap(values, values.strings()); break;
   }
   return s;
+}
+
+template <typename T>
+void Segment::FillZoneMap(const ColumnVector& values, const std::vector<T>& v) {
+  // Straight off the typed slots, no Value per cell. The scalar operator<
+  // orders as Value::Compare does; the first of equal values is kept.
+  const T* lo = nullptr;
+  const T* hi = nullptr;
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (values.IsNull(i)) {
+      has_nulls_ = true;
+      continue;
+    }
+    if (lo == nullptr) {
+      lo = hi = &v[i];
+      continue;
+    }
+    if (v[i] < *lo) lo = &v[i];
+    if (*hi < v[i]) hi = &v[i];
+  }
+  if (lo != nullptr) {
+    min_ = Value(*lo);
+    max_ = Value(*hi);
+  }
 }
 
 bool Segment::CanSkip(const std::string& op, const Value& v) const {

@@ -42,6 +42,10 @@ class Segment {
   size_t MemoryBytes() const { return data_.MemoryBytes(); }
 
  private:
+  /// Sets min_/max_/has_nulls_ from `values`, whose typed slots are `v`.
+  template <typename T>
+  void FillZoneMap(const ColumnVector& values, const std::vector<T>& v);
+
   EncodedColumn data_;
   Value min_, max_;
   bool has_nulls_ = false;

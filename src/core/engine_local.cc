@@ -173,6 +173,15 @@ Row ProjectRow(const std::vector<int>& cols, const Row& row) {
   return out;
 }
 
+/// Whether a loaded-column layout is the base layout: every column, in
+/// schema order.
+bool IsBaseLayout(const std::vector<int>& loaded, size_t num_columns) {
+  if (loaded.size() != num_columns) return false;
+  for (size_t i = 0; i < num_columns; ++i)
+    if (loaded[i] != static_cast<int>(i)) return false;
+  return true;
+}
+
 /// Remaps a base-schema predicate onto a loaded-column layout.
 Predicate RemapPredicate(const Predicate& pred,
                          const std::vector<int>& base_to_loaded) {
@@ -414,9 +423,17 @@ Status LocalHtapEngine::SyncLoadedColumns(
     loaded = ts->loaded;
   }
   std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
-  for (DeltaEntry& e : entries)
-    if (e.op != ChangeOp::kDelete) e.row = ProjectRow(loaded, e.row);
-  ApplyEntriesToColumnTable(columns.get(), entries, target);
+  if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
+    // Reduce each row to the loaded columns by moving the cells it keeps.
+    for (DeltaEntry& e : entries) {
+      if (e.op == ChangeOp::kDelete) continue;
+      Row projected;
+      for (int c : loaded)
+        projected.Append(std::move(e.row.Mutable(static_cast<size_t>(c))));
+      e.row = std::move(projected);
+    }
+  }
+  ApplyEntriesToColumnTable(columns.get(), std::move(entries), target);
   if (columns_out != nullptr) *columns_out = std::move(columns);
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
   return Status::OK();
@@ -480,7 +497,7 @@ Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
     rows.push_back(ProjectRow(sel.columns, r));
     return true;
   }));
-  columns->AppendBatch(rows, txn_mgr_.LastCommittedCsn());
+  columns->AppendBatch(std::move(rows), txn_mgr_.LastCommittedCsn());
   {
     MutexLock lk(&tables_mu_);
     ts->loaded = sel.columns;
@@ -558,10 +575,7 @@ Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
     return acc;  // the row side serves instead
   }
   const size_t num_columns = req.table->schema.num_columns();
-  bool base_layout = loaded.size() == num_columns;
-  for (size_t i = 0; base_layout && i < num_columns; ++i)
-    base_layout = loaded[i] == static_cast<int>(i);
-  if (base_layout) {
+  if (IsBaseLayout(loaded, num_columns)) {
     acc.pred = *req.pred;
     acc.proj = req.projection;
     if (req.require_fresh) acc.delta = ts->delta.get();
@@ -662,16 +676,19 @@ Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {
 
 FreshnessInfo LocalHtapEngine::Freshness(const TableInfo& tbl) {
   FreshnessInfo f;
-  MutexLock lk(&tables_mu_);
-  const auto it = tables_.find(tbl.id);
-  if (it == tables_.end()) return f;
-  f.committed_csn = txn_mgr_.LastCommittedCsn();
-  f.visible_csn = it->second->columns->merged_csn();
+  {
+    MutexLock lk(&tables_mu_);
+    const auto it = tables_.find(tbl.id);
+    if (it == tables_.end()) return f;
+    f.committed_csn = txn_mgr_.LastCommittedCsn();
+    f.visible_csn = it->second->columns->merged_csn();
+    f.pending_delta_entries = it->second->delta->EntryCount();
+  }
+  // Outside tables_mu_: every commit's publish needs that mutex.
   f.csn_lag = freshness_.CsnLag(f.committed_csn, f.visible_csn);
   f.time_lag_micros = freshness_.TimeLagMicros(f.visible_csn);
   f.fresh_visible_csn = f.committed_csn;  // fresh scans union the delta
   f.fresh_time_lag_micros = 0;
-  f.pending_delta_entries = it->second->delta->EntryCount();
   return f;
 }
 

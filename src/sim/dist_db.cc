@@ -652,7 +652,8 @@ void DistributedDb::SyncLearners() {
       if (entries.empty()) continue;
       CSN up_to = rt.learner.tables[tid]->merged_csn();
       for (const auto& e : entries) up_to = std::max(up_to, e.csn);
-      ApplyEntriesToColumnTable(rt.learner.tables[tid].get(), entries, up_to);
+      ApplyEntriesToColumnTable(rt.learner.tables[tid].get(),
+                                std::move(entries), up_to);
     }
   }
 }

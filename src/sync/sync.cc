@@ -1,6 +1,7 @@
 #include "sync/sync.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
 
 namespace htap {
 
@@ -24,11 +25,12 @@ void FreshnessTracker::OnCommit(const std::vector<ChangeEvent>& events) {
 
 Micros FreshnessTracker::TimeLagMicros(CSN visible_csn) const {
   MutexLock lk(&mu_);
-  // Oldest commit newer than what is visible.
-  for (const auto& [csn, t] : samples_) {
-    if (csn > visible_csn) return clock_->NowMicros() - t;
-  }
-  return 0;
+  // Oldest commit newer than what is visible. Samples arrive in CSN order
+  // (commits publish in CSN order), so this is a binary search.
+  const auto it = std::upper_bound(
+      samples_.begin(), samples_.end(), visible_csn,
+      [](CSN csn, const std::pair<CSN, Micros>& s) { return csn < s.first; });
+  return it == samples_.end() ? 0 : clock_->NowMicros() - it->second;
 }
 
 DataSynchronizer::DataSynchronizer(SyncStrategy strategy, ColumnTable* table,
@@ -48,44 +50,50 @@ DataSynchronizer::DataSynchronizer(ColumnTable* table,
       clock_(clock) {}
 
 void ApplyEntriesToColumnTable(ColumnTable* table,
-                               const std::vector<DeltaEntry>& entries,
-                               CSN up_to) {
-  // Fold the batch: last write per key wins; deletes drop pending upserts.
-  std::vector<Row> to_append;
-  std::vector<bool> dead;  // parallel to to_append
-  std::unordered_map<Key, size_t> pos;
-  std::vector<Key> deletes;
+                               std::vector<DeltaEntry> entries, CSN up_to) {
+  // Fold the batch, last write per key wins, without copying a row: sorting
+  // (key, index) pairs groups each key's entries in commit order. A key
+  // whose last entry is an upsert survives with that entry's row, placed at
+  // the key's first upsert (the order an insertion-ordered fold gives).
+  const size_t n = entries.size();
+  constexpr size_t kNone = SIZE_MAX;
+  std::vector<std::pair<Key, size_t>> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = {entries[i].key, i};
+  std::sort(order.begin(), order.end());
 
-  for (const DeltaEntry& e : entries) {
-    switch (e.op) {
-      case ChangeOp::kInsert:
-      case ChangeOp::kUpdate: {
-        const auto it = pos.find(e.key);
-        if (it != pos.end()) {
-          to_append[it->second] = e.row;
-          dead[it->second] = false;
-        } else {
-          pos[e.key] = to_append.size();
-          to_append.push_back(e.row);
-          dead.push_back(false);
-        }
-        break;
-      }
-      case ChangeOp::kDelete: {
-        const auto it = pos.find(e.key);
-        if (it != pos.end()) dead[it->second] = true;
-        deletes.push_back(e.key);
-        break;
-      }
+  // survivor[i] != kNone: entry i is its key's first upsert, and the key's
+  // row is entries[survivor[i]].row.
+  std::vector<size_t> survivor(n, kNone);
+  size_t survivors = 0;
+  for (size_t begin = 0; begin < n;) {
+    const Key key = order[begin].first;
+    size_t end = begin;
+    size_t first_upsert = kNone;
+    bool deleted = false;
+    for (; end < n && order[end].first == key; ++end) {
+      const size_t i = order[end].second;
+      if (entries[i].op == ChangeOp::kDelete)
+        deleted = true;
+      else if (first_upsert == kNone)
+        first_upsert = i;
     }
+    // A delete anywhere in the batch removes the key's merged row; an
+    // upsert after it re-adds the key in the new group.
+    if (deleted) table->DeleteKey(key, 0);
+    const size_t last = order[end - 1].second;
+    if (entries[last].op != ChangeOp::kDelete) {
+      survivor[first_upsert] = last;
+      ++survivors;
+    }
+    begin = end;
   }
 
-  for (Key k : deletes) table->DeleteKey(k, 0);
   std::vector<Row> batch;
-  batch.reserve(to_append.size());
-  for (size_t i = 0; i < to_append.size(); ++i)
-    if (!dead[i]) batch.push_back(std::move(to_append[i]));
-  table->AppendBatch(batch, up_to);
+  batch.reserve(survivors);
+  for (size_t i = 0; i < n; ++i)
+    if (survivor[i] != kNone)
+      batch.push_back(std::move(entries[survivor[i]].row));
+  table->AppendBatch(std::move(batch), up_to);
 }
 
 void DataSynchronizer::EnableStatsMaintenance(
@@ -113,22 +121,24 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
       rows.push_back(r);
       return true;
     });
+    const size_t loaded = rows.size();
+    // A rebuild already holds the full live row set — recompute exactly,
+    // before the rows move into the column table.
+    if (stats_builder_ != nullptr) stats_builder_->RecomputeFromRows(rows);
     table_->Clear();
-    table_->AppendBatch(rows, target_csn);
-    stats_.rows_loaded += rows.size();
-    if (stats_builder_ != nullptr) {
-      // A rebuild already holds the full live row set — recompute exactly.
-      stats_builder_->RecomputeFromRows(rows);
-      publish_stats_(stats_builder_->Snapshot(rows.size()), target_csn);
-    }
+    table_->AppendBatch(std::move(rows), target_csn);
+    stats_.rows_loaded += loaded;
+    if (stats_builder_ != nullptr)
+      publish_stats_(stats_builder_->Snapshot(loaded), target_csn);
   } else {
     if (source_ == nullptr)
       return Status::Internal("merge synchronizer has no delta source");
-    const std::vector<DeltaEntry> entries = source_->DrainUpTo(target_csn);
-    ApplyEntriesToColumnTable(table_, entries, target_csn);
+    std::vector<DeltaEntry> entries = source_->DrainUpTo(target_csn);
     stats_.entries_merged += entries.size();
+    // The stats builder reads the rows before the merge moves them out.
+    if (stats_builder_ != nullptr) stats_builder_->ApplyEntries(entries);
+    ApplyEntriesToColumnTable(table_, std::move(entries), target_csn);
     if (stats_builder_ != nullptr) {
-      stats_builder_->ApplyEntries(entries);
       if (stats_builder_->deletes_since_recompute() >
           compact_delete_threshold_) {
         // Delete drift: the sketches only widen, so compact away the dead

@@ -152,10 +152,11 @@ class DataSynchronizer {
 
 /// Applies a batch of delta entries (commit order) to a column table and
 /// advances merged_csn to `up_to`. Shared by all merge paths, including the
-/// learner replica apply loop.
+/// learner replica apply loop. Last write per key wins; the surviving rows
+/// move, uncopied, into one new row group, each at its key's first upsert
+/// in the batch (DESIGN.md §19).
 void ApplyEntriesToColumnTable(ColumnTable* table,
-                               const std::vector<DeltaEntry>& entries,
-                               CSN up_to);
+                               std::vector<DeltaEntry> entries, CSN up_to);
 
 /// Periodic background sync driver: wakes every `interval`, syncs to the
 /// latest committed CSN when the staged-entry threshold or interval hits.

@@ -231,6 +231,41 @@ TEST(ColumnTableTest, CompactDropsDeletedRows) {
   EXPECT_FALSE(t.FindKey(2, &gi, &off));
 }
 
+TEST(ColumnTableTest, CompactKeepsRowContents) {
+  ColumnTable t(TableSchema());
+  std::vector<Row> rows;
+  for (int i = 0; i < 200; ++i)
+    rows.push_back(TRow(i, i * 3, std::string(32, 'p') + std::to_string(i)));
+  t.AppendBatch(std::move(rows), 1);
+  for (Key k = 0; k < 200; k += 3) t.DeleteKey(k, 2);
+  t.Compact();
+  for (Key k = 0; k < 200; ++k) {
+    size_t gi = 0, off = 0;
+    ASSERT_EQ(t.FindKey(k, &gi, &off), k % 3 != 0) << "key " << k;
+    if (k % 3 == 0) continue;
+    EXPECT_EQ(t.MaterializeRow(*t.group(gi), off),
+              TRow(k, k * 3, std::string(32, 'p') + std::to_string(k)));
+  }
+}
+
+// The key index costs more than its 24-byte entries: every key is a heap
+// node (next pointer + key + position) and the bucket array holds at least
+// one pointer per key at the default load factor.
+TEST(ColumnTableTest, MemoryBytesCountsKeyIndexBucketsAndNodes) {
+  ColumnTable t(TableSchema());
+  constexpr size_t kRows = 10000;
+  std::vector<Row> rows;
+  for (size_t i = 0; i < kRows; ++i)
+    rows.push_back(TRow(static_cast<Key>(i), 1));
+  t.AppendBatch(std::move(rows), 1);
+  size_t group_bytes = 0;
+  for (size_t g = 0; g < t.num_groups(); ++g)
+    group_bytes += t.group(g)->MemoryBytes();
+  const size_t node = sizeof(void*) + sizeof(Key) + 2 * sizeof(uint32_t);
+  const size_t bucket = sizeof(void*);
+  EXPECT_GE(t.MemoryBytes(), group_bytes + kRows * (node + bucket));
+}
+
 TEST(ColumnTableTest, ClearResetsEverything) {
   ColumnTable t(TableSchema());
   t.AppendBatch({TRow(1, 1)}, 9);

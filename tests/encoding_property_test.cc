@@ -1,14 +1,18 @@
 // Property tests for the encoding layer: encode∘decode identity across
 // every encoding x value type x null pattern x size shape, the
-// bit_width == 0 FOR edge (empty and all-equal segments), and the
-// MemoryBytes audit (null bitmap + string heap payload included).
+// bit_width == 0 FOR edge (empty and all-equal segments), the MemoryBytes
+// audit (null bitmap + string heap payload included), and zone maps equal
+// to a Value-by-Value reference.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "columnar/encoding.h"
+#include "columnar/segment.h"
 #include "common/random.h"
 
 namespace htap {
@@ -172,6 +176,72 @@ TEST(EncodingPropertyTest, MemoryBytesCountsStringHeapAndNullBitmap) {
   const EncodedColumn enc = Encode(with_nulls, EncodingType::kRle);
   EXPECT_GT(enc.nulls.MemoryBytes(), 0u);
   EXPECT_GE(enc.MemoryBytes(), enc.nulls.MemoryBytes());
+}
+
+/// Same kind and same scalar, doubles compared bit for bit (Value's
+/// operator== calls NaN equal to everything and -0.0 equal to 0.0).
+bool Identical(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a == b;
+  const double x = a.AsDouble(), y = b.AsDouble();
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+// Zone maps built from the typed slots equal the Value-by-Value fold:
+// first non-NULL value, then replaced by any value that compares lower
+// (min) or higher (max).
+TEST(EncodingPropertyTest, ZoneMapMatchesValueReference) {
+  const auto check = [](const ColumnVector& v) {
+    Value lo, hi;
+    bool has_nulls = false, first = true;
+    for (size_t i = 0; i < v.size(); ++i) {
+      if (v.IsNull(i)) {
+        has_nulls = true;
+        continue;
+      }
+      const Value x = v.GetValue(i);
+      if (first) {
+        lo = hi = x;
+        first = false;
+        continue;
+      }
+      if (x < lo) lo = x;
+      if (hi < x) hi = x;
+    }
+    const Segment seg = Segment::Build(v);
+    EXPECT_TRUE(Identical(seg.min(), lo)) << seg.min().ToString();
+    EXPECT_TRUE(Identical(seg.max(), hi)) << seg.max().ToString();
+    EXPECT_EQ(seg.has_nulls(), has_nulls);
+  };
+  const size_t sizes[] = {0, 1, 2, 64, 1000};
+  const ValueShape value_shapes[] = {ValueShape::kAllEqual, ValueShape::kNarrow,
+                                     ValueShape::kRuns, ValueShape::kRandom};
+  const NullPattern null_patterns[] = {NullPattern::kNone, NullPattern::kSparse,
+                                       NullPattern::kDense, NullPattern::kAll};
+  uint64_t seed = 100;
+  for (Type t : {Type::kInt64, Type::kDouble, Type::kString})
+    for (size_t n : sizes)
+      for (ValueShape shape : value_shapes)
+        for (NullPattern nulls : null_patterns) {
+          SCOPED_TRACE(std::string(TypeName(t)) + " n=" + std::to_string(n) +
+                       " nulls=" + NullPatternName(nulls));
+          check(MakeColumn(t, n, shape, nulls, ++seed));
+        }
+
+  // Doubles that Value orders as ties: NaN (equal to everything) and the
+  // two zeros. The first of a tie is the one kept.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<double>& xs :
+       std::vector<std::vector<double>>{{nan, 1.0, -1.0},
+                                        {1.0, nan, -1.0, 2.0},
+                                        {-0.0, 0.0},
+                                        {0.0, -0.0, 3.0, -0.0},
+                                        {2.0, -0.0, 0.0, -5.0}}) {
+    ColumnVector v(Type::kDouble);
+    for (double x : xs) v.AppendDouble(x);
+    check(v);
+  }
 }
 
 }  // namespace

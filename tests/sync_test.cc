@@ -1,11 +1,15 @@
 // Data-synchronization tests: the three DS strategies converge the column
 // store to the row-store state; the delta/column-union invariant holds
-// under randomized interleavings of commits, merges, and scans; the
-// freshness tracker reports lag correctly.
+// under randomized interleavings of commits, merges, and scans; the merge
+// fold matches a last-write-wins model; the freshness tracker reports lag
+// correctly.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "exec/executor.h"
@@ -146,6 +150,120 @@ TEST(SyncTest, ApplyEntriesFoldsBatch) {
   EXPECT_FALSE(table.FindKey(2, &gi, &off));
 }
 
+// The copy-free fold against a last-write-wins reference model, over
+// random batches with repeated keys, delete-then-upsert and
+// upsert-then-delete. Rows carry a long string so a row read after it was
+// moved out would show up as an empty cell.
+TEST(SyncTest, PropertyFoldMatchesLastWriteWinsModel) {
+  const Schema schema(
+      {{"id", Type::kInt64}, {"v", Type::kInt64}, {"s", Type::kString}});
+  const auto payload = [](int64_t v) {
+    return std::string(40, 'x') + std::to_string(v);
+  };
+  Random rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    ColumnTable table(schema);
+    std::map<Key, int64_t> model;
+    // A merged base for the batch to update and delete.
+    std::vector<Row> base;
+    for (Key k = 0; k < 16; k += 1 + static_cast<Key>(rng.Uniform(3))) {
+      base.push_back(Row{Value(k), Value(k * 100), Value(payload(k * 100))});
+      model[k] = k * 100;
+    }
+    table.AppendBatch(std::move(base), 1);
+
+    // A random batch over a key space that overlaps the base.
+    const size_t n = rng.Uniform(60);
+    const Key key_space = 4 + static_cast<Key>(rng.Uniform(28));
+    std::vector<DeltaEntry> entries;
+    std::map<Key, size_t> first_upsert;  // key -> entry index
+    for (size_t i = 0; i < n; ++i) {
+      DeltaEntry e;
+      e.key = static_cast<Key>(rng.Uniform(static_cast<uint64_t>(key_space)));
+      e.csn = 2 + i;
+      if (rng.Bernoulli(0.3)) {
+        e.op = ChangeOp::kDelete;
+        model.erase(e.key);
+      } else {
+        e.op = rng.Bernoulli(0.5) ? ChangeOp::kInsert : ChangeOp::kUpdate;
+        const int64_t v = static_cast<int64_t>(1000 + i);
+        e.row = Row{Value(e.key), Value(v), Value(payload(v))};
+        model[e.key] = v;
+        first_upsert.emplace(e.key, i);
+      }
+      entries.push_back(std::move(e));
+    }
+    // Keys whose last entry is an upsert, by their first upsert's index.
+    std::vector<std::pair<size_t, Key>> expect_order;
+    std::map<Key, ChangeOp> last_op;
+    for (const DeltaEntry& e : entries) last_op[e.key] = e.op;
+    for (const auto& [k, op] : last_op)
+      if (op != ChangeOp::kDelete) expect_order.emplace_back(first_upsert[k], k);
+    std::sort(expect_order.begin(), expect_order.end());
+
+    const size_t groups_before = table.num_groups();
+    ApplyEntriesToColumnTable(&table, std::move(entries), 2 + n);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(table.merged_csn(), 2 + n);
+    EXPECT_EQ(table.live_rows(), model.size());
+
+    // The new group holds the survivors in first-upsert order.
+    std::vector<Key> new_keys;
+    if (table.num_groups() > groups_before)
+      new_keys = table.group(groups_before)->keys;
+    ASSERT_EQ(new_keys.size(), expect_order.size());
+    for (size_t i = 0; i < expect_order.size(); ++i)
+      EXPECT_EQ(new_keys[i], expect_order[i].second) << "position " << i;
+
+    for (Key k = 0; k < 32; ++k) {
+      size_t gi = 0, off = 0;
+      const auto it = model.find(k);
+      ASSERT_EQ(table.FindKey(k, &gi, &off), it != model.end()) << "key " << k;
+      if (it == model.end()) continue;
+      const Row r = table.MaterializeRow(*table.group(gi), off);
+      EXPECT_EQ(r.Get(0).AsInt64(), k);
+      EXPECT_EQ(r.Get(1).AsInt64(), it->second) << "key " << k;
+      EXPECT_EQ(r.Get(2).AsString(), payload(it->second)) << "key " << k;
+      if (last_op.count(k) != 0) {
+        EXPECT_EQ(gi, groups_before) << "key " << k;
+      }
+    }
+  }
+}
+
+// Statistics maintenance reads the merged rows, which the merge then moves
+// into the column table: the published stats must still see every row.
+TEST(SyncTest, StatsMaintenanceSeesMergedRows) {
+  ColumnTable table(TestSchema());
+  InMemoryDeltaStore delta;
+  DataSynchronizer sync(
+      SyncStrategy::kInMemoryMerge, &table,
+      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
+  TableStats published;
+  CSN published_at = 0;
+  sync.EnableStatsMaintenance(
+      [&](const TableStats& st, CSN csn) {
+        published = st;
+        published_at = csn;
+      },
+      /*compact_delete_threshold=*/1000);
+  for (Key k = 1; k <= 40; ++k) {
+    DeltaEntry e;
+    e.op = ChangeOp::kInsert;
+    e.key = k;
+    e.row = MakeRow(k, 100 + k);
+    e.csn = static_cast<CSN>(k);
+    delta.Append(e);
+  }
+  ASSERT_TRUE(sync.SyncTo(40).ok());
+  EXPECT_EQ(published_at, 40u);
+  EXPECT_EQ(published.row_count, 40u);
+  ASSERT_EQ(published.columns.size(), 2u);
+  EXPECT_EQ(published.columns[1].min.AsInt64(), 101);
+  EXPECT_EQ(published.columns[1].max.AsInt64(), 140);
+  EXPECT_EQ(published.columns[1].ndv, 40);
+}
+
 TEST(SyncTest, SyncToIsIdempotent) {
   ColumnTable table(TestSchema());
   InMemoryDeltaStore delta;
@@ -228,6 +346,42 @@ TEST(FreshnessTrackerTest, LagReflectsUnmergedCommits) {
   EXPECT_EQ(tracker.TimeLagMicros(/*visible=*/10), 0);
   EXPECT_EQ(tracker.CsnLag(10, 4), 6u);
   EXPECT_EQ(tracker.CsnLag(10, 10), 0u);
+}
+
+// TimeLagMicros' binary search agrees with a linear walk from the oldest
+// sample on random CSN streams and random visible CSNs.
+TEST(FreshnessTrackerTest, TimeLagMatchesLinearReference) {
+  Random rng(11);
+  for (int trial = 0; trial < 50; ++trial) {
+    VirtualClock clock;
+    FreshnessTracker tracker(&clock);
+    std::vector<std::pair<CSN, Micros>> samples;
+    CSN csn = rng.Uniform(5);
+    Micros now = 0;
+    const size_t n = rng.Uniform(300);
+    for (size_t i = 0; i < n; ++i) {
+      csn += 1 + rng.Uniform(4);
+      now += static_cast<Micros>(rng.Uniform(50));
+      clock.AdvanceTo(now);
+      std::vector<ChangeEvent> evs(1 + rng.Uniform(3));
+      for (size_t j = 0; j < evs.size(); ++j) evs[j].csn = csn;
+      tracker.OnCommit(evs);
+      samples.emplace_back(csn, now);
+    }
+    now += 1000;
+    clock.AdvanceTo(now);
+    for (CSN visible = 0; visible <= csn + 2; ++visible) {
+      Micros expect = 0;
+      for (const auto& [c, t] : samples) {
+        if (c > visible) {
+          expect = now - t;
+          break;
+        }
+      }
+      ASSERT_EQ(tracker.TimeLagMicros(visible), expect)
+          << "trial " << trial << " visible " << visible;
+    }
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "columnar/compression_advisor.h"
+#include "common/random.h"
 #include "core/database.h"
 #include "exec/executor.h"
 #include "exec/segment_filter.h"
@@ -489,6 +490,83 @@ TEST(CompressionAdvisorTest, PicksEncodingBySmallestEstimatedFootprint) {
   const size_t rle =
       r.candidates[static_cast<size_t>(EncodingType::kRle)].bytes;
   EXPECT_LT(rle, plain - plain / 8);
+}
+
+// AdviseEncoding skips the statistics its choice cannot depend on; the
+// choice must still be the one made from the full statistics. The int
+// ranges straddle 2^31 and 2^32, where the distinct count starts to matter.
+TEST(CompressionAdvisorTest, ChoiceEqualsChoiceFromFullStats) {
+  Random rng(99);
+  size_t checked = 0;
+  const auto check = [&](const ColumnVector& v, const std::string& what) {
+    const EncodingType full =
+        AdviseFromStats(v.type(), CollectSegmentStats(v)).chosen;
+    ASSERT_EQ(AdviseEncoding(v).chosen, full)
+        << what << " n=" << v.size() << " full=" << EncodingName(full);
+    ++checked;
+  };
+  const int64_t spans[] = {1,
+                           16,
+                           (int64_t{1} << 31) - 2,
+                           (int64_t{1} << 31) - 1,
+                           int64_t{1} << 31,
+                           (int64_t{1} << 31) + 1,
+                           (int64_t{1} << 32) - 1,
+                           int64_t{1} << 32,
+                           int64_t{1} << 40,
+                           int64_t{1} << 62};
+  for (size_t n = 0; n <= 200; ++n) {
+    for (int64_t span : spans) {
+      for (size_t distinct : {size_t{1}, size_t{2}, size_t{3}, size_t{50},
+                              n + 1}) {
+        // Up to `distinct` values in [base, base + span]; with two or more,
+        // the pool holds both ends, so a column that draws them is exactly
+        // `span` wide.
+        std::vector<int64_t> pool = {0};
+        if (distinct >= 2) pool.push_back(span);
+        for (size_t d = 2; d < distinct; ++d)
+          pool.push_back(static_cast<int64_t>(
+              rng.Uniform(static_cast<uint64_t>(span) + 1)));
+        const int64_t base = rng.UniformRange(-1000, 1000);
+        for (bool runs : {false, true}) {
+          ColumnVector v(Type::kInt64);
+          for (size_t i = 0; i < n; ++i) {
+            const size_t pick = runs ? (i / 8) % pool.size()
+                                     : rng.Uniform(pool.size());
+            if (rng.Bernoulli(0.05))
+              v.AppendNull();
+            else
+              v.AppendInt64(base + pool[pick]);
+          }
+          check(v, "int span=" + std::to_string(span) +
+                       " distinct=" + std::to_string(distinct));
+        }
+      }
+    }
+    for (size_t distinct : {size_t{1}, size_t{4}, n + 1}) {
+      ColumnVector d(Type::kDouble), s(Type::kString);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t x = rng.Uniform(distinct);
+        if (rng.Bernoulli(0.1)) {
+          d.AppendNull();
+          s.AppendNull();
+          continue;
+        }
+        d.AppendDouble(static_cast<double>(x) * 0.25);
+        s.AppendString(
+            std::string(1 + x % 20, 'a' + static_cast<char>(x % 26)));
+      }
+      check(d, "double distinct=" + std::to_string(distinct));
+      check(s, "string distinct=" + std::to_string(distinct));
+    }
+    // All-NULL columns of every type.
+    for (Type t : {Type::kInt64, Type::kDouble, Type::kString}) {
+      ColumnVector v(t);
+      for (size_t i = 0; i < n; ++i) v.AppendNull();
+      check(v, "all-null");
+    }
+  }
+  EXPECT_GT(checked, 20000u);
 }
 
 TEST(CompressionAdvisorTest, ColumnTableReencodesSegmentsWhenEnabled) {

@@ -27,8 +27,12 @@ Row MakeRow(Key id, int64_t v) {
 constexpr size_t kBaseRows = 40000;
 constexpr size_t kBurst = 20000;
 
-struct Harness {
-  TransactionManager mgr;
+/// Row store + transaction manager whose sink hands each committed change
+/// of the burst to the technique under test.
+struct Harness : ChangeSink {
+  std::function<void(const ChangeEvent&)> stage = [](const ChangeEvent&) {};
+  TransactionManager mgr{nullptr, TransactionManager::kDefaultCommitShards,
+                         this};
   std::unique_ptr<MvccRowStore> rows;
   ColumnTable table{KvSchema()};
 
@@ -45,8 +49,13 @@ struct Harness {
     }
   }
 
-  /// Applies the burst through a sink into `delta_append`.
-  void RunBurst(const std::function<void(const ChangeEvent&)>& delta_append) {
+  void OnCommit(std::vector<ChangeEvent> events) override {
+    for (const ChangeEvent& ev : events) stage(ev);
+  }
+
+  /// Applies the burst through the sink into `delta_append`.
+  void RunBurst(std::function<void(const ChangeEvent&)> delta_append) {
+    stage = std::move(delta_append);
     Random rng(4);
     for (size_t i = 0; i < kBurst; i += 500) {
       auto t = mgr.Begin();
@@ -55,7 +64,6 @@ struct Harness {
         rows->Update(t.get(), MakeRow(k, static_cast<int64_t>(i + j)));
       }
       mgr.Commit(t.get());
-      for (const ChangeEvent& ev : t->changes()) delta_append(ev);
     }
   }
 };

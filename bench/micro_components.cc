@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the individual substrates: B+-tree
 // operations, column encodings and the encoding advisor, the delta merge,
-// columnar vs row scans, MVCC transaction path, WAL append, and Raft
-// replication (virtual-time cost per commit).
+// columnar vs row scans, MVCC transaction path, WAL append, one insert
+// transaction through the local engine, and Raft replication (virtual-time
+// cost per commit).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "columnar/column_table.h"
 #include "columnar/compression_advisor.h"
 #include "common/random.h"
+#include "core/database.h"
 #include "exec/executor.h"
 #include "index/btree.h"
 #include "sim/raft.h"
@@ -277,6 +279,78 @@ void BM_WalAppend(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(wal.TailLsn()));
 }
 BENCHMARK(BM_WalAppend);
+
+/// An orderline-shaped row: ten cells, one of them a 24-byte string.
+Row OrderlineRow(int64_t k) {
+  return Row{Value(k),          Value(k / 15),       Value(k % 10),
+             Value(k % 15),     Value(k % 100000),   Value(int64_t{1}),
+             Value(k * 0.5),    Value(int64_t{5}),   Value(int64_t{0}),
+             Value(std::string(24, static_cast<char>('a' + k % 26)))};
+}
+
+// One DML record per iteration, as MvccRowStore logs it, into a file-backed
+// log (to /dev/null) synced every 256 records, one commit group. Arg 0 is
+// the record path: copy the row into a WalRecord and Append it. Arg 1 is
+// AppendDml, which encodes the caller's row in place.
+void BM_WalAppendDml(benchmark::State& state) {
+  WalWriter::Options options;
+  options.path = "/dev/null";
+  WalWriter wal(options);
+  const Row row = OrderlineRow(42);
+  const bool in_place = state.range(0) == 1;
+  uint64_t txn = 1;
+  for (auto _ : state) {
+    if (in_place) {
+      benchmark::DoNotOptimize(
+          wal.AppendDml(WalRecordType::kInsert, txn, 3, 42, row));
+    } else {
+      WalRecord rec;
+      rec.type = WalRecordType::kInsert;
+      rec.txn_id = txn;
+      rec.table_id = 3;
+      rec.key = 42;
+      rec.row = row;
+      benchmark::DoNotOptimize(wal.Append(rec));
+    }
+    if (++txn % 256 == 0) wal.Sync();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalAppendDml)->Arg(0)->Arg(1);
+
+// One 256-row insert transaction per iteration through Database and the
+// LocalHtapEngine, WAL on (in memory), no background merge: row versions,
+// WAL records, change events, the commit and the delta append. Arg is the
+// architecture: 0 = (a), 2 = (c), whose commit also writes the disk heap.
+// The database is reopened, untimed, every 64 transactions to bound memory.
+void BM_InsertCommit256(benchmark::State& state) {
+  DatabaseOptions options;
+  options.architecture = static_cast<ArchitectureKind>(state.range(0));
+  options.background_sync = false;
+  Schema schema({{"k", Type::kInt64}, {"o", Type::kInt64},
+                 {"d", Type::kInt64}, {"n", Type::kInt64},
+                 {"i", Type::kInt64}, {"s", Type::kInt64},
+                 {"amount", Type::kDouble}, {"q", Type::kInt64},
+                 {"del", Type::kInt64}, {"info", Type::kString}});
+  std::unique_ptr<Database> db;
+  int64_t key = 0;
+  for (auto _ : state) {
+    if (key % (64 * 256) == 0) {
+      state.PauseTiming();
+      db.reset();
+      db = std::move(*Database::Open(options));
+      if (!db->CreateTable("orderline", schema).ok())
+        state.SkipWithError("CreateTable failed");
+      state.ResumeTiming();
+    }
+    auto txn = db->Begin();
+    for (int i = 0; i < 256; ++i, ++key)
+      benchmark::DoNotOptimize(txn->Insert("orderline", OrderlineRow(key)));
+    if (!txn->Commit().ok()) state.SkipWithError("commit failed");
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_InsertCommit256)->Arg(0)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 // ---- Raft (virtual time per committed entry) --------------------------
 

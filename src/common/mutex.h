@@ -44,7 +44,6 @@ enum class LockRank : uint16_t {
   kSyncDaemon = 100,    // SyncDaemon::tasks_mu_ (outermost: holds across SyncTo)
   kTxnCommit = 200,     // TransactionManager::publish_mu_ (orders sink publication)
   kTxnShard = 210,      // TransactionManager per-shard commit frontier (inflight CSNs)
-  kTxnSinks = 250,      // TransactionManager::sinks_mu_ (held while notifying engines)
   kEngineTableSync = 280,  // per-TableState loaded-column merge mutex (local
                            // engine; held across generation snapshot + drain)
   kEngineTables = 300,  // LocalHtapEngine::tables_mu_ (table map + state)

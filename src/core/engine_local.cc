@@ -245,10 +245,8 @@ LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
       catalog_(catalog),
       heap_dir_(HeapDir(preset, options)),
       wal_(MakeWal(options, preset.wal_name)),
-      txn_mgr_(wal_.get(), options.commit_shards),
+      txn_mgr_(wal_.get(), options.commit_shards, /*sink=*/this),
       ap_(options_) {
-  txn_mgr_.RegisterSink(this);
-  txn_mgr_.RegisterSink(&freshness_);
   if (options_.background_sync && !preset_.disk_heap) {
     daemon_ = std::make_unique<SyncDaemon>(&txn_mgr_,
                                            options_.sync_interval_micros,
@@ -260,20 +258,22 @@ LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
 LocalHtapEngine::~LocalHtapEngine() {
   if (daemon_) daemon_->Stop();
   if (options_.data_dir.empty() && !heap_dir_.empty()) {
-    {
-      MutexLock lk(&tables_mu_);
-      tables_.clear();  // closes the heap files
-    }
+    // No lock: nothing else runs now. Destroying a row store takes the
+    // transaction manager's shard locks (ForgetStore), which rank below
+    // tables_mu_.
+    tables_.clear();  // closes the heap files
     std::error_code ec;
     std::filesystem::remove_all(heap_dir_, ec);
   }
 }
 
 LocalHtapEngine::TableState::TableState(
-    const TableInfo& table, std::unique_ptr<DeltaStore> staged,
+    const TableInfo& table, std::unique_ptr<MvccRowStore> row_store,
+    std::unique_ptr<DeltaStore> staged,
     std::unique_ptr<DiskRowStore> disk_heap,
     std::shared_ptr<ColumnTable> column_side)
     : info(table),
+      rows(std::move(row_store)),
       delta(std::move(staged)),
       heap(std::move(disk_heap)),
       columns(std::move(column_side)) {
@@ -283,21 +283,15 @@ LocalHtapEngine::TableState::TableState(
 
 LocalHtapEngine::TableState* LocalHtapEngine::FindTable(
     uint32_t table_id) const {
-  MutexLock lk(&tables_mu_);
   const auto it = tables_.find(table_id);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-MvccRowStore* LocalHtapEngine::Store(uint32_t table_id) const {
-  const auto it = stores_.find(table_id);
-  return it == stores_.end() ? nullptr : it->second.get();
-}
-
 Status LocalHtapEngine::CreateTable(const TableInfo& info) {
-  if (stores_.count(info.id) != 0)
+  if (tables_.count(info.id) != 0)
     return Status::AlreadyExists("table id in use");
-  stores_[info.id] = std::make_unique<MvccRowStore>(info.id, info.schema,
-                                                    &txn_mgr_, wal_.get());
+  auto rows = std::make_unique<MvccRowStore>(info.id, info.schema, &txn_mgr_,
+                                             wal_.get());
   std::unique_ptr<DiskRowStore> heap;
   if (preset_.disk_heap) {
     if (heap_dir_.empty()) return Status::IOError("no heap directory");
@@ -314,8 +308,9 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
     delta = std::make_unique<InMemoryDeltaStore>();
   auto columns = std::make_shared<ColumnTable>(info.schema);
   if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
-  auto ts = std::make_unique<TableState>(info, std::move(delta),
-                                         std::move(heap), std::move(columns));
+  auto ts = std::make_unique<TableState>(info, std::move(rows),
+                                         std::move(delta), std::move(heap),
+                                         std::move(columns));
   if (!preset_.disk_heap) {
     ts->sync = std::make_unique<DataSynchronizer>(
         SyncStrategy::kInMemoryMerge, ts->columns.get(),
@@ -329,7 +324,6 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
         options_.stats_compact_delete_threshold);
     if (daemon_) daemon_->AddTask(ts->sync.get());
   }
-  MutexLock lk(&tables_mu_);
   tables_[info.id] = std::move(ts);
   return Status::OK();
 }
@@ -342,29 +336,29 @@ std::unique_ptr<TxnContext> LocalHtapEngine::Begin() {
 
 Status LocalHtapEngine::Insert(TxnContext* t, const TableInfo& tbl,
                                const Row& r) {
-  MvccRowStore* s = Store(tbl.id);
-  if (s == nullptr) return Status::NotFound("no such table");
-  return s->Insert(t->local.get(), r);
+  TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  return ts->rows->Insert(t->local.get(), r);
 }
 
 Status LocalHtapEngine::Update(TxnContext* t, const TableInfo& tbl,
                                const Row& r) {
-  MvccRowStore* s = Store(tbl.id);
-  if (s == nullptr) return Status::NotFound("no such table");
-  return s->Update(t->local.get(), r);
+  TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  return ts->rows->Update(t->local.get(), r);
 }
 
 Status LocalHtapEngine::Delete(TxnContext* t, const TableInfo& tbl, Key key) {
-  MvccRowStore* s = Store(tbl.id);
-  if (s == nullptr) return Status::NotFound("no such table");
-  return s->Delete(t->local.get(), key);
+  TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  return ts->rows->Delete(t->local.get(), key);
 }
 
 Status LocalHtapEngine::Get(TxnContext* t, const TableInfo& tbl, Key key,
                             Row* out) {
-  const MvccRowStore* s = Store(tbl.id);
-  if (s == nullptr) return Status::NotFound("no such table");
-  return s->Get(t->local->snapshot(), key, out);
+  const TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
+  return ts->rows->Get(t->local->snapshot(), key, out);
 }
 
 Status LocalHtapEngine::Commit(TxnContext* t) {
@@ -378,32 +372,31 @@ Status LocalHtapEngine::Abort(TxnContext* t) {
 }
 
 Status LocalHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
-  const MvccRowStore* s = Store(tbl.id);
-  if (s == nullptr) return Status::NotFound("no such table");
+  const TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return Status::NotFound("no such table");
   const ReadView view(&txn_mgr_);
-  return s->Get(view.snapshot(), key, out);
+  return ts->rows->Get(view.snapshot(), key, out);
 }
 
-void LocalHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
-  // One pass splits the commit by table, so each table's parts see only
-  // their own changes. The TP commit path pays the delta append (for (d),
-  // occasionally the L1->L2 dictionary-encoding spill: the cost behind
-  // Table 1's "Low TP scalability" for that architecture).
-  std::map<uint32_t, std::vector<ChangeEvent>> by_table;
-  for (const ChangeEvent& ev : events) by_table[ev.table_id].push_back(ev);
-  for (auto& [tid, table_events] : by_table) {
+void LocalHtapEngine::OnCommit(std::vector<ChangeEvent> events) {
+  freshness_.RecordCommit(events.front().csn);
+  // Each table's parts see only their own changes, moved on from the
+  // batch. The TP commit path pays the delta append (for (d), occasionally
+  // the L1->L2 dictionary-encoding spill: the cost behind Table 1's "Low TP
+  // scalability" for that architecture).
+  ForEachTableRun(events, [this](uint32_t tid, std::span<ChangeEvent> run) {
     TableState* ts = FindTable(tid);
-    if (ts == nullptr) continue;
+    if (ts == nullptr) return;
     if (ts->heap != nullptr) {  // write-through to the durable heap
-      for (const ChangeEvent& ev : table_events) {
+      for (const ChangeEvent& ev : run) {
         if (ev.op == ChangeOp::kDelete)
           ts->heap->Delete(ev.key);
         else
           ts->heap->Put(ev.row);
       }
     }
-    ts->delta->AppendBatch(std::move(table_events));
-  }
+    ts->delta->AppendBatch(run);
+  });
 }
 
 Status LocalHtapEngine::SyncLoadedColumns(
@@ -445,7 +438,7 @@ TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
   if (ts->stats.row_count != 0 &&
       now < ts->stats_at_csn + options_.stats_refresh_interval)
     return ts->stats;
-  const MvccRowStore* store = Store(ts->info.id);
+  const MvccRowStore* store = ts->rows.get();
   std::vector<Row> sample;
   sample.reserve(2048);
   const ReadView view(&txn_mgr_);
@@ -507,9 +500,10 @@ Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
 }
 
 std::vector<int> LocalHtapEngine::LoadedColumns(uint32_t table_id) const {
+  const TableState* ts = FindTable(table_id);
+  if (ts == nullptr) return {};
   MutexLock lk(&tables_mu_);
-  const auto it = tables_.find(table_id);
-  return it == tables_.end() ? std::vector<int>{} : it->second->loaded;
+  return ts->loaded;
 }
 
 Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
@@ -622,7 +616,7 @@ Result<std::vector<Row>> LocalHtapEngine::Scan(const ScanRequest& req,
   if (ts->heap == nullptr) {
     // Row paths read MVCC versions, so they pin the GC watermark.
     const ReadView view(&txn_mgr_);
-    return ScanRowStore(*Store(req.table->id), view.snapshot(), *req.pred,
+    return ScanRowStore(*ts->rows, view.snapshot(), *req.pred,
                         req.projection, ap_.ctx());
   }
   // Scan the disk heap through the buffer pool.
@@ -676,15 +670,14 @@ Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {
 
 FreshnessInfo LocalHtapEngine::Freshness(const TableInfo& tbl) {
   FreshnessInfo f;
+  const TableState* ts = FindTable(tbl.id);
+  if (ts == nullptr) return f;
+  f.committed_csn = txn_mgr_.LastCommittedCsn();
   {
     MutexLock lk(&tables_mu_);
-    const auto it = tables_.find(tbl.id);
-    if (it == tables_.end()) return f;
-    f.committed_csn = txn_mgr_.LastCommittedCsn();
-    f.visible_csn = it->second->columns->merged_csn();
-    f.pending_delta_entries = it->second->delta->EntryCount();
+    f.visible_csn = ts->columns->merged_csn();
   }
-  // Outside tables_mu_: every commit's publish needs that mutex.
+  f.pending_delta_entries = ts->delta->EntryCount();
   f.csn_lag = freshness_.CsnLag(f.committed_csn, f.visible_csn);
   f.time_lag_micros = freshness_.TimeLagMicros(f.visible_csn);
   f.fresh_visible_csn = f.committed_csn;  // fresh scans union the delta
@@ -697,10 +690,9 @@ EngineStats LocalHtapEngine::Stats() {
   s.commits = txn_mgr_.commits();
   s.aborts = txn_mgr_.aborts();
   s.conflicts = txn_mgr_.conflicts();
-  for (const auto& [tid, store] : stores_)
-    s.row_store_bytes += store->MemoryBytes();
   MutexLock lk(&tables_mu_);
   for (const auto& [tid, ts] : tables_) {
+    s.row_store_bytes += ts->rows->MemoryBytes();
     if (ts->sync != nullptr) {
       const SyncStats ss = ts->sync->stats();
       s.merges += ss.merges;

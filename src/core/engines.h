@@ -15,7 +15,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -123,7 +122,9 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   FreshnessInfo Freshness(const TableInfo& tbl) override;
   EngineStats Stats() override;
 
-  void OnCommit(const std::vector<ChangeEvent>& events) override;
+  /// The transaction manager's sink: routes each commit's events, by move,
+  /// to the touched tables' deltas (and, for disk_heap, their heaps).
+  void OnCommit(std::vector<ChangeEvent> events) override;
   ThreadPool* ApScanPool() override { return ap_.pool.get(); }
 
   /// Re-runs the column advisor and reloads the column side with the
@@ -139,11 +140,13 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   struct TableState {
     /// Every column starts loaded; RefreshColumnSelection applies the
     /// advisor + budget once a workload has been observed.
-    TableState(const TableInfo& table, std::unique_ptr<DeltaStore> staged,
+    TableState(const TableInfo& table, std::unique_ptr<MvccRowStore> row_store,
+               std::unique_ptr<DeltaStore> staged,
                std::unique_ptr<DiskRowStore> disk_heap,
                std::shared_ptr<ColumnTable> column_side);
 
     const TableInfo info;
+    const std::unique_ptr<MvccRowStore> rows;  // the transactional store
     const std::unique_ptr<DeltaStore> delta;  // staged changes for the columns
     const std::unique_ptr<DiskRowStore> heap;  // durable row heap (disk_heap)
     // The column side. Only RefreshColumnSelection replaces it, wholesale,
@@ -171,7 +174,6 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   struct ScanAccess;
 
   TableState* FindTable(uint32_t table_id) const;
-  MvccRowStore* Store(uint32_t table_id) const;
   Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
                                 std::string* path_desc);
   /// Vectorized scan: serves only scans the column side serves, as
@@ -198,16 +200,14 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   const std::string heap_dir_;  // where disk_heap presets keep heap files
   std::unique_ptr<WalWriter> wal_;
   TransactionManager txn_mgr_;
-  // Row stores register only in CreateTable (no concurrent phase), so the
-  // TP path reads this map without a lock; the stores carry their own.
-  std::map<uint32_t, std::unique_ptr<MvccRowStore>> stores_;
   FreshnessTracker freshness_;
   ColumnAdvisor advisor_;   // disk_heap presets only
   const ApScanRuntime ap_;  // config + pool, fixed at construction
-  // TableState pointers are stable: entries are never erased, so a pointer
-  // copied out under the lock stays valid for the engine's lifetime.
-  std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
-      GUARDED_BY(tables_mu_);
+  // Tables register only in CreateTable (no concurrent phase) and are never
+  // erased, so the TP path and the commit sink read this map without a
+  // lock and TableState pointers stay valid for the engine's lifetime. The
+  // states carry their own locks; tables_mu_ guards their column side.
+  std::map<uint32_t, std::unique_ptr<TableState>> tables_;
   std::unique_ptr<SyncDaemon> daemon_;
   mutable Mutex tables_mu_{LockRank::kEngineTables, "local-tables"};
 };

@@ -35,7 +35,9 @@ struct DatabaseOptions {
   /// heap files in a private temp directory removed on close.
   std::string data_dir;
   bool wal_enabled = true;
-  bool sync_on_commit = false;  // fsync the WAL group at commit
+  /// fflush the WAL group to the OS at commit. No fsync: the group reaches
+  /// the page cache, so a host crash can still lose committed work.
+  bool sync_on_commit = false;
 
   /// Data-synchronization cadence (delta -> column store).
   Micros sync_interval_micros = 20000;

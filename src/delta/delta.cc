@@ -26,7 +26,7 @@ void InMemoryDeltaStore::Append(const DeltaEntry& e) {
   entries_.push_back(e);
 }
 
-void InMemoryDeltaStore::AppendBatch(std::vector<ChangeEvent> events) {
+void InMemoryDeltaStore::AppendBatch(std::span<ChangeEvent> events) {
   MutexLock lk(&mu_);
   for (auto& ev : events) {
     entries_.push_back(FromEvent(std::move(ev)));
@@ -82,7 +82,7 @@ void L1L2DeltaStore::Append(const DeltaEntry& e) {
   if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
 }
 
-void L1L2DeltaStore::AppendBatch(std::vector<ChangeEvent> events) {
+void L1L2DeltaStore::AppendBatch(std::span<ChangeEvent> events) {
   MutexLock lk(&mu_);
   for (auto& ev : events) l1_.push_back(FromEvent(std::move(ev)));
   if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
@@ -252,7 +252,7 @@ void LogDeltaStore::AppendFile(const std::vector<DeltaEntry>& entries) {
     key_index_.Insert(entries[i].key, (seq << 32) | i);
 }
 
-void LogDeltaStore::AppendBatch(std::vector<ChangeEvent> events) {
+void LogDeltaStore::AppendBatch(std::span<ChangeEvent> events) {
   std::vector<DeltaEntry> entries;
   entries.reserve(events.size());
   for (auto& ev : events) entries.push_back(FromEvent(std::move(ev)));

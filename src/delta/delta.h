@@ -12,8 +12,10 @@
 #ifndef HTAP_DELTA_DELTA_H_
 #define HTAP_DELTA_DELTA_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "columnar/column_vector.h"
@@ -58,12 +60,30 @@ class DeltaReader {
 class DeltaStore : public DeltaReader {
  public:
   /// Stages one commit's changes to this store's table, in commit order.
-  virtual void AppendBatch(std::vector<ChangeEvent> events) = 0;
+  /// The rows are moved out of `events`.
+  virtual void AppendBatch(std::span<ChangeEvent> events) = 0;
 
   /// Removes and returns all entries with csn <= csn, in commit order (the
   /// merge pipeline consumes these).
   virtual std::vector<DeltaEntry> DrainUpTo(CSN csn) = 0;
 };
+
+/// Calls `fn(table_id, run)` once per table that one commit's `events`
+/// touch, where `run` holds that table's events in commit order. Reorders
+/// `events` in place and copies no row; a single-table batch is one run
+/// with no reordering.
+template <typename Fn>
+void ForEachTableRun(std::vector<ChangeEvent>& events, Fn&& fn) {
+  auto first = events.begin();
+  while (first != events.end()) {
+    const uint32_t tid = first->table_id;
+    const auto last = std::stable_partition(
+        first, events.end(),
+        [tid](const ChangeEvent& ev) { return ev.table_id == tid; });
+    fn(tid, std::span<ChangeEvent>(first, last));
+    first = last;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // In-memory row-wise delta
@@ -72,7 +92,7 @@ class DeltaStore : public DeltaReader {
 class InMemoryDeltaStore : public DeltaStore {
  public:
   void Append(const DeltaEntry& e);
-  void AppendBatch(std::vector<ChangeEvent> events) override;
+  void AppendBatch(std::span<ChangeEvent> events) override;
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
@@ -101,7 +121,7 @@ class L1L2DeltaStore : public DeltaStore {
   L1L2DeltaStore(Schema schema, size_t l1_spill_threshold = 4096);
 
   void Append(const DeltaEntry& e);
-  void AppendBatch(std::vector<ChangeEvent> events) override;
+  void AppendBatch(std::span<ChangeEvent> events) override;
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)
@@ -152,7 +172,7 @@ class LogDeltaStore : public DeltaStore {
   /// Seals a batch of changes into one encoded delta file.
   void AppendFile(const std::vector<DeltaEntry>& entries);
   /// Seals one commit's changes into one file.
-  void AppendBatch(std::vector<ChangeEvent> events) override;
+  void AppendBatch(std::span<ChangeEvent> events) override;
 
   void ScanVisible(CSN snapshot,
                    const std::function<void(const DeltaEntry&)>& visit)

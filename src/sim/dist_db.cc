@@ -236,14 +236,12 @@ DistributedDb::DistributedDb(SimEnv* env, Options options)
       ShardRuntime* rtp = &rt;
       rt.machines[rt.learner_id] = std::make_unique<ShardStateMachine>(
           [rtp](const std::vector<ChangeEvent>& events) {
-            std::map<uint32_t, std::vector<ChangeEvent>> by_table;
-            for (const ChangeEvent& ev : events)
-              by_table[ev.table_id].push_back(ev);
-            for (auto& [tid, evs] : by_table) {
+            std::vector<ChangeEvent> batch = events;
+            ForEachTableRun(batch, [rtp](uint32_t tid,
+                                         std::span<ChangeEvent> run) {
               const auto it = rtp->learner.deltas.find(tid);
-              if (it != rtp->learner.deltas.end())
-                it->second->AppendBatch(std::move(evs));
-            }
+              if (it != rtp->learner.deltas.end()) it->second->AppendBatch(run);
+            });
           });
     }
 

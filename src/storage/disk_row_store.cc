@@ -8,10 +8,8 @@ namespace htap {
 // BufferPool
 // ---------------------------------------------------------------------------
 
-void BufferPool::Touch(uint32_t page_id, Frame& f) {
-  lru_.erase(f.lru_it);
-  lru_.push_front(page_id);
-  f.lru_it = lru_.begin();
+void BufferPool::Touch(Frame& f) {
+  lru_.splice(lru_.begin(), lru_, f.lru_it);  // f.lru_it stays valid
 }
 
 Status BufferPool::EvictIfNeeded() {
@@ -30,7 +28,7 @@ Status BufferPool::Fetch(uint32_t page_id, std::string** out) {
   const auto it = frames_.find(page_id);
   if (it != frames_.end()) {
     ++hits_;
-    Touch(page_id, it->second);
+    Touch(it->second);
     *out = &it->second.data;
     return Status::OK();
   }
@@ -47,12 +45,18 @@ Status BufferPool::Fetch(uint32_t page_id, std::string** out) {
   return Status::OK();
 }
 
+Status BufferPool::FetchForWrite(uint32_t page_id, std::string** out) {
+  HTAP_RETURN_NOT_OK(Fetch(page_id, out));
+  frames_.find(page_id)->second.dirty = true;
+  return Status::OK();
+}
+
 Status BufferPool::PutDirty(uint32_t page_id, std::string page) {
   const auto it = frames_.find(page_id);
   if (it != frames_.end()) {
     it->second.data = std::move(page);
     it->second.dirty = true;
-    Touch(page_id, it->second);
+    Touch(it->second);
     return Status::OK();
   }
   HTAP_RETURN_NOT_OK(EvictIfNeeded());
@@ -191,7 +195,8 @@ Status DiskRowStore::WritePageToFile(uint32_t page_id,
 }
 
 Status DiskRowStore::AppendRecord(bool tombstone, Key key, const Row& row) {
-  std::string body;
+  std::string& body = record_;
+  body.clear();
   body.push_back(tombstone ? 1 : 0);
   const uint64_t k = static_cast<uint64_t>(key);
   body.append(reinterpret_cast<const char*>(&k), 8);
@@ -209,13 +214,13 @@ Status DiskRowStore::AppendRecord(bool tombstone, Key key, const Row& row) {
         pool_.PutDirty(tail_page_id_, std::string(kDiskPageSize, '\0')));
   }
 
+  // Write the record into the pooled tail page itself.
   std::string* page;
-  HTAP_RETURN_NOT_OK(pool_.Fetch(tail_page_id_, &page));
+  HTAP_RETURN_NOT_OK(pool_.FetchForWrite(tail_page_id_, &page));
   std::memcpy(page->data() + tail_used_, &len, 4);
   std::memcpy(page->data() + tail_used_ + 4, body.data(), body.size());
   const RecordLoc loc{tail_page_id_, static_cast<uint32_t>(tail_used_)};
   tail_used_ += 4 + len;
-  HTAP_RETURN_NOT_OK(pool_.PutDirty(tail_page_id_, *page));
 
   if (tombstone)
     index_.erase(key);

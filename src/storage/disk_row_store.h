@@ -55,6 +55,10 @@ class BufferPool {
   /// dirty victim). Returned pointer is valid until the next pool call.
   Status Fetch(uint32_t page_id, std::string** out);
 
+  /// Fetch for a write in place: also marks the page dirty, so the pool
+  /// writes it back on eviction or flush. Counts a hit or miss as Fetch does.
+  Status FetchForWrite(uint32_t page_id, std::string** out);
+
   /// Installs/overwrites a page image and marks it dirty.
   Status PutDirty(uint32_t page_id, std::string page);
 
@@ -73,7 +77,7 @@ class BufferPool {
     std::list<uint32_t>::iterator lru_it;
   };
 
-  void Touch(uint32_t page_id, Frame& f);
+  void Touch(Frame& f);
   Status EvictIfNeeded();
 
   const size_t capacity_;
@@ -141,6 +145,7 @@ class DiskRowStore {
   uint32_t num_pages_ GUARDED_BY(mu_) = 0;  // includes tail page once non-empty
   uint32_t tail_page_id_ GUARDED_BY(mu_) = 0;
   size_t tail_used_ GUARDED_BY(mu_) = 0;  // bytes used in the tail page
+  std::string record_ GUARDED_BY(mu_);  // AppendRecord's reused encode buffer
 };
 
 }  // namespace htap

@@ -94,14 +94,7 @@ bool MvccRowStore::Visible(const RowVersion* v, const Snapshot& snap) const {
 
 void MvccRowStore::LogDml(Transaction* txn, WalRecordType type, Key key,
                           const Row& row) {
-  if (wal_ == nullptr) return;
-  WalRecord rec;
-  rec.type = type;
-  rec.txn_id = txn->id();
-  rec.table_id = table_id_;
-  rec.key = key;
-  rec.row = row;
-  wal_->Append(rec);
+  if (wal_ != nullptr) wal_->AppendDml(type, txn->id(), table_id_, key, row);
 }
 
 void MvccRowStore::ReleaseBytes(size_t bytes) {
@@ -152,8 +145,7 @@ Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
 
   txn->undo().push_back(
       UndoEntry{UndoEntry::Kind::kInsert, this, chain, v, nullptr});
-  txn->changes().push_back(
-      ChangeEvent{table_id_, ChangeOp::kInsert, key, row, 0});
+  txn->RecordChange(table_id_, ChangeOp::kInsert, key, v);
   LogDml(txn, WalRecordType::kInsert, key, row);
   versions_.fetch_add(1, std::memory_order_relaxed);
   mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
@@ -197,8 +189,7 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
     mem_bytes_.fetch_add(row.MemoryBytes(), std::memory_order_relaxed);
     ReleaseBytes(latest->data.MemoryBytes());
     latest->data = row;
-    txn->changes().push_back(
-        ChangeEvent{table_id_, ChangeOp::kUpdate, key, row, 0});
+    txn->RecordChange(table_id_, ChangeOp::kUpdate, key, latest);
     LogDml(txn, WalRecordType::kUpdate, key, row);
     return Status::OK();
   }
@@ -220,8 +211,7 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
 
   txn->undo().push_back(
       UndoEntry{UndoEntry::Kind::kUpdate, this, chain, v, latest});
-  txn->changes().push_back(
-      ChangeEvent{table_id_, ChangeOp::kUpdate, key, row, 0});
+  txn->RecordChange(table_id_, ChangeOp::kUpdate, key, v);
   LogDml(txn, WalRecordType::kUpdate, key, row);
   versions_.fetch_add(1, std::memory_order_relaxed);
   mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
@@ -267,8 +257,7 @@ Status MvccRowStore::Delete(Transaction* txn, Key key) {
   latest->end.store(txn->id(), std::memory_order_release);
   txn->undo().push_back(
       UndoEntry{UndoEntry::Kind::kDelete, this, chain, nullptr, latest});
-  txn->changes().push_back(
-      ChangeEvent{table_id_, ChangeOp::kDelete, key, Row{}, 0});
+  txn->RecordChange(table_id_, ChangeOp::kDelete, key, nullptr);
   LogDml(txn, WalRecordType::kDelete, key, Row{});
   return Status::OK();
 }

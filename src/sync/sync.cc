@@ -14,10 +14,9 @@ const char* SyncStrategyName(SyncStrategy s) {
   return "?";
 }
 
-void FreshnessTracker::OnCommit(const std::vector<ChangeEvent>& events) {
-  if (events.empty()) return;
+void FreshnessTracker::RecordCommit(CSN csn) {
   MutexLock lk(&mu_);
-  samples_.emplace_back(events.back().csn, clock_->NowMicros());
+  samples_.emplace_back(csn, clock_->NowMicros());
   // Bound memory: keep a generous window; freshness questions are about the
   // recent past.
   while (samples_.size() > 100000) samples_.pop_front();

@@ -54,13 +54,15 @@ class DeltaSourceAdapter : public DeltaSource {
 };
 
 /// Tracks commit times so freshness can be reported in wall-clock terms as
-/// well as CSN lag. Registered as a ChangeSink.
-class FreshnessTracker : public ChangeSink {
+/// well as CSN lag. The engine's change sink records each commit here.
+class FreshnessTracker {
  public:
   explicit FreshnessTracker(const Clock* clock = WallClock::Default())
       : clock_(clock) {}
 
-  void OnCommit(const std::vector<ChangeEvent>& events) override;
+  /// Records that the commit at `csn` happened now. Commits arrive in CSN
+  /// order.
+  void RecordCommit(CSN csn);
 
   /// Number of commits not yet visible at `visible_csn`.
   uint64_t CsnLag(CSN committed_csn, CSN visible_csn) const {

@@ -48,8 +48,16 @@ class Transaction {
 
   /// Undo log (row-store internal).
   std::vector<UndoEntry>& undo() { return undo_; }
-  /// Change events to publish on commit.
-  std::vector<ChangeEvent>& changes() { return changes_; }
+
+  /// Records a change to publish on commit, without its row: commit copies
+  /// the row from `source`, the version this transaction wrote (null for a
+  /// delete). The transaction owns that version until it commits, so no
+  /// other writer and no GC step can change or free it before the copy.
+  void RecordChange(uint32_t table_id, ChangeOp op, Key key,
+                    const RowVersion* source) {
+    changes_.push_back(ChangeEvent{table_id, op, key, Row{}, 0});
+    change_sources_.push_back(source);
+  }
 
   size_t num_writes() const { return undo_.size(); }
 
@@ -71,7 +79,8 @@ class Transaction {
   std::atomic<CSN> commit_csn_{0};
   std::atomic<TxnState> state_{TxnState::kActive};
   std::vector<UndoEntry> undo_;
-  std::vector<ChangeEvent> changes_;
+  std::vector<ChangeEvent> changes_;  // rows filled in at commit
+  std::vector<const RowVersion*> change_sources_;  // parallel to changes_
 };
 
 }  // namespace htap

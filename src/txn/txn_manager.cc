@@ -6,8 +6,9 @@
 
 namespace htap {
 
-TransactionManager::TransactionManager(WalWriter* wal, size_t commit_shards)
-    : wal_(wal) {
+TransactionManager::TransactionManager(WalWriter* wal, size_t commit_shards,
+                                       ChangeSink* sink)
+    : wal_(wal), sink_(sink) {
   const size_t n = std::clamp<size_t>(commit_shards, 1, 64);
   shards_.reserve(n);
   active_.reserve(n);
@@ -49,6 +50,16 @@ Status TransactionManager::Commit(Transaction* txn) {
     EraseActive(txn->id());
     commits_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
+  }
+
+  // Copy each event's row from the version it names. The versions are still
+  // this transaction's (begin/end hold its id), so no writer or GC step can
+  // change or free them, and no lock is needed. Filling here rather than at
+  // each DML keeps a batch's rows together in memory.
+  if (sink_ != nullptr) {
+    for (size_t i = 0; i < txn->changes_.size(); ++i)
+      if (txn->change_sources_[i] != nullptr)
+        txn->changes_[i].row = txn->change_sources_[i]->data;
   }
 
   if (wal_ != nullptr) {
@@ -95,10 +106,10 @@ Status TransactionManager::Commit(Transaction* txn) {
   // run ahead of enqueue. The batch is moved out: the Transaction may be
   // destroyed as soon as we return, possibly before a later committer
   // drains this CSN from the queue.
-  if (!txn->changes().empty()) {
-    for (ChangeEvent& ev : txn->changes()) ev.csn = csn;
+  if (sink_ != nullptr && !txn->changes_.empty()) {
+    for (ChangeEvent& ev : txn->changes_) ev.csn = csn;
     MutexLock lk(&publish_mu_);
-    pending_.emplace(csn, std::move(txn->changes()));
+    pending_.emplace(csn, std::move(txn->changes_));
   }
 
   // Retire the CSN from the frontier: every version is stamped, so the
@@ -178,13 +189,9 @@ void TransactionManager::DrainPublishQueue() {
     // order: acquire pairs with the watermark CAS release — change events
     // drain only after every covered version stamp is visible.
     if (it->first > committed_.load(std::memory_order_acquire)) break;
-    {
-      // publish_mu_ (kTxnCommit) -> sinks_mu_ (kTxnSinks): ascending ranks.
-      // Holding publish_mu_ across OnCommit keeps the global CSN order even
-      // when several committers race to drain.
-      MutexLock slk(&sinks_mu_);
-      for (ChangeSink* sink : sinks_) sink->OnCommit(it->second);
-    }
+    // Holding publish_mu_ across OnCommit keeps the global CSN order even
+    // when several committers race to drain.
+    sink_->OnCommit(std::move(it->second));
     pending_.erase(it);
   }
 }
@@ -236,16 +243,6 @@ CSN TransactionManager::Watermark() const {
     for (const auto& [id, txn] : shard->txns) wm = std::min(wm, txn->begin_csn());
   }
   return wm;
-}
-
-void TransactionManager::RegisterSink(ChangeSink* sink) {
-  MutexLock lk(&sinks_mu_);
-  sinks_.push_back(sink);
-}
-
-void TransactionManager::UnregisterSink(ChangeSink* sink) {
-  MutexLock lk(&sinks_mu_);
-  sinks_.erase(std::remove(sinks_.begin(), sinks_.end(), sink), sinks_.end());
 }
 
 }  // namespace htap

@@ -4,8 +4,9 @@
 // This is the "MVCC + logging" technique of Table 2 (TP row): every DML
 // writes a redo record into the WAL (via the row store), commit appends a
 // commit record and group-syncs the log, then stamps versions with the
-// commit CSN and publishes the change events to registered sinks (delta
-// stores, replication streams) in strict CSN order.
+// commit CSN and hands the change events to the manager's sink in strict
+// CSN order. Events are recorded without rows; commit copies each row from
+// the version it names, once, before it allocates the CSN (DESIGN.md §20).
 //
 // Commit structures are sharded (DESIGN.md §15): CSNs come from a single
 // atomic counter, but the set of in-flight (allocated, not yet fully
@@ -45,9 +46,11 @@ class TransactionManager {
  public:
   /// `wal` may be null (no durability; used by pure in-memory configs).
   /// `commit_shards` partitions the commit frontier + active-txn maps;
-  /// values are clamped to [1, 64].
+  /// values are clamped to [1, 64]. `sink`, if not null, receives every
+  /// commit's change events; it must outlive the manager's last commit.
   explicit TransactionManager(WalWriter* wal = nullptr,
-                              size_t commit_shards = kDefaultCommitShards);
+                              size_t commit_shards = kDefaultCommitShards,
+                              ChangeSink* sink = nullptr);
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
@@ -63,9 +66,9 @@ class TransactionManager {
   /// Its begin CSN holds the GC watermark down until it commits or aborts.
   std::unique_ptr<Transaction> Begin();
 
-  /// Commits: WAL commit record + group sync, CSN assignment, version
-  /// stamping, ordered change publication. After return the Transaction
-  /// object may be destroyed.
+  /// Commits: row copy into the change events, WAL commit record + group
+  /// sync, CSN assignment, version stamping, ordered change publication.
+  /// After return the Transaction object may be destroyed.
   Status Commit(Transaction* txn);
 
   /// Rolls back all of the transaction's writes.
@@ -109,10 +112,6 @@ class TransactionManager {
   /// Drops every retire-list entry that names `store` (called by its
   /// destructor; the store must be quiescent).
   void ForgetStore(const MvccRowStore* store);
-
-  /// Registers a sink to receive committed changes in CSN order.
-  void RegisterSink(ChangeSink* sink);
-  void UnregisterSink(ChangeSink* sink);
 
   // Counters (diagnostics & benchmarks).
   uint64_t commits() const { return commits_.load(std::memory_order_relaxed); }
@@ -169,13 +168,14 @@ class TransactionManager {
   /// by allocated_, and publishes it monotonically (CAS-max).
   void RecomputeCommitted();
 
-  /// Publishes every pending change batch whose CSN is covered by
-  /// committed_, in CSN order, then drops it from the queue.
+  /// Hands every pending change batch whose CSN is covered by committed_
+  /// to the sink, in CSN order, and drops it from the queue.
   void DrainPublishQueue();
 
   void RollbackWrites(Transaction* txn);
 
   WalWriter* const wal_;
+  ChangeSink* const sink_;
   std::atomic<CSN> allocated_{1};   // last CSN handed to a committer
   std::atomic<CSN> committed_{1};   // published min-frontier watermark
   std::atomic<uint64_t> next_txn_id_{kTxnIdBit | 1};
@@ -187,9 +187,6 @@ class TransactionManager {
   // batches wait here until the watermark covers them.
   mutable Mutex publish_mu_{LockRank::kTxnCommit, "txn-publish"};
   std::map<CSN, std::vector<ChangeEvent>> pending_ GUARDED_BY(publish_mu_);
-
-  Mutex sinks_mu_{LockRank::kTxnSinks, "txn-sinks"};
-  std::vector<ChangeSink*> sinks_ GUARDED_BY(sinks_mu_);
 
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_{0};

@@ -60,13 +60,17 @@ struct ChangeEvent {
   CSN csn = 0;   // commit CSN
 };
 
-/// Consumer of committed changes (delta stores, replicas, sync pipelines).
+/// The consumer of committed changes: a transaction manager hands every
+/// commit's batch to its one sink, which routes it on (delta stores,
+/// freshness tracking).
 class ChangeSink {
  public:
   virtual ~ChangeSink() = default;
-  /// Called once per commit, in commit (CSN) order, after the versions are
-  /// stamped. Must not call back into the transaction manager.
-  virtual void OnCommit(const std::vector<ChangeEvent>& events) = 0;
+  /// Called once per commit that wrote, in commit (CSN) order, after the
+  /// versions are stamped. `events` is non-empty, every event carries the
+  /// commit CSN, and the sink owns the batch (rows move on from here). Must
+  /// not call back into the transaction manager.
+  virtual void OnCommit(std::vector<ChangeEvent> events) = 0;
 };
 
 }  // namespace htap

@@ -2,24 +2,40 @@
 
 #include <cstring>
 
+#include "common/crc32c.h"
+
 namespace htap {
 
-uint32_t WalChecksum(const char* data, size_t n) {
-  uint64_t h = 14695981039346656037ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return static_cast<uint32_t>(h ^ (h >> 32));
-}
+namespace {
 
-void WalRecord::EncodeTo(std::string* out) const {
+/// Appends the payload of a record with these fields to `out`; the one
+/// definition of the payload format, shared by WalRecord::EncodeTo and the
+/// in-place DML path.
+void EncodePayload(WalRecordType type, uint64_t txn_id, uint32_t table_id,
+                   Key key, CSN csn, const Row& row, std::string* out) {
   out->push_back(static_cast<char>(type));
   Value(static_cast<int64_t>(txn_id)).EncodeTo(out);
   Value(static_cast<int64_t>(table_id)).EncodeTo(out);
   Value(key).EncodeTo(out);
   Value(static_cast<int64_t>(csn)).EncodeTo(out);
   row.EncodeTo(out);
+}
+
+/// The calling thread's payload buffer: cleared per record, so its capacity
+/// is reused and a record costs no allocation once the thread has logged
+/// one as large.
+std::string& ThreadPayloadBuffer() {
+  thread_local std::string buffer;
+  buffer.clear();
+  return buffer;
+}
+
+}  // namespace
+
+uint32_t WalChecksum(const char* data, size_t n) { return Crc32c(data, n); }
+
+void WalRecord::EncodeTo(std::string* out) const {
+  EncodePayload(type, txn_id, table_id, key, csn, row, out);
 }
 
 bool WalRecord::DecodeFrom(const std::string& in, size_t* pos,
@@ -50,8 +66,19 @@ WalWriter::~WalWriter() {
 }
 
 uint64_t WalWriter::Append(const WalRecord& rec) {
-  std::string payload;
+  std::string& payload = ThreadPayloadBuffer();
   rec.EncodeTo(&payload);
+  return AppendPayload(payload);
+}
+
+uint64_t WalWriter::AppendDml(WalRecordType type, uint64_t txn_id,
+                              uint32_t table_id, Key key, const Row& row) {
+  std::string& payload = ThreadPayloadBuffer();
+  EncodePayload(type, txn_id, table_id, key, /*csn=*/0, row, &payload);
+  return AppendPayload(payload);
+}
+
+uint64_t WalWriter::AppendPayload(const std::string& payload) {
   const uint32_t len = static_cast<uint32_t>(payload.size());
   const uint32_t crc = WalChecksum(payload.data(), payload.size());
 

@@ -4,9 +4,14 @@
 // (Table 2, TP row) and the source for log-shipped replication. Records are
 // framed [u32 length][u32 checksum][payload]; payload uses the Value codec.
 //
-// The writer supports two backends: a real file (durable, used by the disk
+// The writer supports two backends: a real file (used by the disk
 // architectures and recovery tests) and an in-memory buffer (used by the
-// simulator and by benchmarks that isolate CPU cost from I/O).
+// simulator and by benchmarks that isolate CPU cost from I/O). Nothing here
+// calls fsync: with sync_on_commit a group reaches the OS page cache at
+// commit, not the disk.
+//
+// The checksum is CRC32C over the payload. The log carries no format
+// version, so a log is read back only by a build with the same checksum.
 
 #ifndef HTAP_WAL_WAL_H_
 #define HTAP_WAL_WAL_H_
@@ -55,7 +60,9 @@ class WalWriter {
  public:
   struct Options {
     std::string path;        // empty = in-memory only
-    bool sync_on_commit = false;  // fsync each group (off: OS buffering)
+    // fflush each group to the OS at Sync (off: stdio buffering). Not an
+    // fsync: a crash of the host can still lose flushed groups.
+    bool sync_on_commit = false;
   };
 
   explicit WalWriter(Options options);
@@ -67,6 +74,13 @@ class WalWriter {
   /// Appends a record to the in-memory group buffer. Returns the LSN (byte
   /// offset the record will land at).
   uint64_t Append(const WalRecord& rec);
+
+  /// Appends an insert, update or delete record for `row` without building
+  /// a WalRecord: the payload is encoded from the caller's row into a
+  /// buffer the calling thread reuses, and only the framed bytes are copied
+  /// under the writer's mutex. Same bytes and LSN as Append.
+  uint64_t AppendDml(WalRecordType type, uint64_t txn_id, uint32_t table_id,
+                     Key key, const Row& row);
 
   /// Flushes all buffered records to the backend (group commit point).
   Status Sync();
@@ -85,6 +99,9 @@ class WalWriter {
   std::string ContentsForTest() const;
 
  private:
+  /// Frames `payload` as [len][crc32c][payload] onto the group buffer.
+  uint64_t AppendPayload(const std::string& payload);
+
   const Options options_;
   mutable Mutex mu_{LockRank::kWal, "wal-writer"};
   std::string buffer_ GUARDED_BY(mu_);      // unflushed group
@@ -108,7 +125,7 @@ class WalReader {
   static Result<std::vector<WalRecord>> ReadFile(const std::string& path);
 };
 
-/// 32-bit checksum used to frame WAL records (FNV-1a folded).
+/// 32-bit checksum used to frame WAL records: CRC32C (common/crc32c.h).
 uint32_t WalChecksum(const char* data, size_t n);
 
 }  // namespace htap

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
 
 #include "core/database.h"
 
@@ -284,6 +286,126 @@ INSTANTIATE_TEST_SUITE_P(
         case ArchitectureKind::kColumnPlusDeltaRow: return "ColPlusDeltaRow";
       }
       return "Unknown";
+    });
+
+// ---- Change events on the local presets -----------------------------------
+
+// Commit copies each event's row from the version it names and moves the
+// batch into the deltas (DESIGN.md §20). Whatever a transaction did to a
+// key — rewrite it in place, insert then delete it, touch several tables,
+// or abort — the column side must end up equal to the row store once it is
+// synced, on every local preset.
+class ChangeEventTest : public DatabaseTest {
+ protected:
+  /// Every row of `table`, sorted by key, read through `path`.
+  std::vector<Row> Rows(const std::string& table, PathHint path) {
+    QueryPlan plan;
+    plan.table = table;
+    plan.path = path;
+    plan.require_fresh = false;  // the merged column side alone
+    auto res = db_->Query(plan);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (!res.ok()) return {};
+    std::vector<Row> rows = std::move(res->rows);
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return a.Get(0).AsInt64() < b.Get(0).AsInt64();
+    });
+    return rows;
+  }
+
+  /// Syncs `table`, then checks its column side, its row side and point
+  /// reads against `expect`.
+  void ExpectSynced(const std::string& table,
+                    const std::map<Key, Row>& expect) {
+    ASSERT_TRUE(db_->ForceSync(table).ok());
+    EXPECT_EQ(db_->Freshness(table).pending_delta_entries, 0u);
+    std::vector<Row> want;
+    for (const auto& [k, r] : expect) want.push_back(r);
+    EXPECT_EQ(Rows(table, PathHint::kForceColumn), want) << table;
+    EXPECT_EQ(Rows(table, PathHint::kForceRow), want) << table;
+    for (const auto& [k, r] : expect) {
+      Row got;
+      ASSERT_TRUE(db_->GetRow(table, k, &got).ok()) << table << " " << k;
+      EXPECT_EQ(got, r);
+    }
+  }
+};
+
+TEST_P(ChangeEventTest, ColumnSideEqualsRowStoreAfterEachTransactionShape) {
+  ASSERT_TRUE(db_->CreateTable("lines", OrdersSchema()).ok());
+  std::map<Key, Row> orders, lines;
+
+  {  // insert -> update -> update of one key
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn->Insert("orders", Order(1, 1, "first", 1.0)).ok());
+    ASSERT_TRUE(txn->Update("orders", Order(1, 2, "second", 2.0)).ok());
+    ASSERT_TRUE(txn->Update("orders", Order(1, 3, "third", 3.0)).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    orders[1] = Order(1, 3, "third", 3.0);
+  }
+  ExpectSynced("orders", orders);
+
+  {  // insert -> delete of one key, next to a surviving insert
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn->Insert("orders", Order(2, 1, "gone", 1.0)).ok());
+    ASSERT_TRUE(txn->Insert("orders", Order(3, 1, "kept", 1.0)).ok());
+    ASSERT_TRUE(txn->Delete("orders", 2).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    orders[3] = Order(3, 1, "kept", 1.0);
+  }
+  ExpectSynced("orders", orders);
+
+  {  // one transaction across several tables, interleaved
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn->Insert("lines", Order(10, 1, "l10", 1.0)).ok());
+    ASSERT_TRUE(txn->Update("orders", Order(1, 4, "fourth", 4.0)).ok());
+    ASSERT_TRUE(txn->Insert("lines", Order(11, 1, "l11", 1.0)).ok());
+    ASSERT_TRUE(txn->Update("orders", Order(1, 5, "fifth", 5.0)).ok());
+    ASSERT_TRUE(txn->Delete("orders", 3).ok());
+    ASSERT_TRUE(txn->Update("lines", Order(10, 2, "l10b", 2.0)).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    orders[1] = Order(1, 5, "fifth", 5.0);
+    orders.erase(3);
+    lines[10] = Order(10, 2, "l10b", 2.0);
+    lines[11] = Order(11, 1, "l11", 1.0);
+  }
+  ExpectSynced("orders", orders);
+  ExpectSynced("lines", lines);
+
+  {  // delete -> re-insert -> update of a committed key
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn->Delete("lines", 11).ok());
+    ASSERT_TRUE(txn->Insert("lines", Order(11, 7, "again", 7.0)).ok());
+    ASSERT_TRUE(txn->Update("lines", Order(11, 8, "again2", 8.0)).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+    lines[11] = Order(11, 8, "again2", 8.0);
+  }
+  ExpectSynced("lines", lines);
+
+  {  // an aborted transaction leaves no trace on either side
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn->Insert("orders", Order(20, 1, "never", 1.0)).ok());
+    ASSERT_TRUE(txn->Update("orders", Order(1, 9, "never", 9.0)).ok());
+    ASSERT_TRUE(txn->Delete("lines", 10).ok());
+    ASSERT_TRUE(txn->Abort().ok());
+  }
+  ExpectSynced("orders", orders);
+  ExpectSynced("lines", lines);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LocalPresets, ChangeEventTest,
+    ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
+                      ArchitectureKind::kDiskRowPlusDistributedColumn,
+                      ArchitectureKind::kColumnPlusDeltaRow),
+    [](const ::testing::TestParamInfo<ArchitectureKind>& info) {
+      switch (info.param) {
+        case ArchitectureKind::kRowPlusInMemoryColumn: return "RowPlusIMC";
+        case ArchitectureKind::kDiskRowPlusDistributedColumn:
+          return "DiskRowIMCS";
+        case ArchitectureKind::kColumnPlusDeltaRow: return "ColPlusDeltaRow";
+        default: return "Unknown";
+      }
     });
 
 // ---- Architecture-specific behaviors -------------------------------------

@@ -1,9 +1,15 @@
 // Disk row store tests: heap round trips, upsert/tombstone semantics,
-// persistence across reopen, buffer-pool hit/miss/eviction accounting.
+// persistence across reopen, buffer-pool hit/miss/eviction accounting, and
+// the heap file format and pool counters pinned for a fixed sequence.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
+
+#include "common/random.h"
 
 #include "storage/disk_row_store.h"
 
@@ -123,6 +129,102 @@ TEST_F(DiskRowStoreTest, BufferPoolEvictsUnderPressure) {
   const uint64_t hits_before = store.pool_stats().hits;
   store.Get(0, &out);
   EXPECT_GT(store.pool_stats().hits, hits_before);
+}
+
+// Rows land in the tail page through the pool, so evicting a written page
+// must write it back. With a 2-page pool, point reads between the writes
+// evict the tail page while it is still filling, and both the live store
+// and a reopen must see exactly the reference state.
+TEST_F(DiskRowStoreTest, TwoPagePoolKeepsEveryWriteAcrossEvictionsAndReopen) {
+  std::map<Key, Row> expect;
+  const auto scan = [](DiskRowStore& store) {
+    std::map<Key, Row> got;
+    EXPECT_TRUE(store
+                    .Scan([&](Key k, const Row& r) {
+                      got.emplace(k, r);
+                      return true;
+                    })
+                    .ok());
+    return got;
+  };
+  {
+    DiskRowStore store(path_, TestSchema(), 2);
+    ASSERT_TRUE(store.Open().ok());
+    Random rng(17);
+    Row out;
+    for (int i = 0; i < 10000; ++i) {
+      const Key k = static_cast<Key>(rng.Uniform(600));
+      if (rng.Bernoulli(0.2)) {
+        const auto it = expect.find(k);
+        const Status st = store.Get(k, &out);
+        ASSERT_EQ(st.ok(), it != expect.end()) << st.ToString();
+        if (st.ok()) {
+          EXPECT_EQ(out, it->second);
+        }
+      } else if (rng.Bernoulli(0.2)) {
+        const Status st = store.Delete(k);
+        ASSERT_EQ(st.ok(), expect.erase(k) == 1) << st.ToString();
+      } else {
+        Row row = MakeRow(k, i, std::string(rng.Uniform(400), 'a' + i % 26));
+        ASSERT_TRUE(store.Put(row).ok());
+        expect[k] = std::move(row);
+      }
+    }
+    EXPECT_GT(store.pool_stats().evictions, 100u);
+    EXPECT_LE(store.pool_stats().cached_pages, 2u);
+    EXPECT_EQ(scan(store), expect);
+  }
+  DiskRowStore reopened(path_, TestSchema(), 2);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.live_keys(), expect.size());
+  EXPECT_EQ(scan(reopened), expect);
+}
+
+// The heap file and the pool counters of a fixed sequence, pinned. The
+// values were taken from the version whose AppendRecord copied the whole
+// tail page into PutDirty; writing in place must change neither the bytes
+// on disk nor a single hit, miss or eviction.
+TEST_F(DiskRowStoreTest, FixedSequencePinsHeapBytesAndPoolCounters) {
+  constexpr uint64_t kPinnedHits = 2400;  // one per append
+  constexpr uint64_t kPinnedMisses = 100;  // one per cold Get
+  constexpr uint64_t kPinnedEvictions = 156;
+  constexpr size_t kPinnedFileBytes = 483328;  // 59 pages
+  constexpr uint64_t kPinnedFileFnv = 0x0EB185B8EA0155CEULL;
+  BufferPoolStats stats;
+  {
+    DiskRowStore store(path_, TestSchema(), 3);
+    ASSERT_TRUE(store.Open().ok());
+    for (int i = 0; i < 3000; ++i) {
+      const Key k = static_cast<Key>(i * 7919 % 1000);
+      if (i % 5 == 4) {
+        store.Delete(k);  // NotFound for a dead key appends nothing
+      } else {
+        ASSERT_TRUE(store
+                        .Put(MakeRow(k, i, std::string(i % 300,
+                                                       static_cast<char>(
+                                                           'a' + i % 26))))
+                        .ok());
+      }
+    }
+    Row out;
+    for (Key k = 0; k < 1000; k += 10) store.Get(k, &out);
+    ASSERT_TRUE(store.Flush().ok());
+    stats = store.pool_stats();
+  }
+  EXPECT_EQ(stats.hits, kPinnedHits);
+  EXPECT_EQ(stats.misses, kPinnedMisses);
+  EXPECT_EQ(stats.evictions, kPinnedEvictions);
+
+  std::ifstream in(path_, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  uint64_t fnv = 14695981039346656037ULL;  // FNV-1a 64 over the file
+  for (const char c : bytes) {
+    fnv ^= static_cast<uint8_t>(c);
+    fnv *= 1099511628211ULL;
+  }
+  EXPECT_EQ(bytes.size(), kPinnedFileBytes);
+  EXPECT_EQ(fnv, kPinnedFileFnv);
 }
 
 TEST_F(DiskRowStoreTest, RejectsOversizedRow) {

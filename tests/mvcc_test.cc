@@ -201,29 +201,43 @@ TEST_F(MvccTest, ScanRangeBounds) {
 TEST_F(MvccTest, ChangeSinkReceivesCommitOrderedEvents) {
   struct CollectingSink : ChangeSink {
     std::vector<ChangeEvent> events;
-    void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      events.insert(events.end(), evs.begin(), evs.end());
+    void OnCommit(std::vector<ChangeEvent> evs) override {
+      for (ChangeEvent& ev : evs) events.push_back(std::move(ev));
     }
   } sink;
-  mgr_.RegisterSink(&sink);
+  TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
+                         &sink);
+  MvccRowStore store(1, TestSchema(), &mgr, nullptr);
 
-  auto t = mgr_.Begin();
-  store_.Insert(t.get(), MakeRow(1, 1));
-  store_.Update(t.get(), MakeRow(1, 2));
-  store_.Insert(t.get(), MakeRow(2, 2));
-  mgr_.Commit(t.get());
+  auto t = mgr.Begin();
+  store.Insert(t.get(), MakeRow(1, 1));
+  store.Update(t.get(), MakeRow(1, 2));
+  store.Insert(t.get(), MakeRow(2, 2));
+  store.Delete(t.get(), 2);
+  mgr.Commit(t.get());
 
   // Aborted transactions publish nothing.
-  auto t2 = mgr_.Begin();
-  store_.Insert(t2.get(), MakeRow(3, 3));
-  mgr_.Abort(t2.get());
+  auto t2 = mgr.Begin();
+  store.Insert(t2.get(), MakeRow(3, 3));
+  mgr.Abort(t2.get());
 
-  ASSERT_EQ(sink.events.size(), 3u);
+  ASSERT_EQ(sink.events.size(), 4u);
   EXPECT_EQ(sink.events[0].op, ChangeOp::kInsert);
   EXPECT_EQ(sink.events[1].op, ChangeOp::kUpdate);
-  EXPECT_EQ(sink.events[0].csn, sink.events[1].csn);
+  EXPECT_EQ(sink.events[2].op, ChangeOp::kInsert);
+  EXPECT_EQ(sink.events[3].op, ChangeOp::kDelete);
+  for (const ChangeEvent& ev : sink.events) {
+    EXPECT_EQ(ev.csn, sink.events[0].csn);
+    EXPECT_EQ(ev.table_id, 1u);
+  }
   EXPECT_GT(sink.events[0].csn, 0u);
-  mgr_.UnregisterSink(&sink);
+  // Rows are copied at commit from the versions the events name: key 1's
+  // insert and its in-place update both carry the final image, key 2's
+  // insert keeps the image its version held, and a delete carries no row.
+  EXPECT_EQ(sink.events[0].row, MakeRow(1, 2));
+  EXPECT_EQ(sink.events[1].row, MakeRow(1, 2));
+  EXPECT_EQ(sink.events[2].row, MakeRow(2, 2));
+  EXPECT_TRUE(sink.events[3].row.empty());
 }
 
 TEST_F(MvccTest, VacuumReclaimsDeadVersions) {

@@ -24,6 +24,15 @@ Schema TestSchema() {
 
 Row MakeRow(Key id, int64_t v) { return Row{Value(id), Value(v)}; }
 
+/// A transaction manager's sink that stages every commit in one delta.
+struct DeltaRouter : ChangeSink {
+  explicit DeltaRouter(DeltaStore* d) : delta(d) {}
+  void OnCommit(std::vector<ChangeEvent> events) override {
+    delta->AppendBatch(events);
+  }
+  DeltaStore* delta;
+};
+
 /// Reads the column store + delta union into a map.
 std::map<Key, int64_t> HtapState(const ColumnTable& table,
                                  const DeltaReader* delta, CSN snap) {
@@ -43,23 +52,16 @@ std::map<Key, int64_t> RowState(const MvccRowStore& store, const Snapshot& s) {
 }
 
 TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
-  TransactionManager mgr;
-  MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   auto delta = std::make_unique<InMemoryDeltaStore>();
   InMemoryDeltaStore* delta_ptr = delta.get();
+  DeltaRouter router(delta_ptr);
+  TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
+                         &router);
+  MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   ColumnTable table(TestSchema());
   DataSynchronizer sync(
       SyncStrategy::kInMemoryMerge, &table,
       std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(delta.get()));
-
-  struct Router : ChangeSink {
-    InMemoryDeltaStore* d;
-    void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs);
-    }
-  } router;
-  router.d = delta_ptr;
-  mgr.RegisterSink(&router);
 
   for (int i = 0; i < 100; ++i) {
     auto t = mgr.Begin();
@@ -284,22 +286,15 @@ TEST(SyncTest, SyncToIsIdempotent) {
 // The central HTAP invariant: at every point in a random interleaving of
 // committed writes and merges, scan(main) ⊎ delta == row-store state.
 TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
-  TransactionManager mgr;
-  MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   InMemoryDeltaStore delta;
+  DeltaRouter router(&delta);
+  TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
+                         &router);
+  MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   ColumnTable table(TestSchema());
   DataSynchronizer sync(
       SyncStrategy::kInMemoryMerge, &table,
       std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
-
-  struct Router : ChangeSink {
-    InMemoryDeltaStore* d;
-    void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs);
-    }
-  } router;
-  router.d = &delta;
-  mgr.RegisterSink(&router);
 
   Random rng(2024);
   std::map<Key, int64_t> live;
@@ -336,10 +331,8 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
 TEST(FreshnessTrackerTest, LagReflectsUnmergedCommits) {
   VirtualClock clock;
   FreshnessTracker tracker(&clock);
-  std::vector<ChangeEvent> evs(1);
-  evs[0].csn = 10;
   clock.AdvanceTo(1000);
-  tracker.OnCommit(evs);
+  tracker.RecordCommit(10);
   clock.AdvanceTo(5000);
 
   EXPECT_EQ(tracker.TimeLagMicros(/*visible=*/9), 4000);
@@ -363,9 +356,7 @@ TEST(FreshnessTrackerTest, TimeLagMatchesLinearReference) {
       csn += 1 + rng.Uniform(4);
       now += static_cast<Micros>(rng.Uniform(50));
       clock.AdvanceTo(now);
-      std::vector<ChangeEvent> evs(1 + rng.Uniform(3));
-      for (size_t j = 0; j < evs.size(); ++j) evs[j].csn = csn;
-      tracker.OnCommit(evs);
+      tracker.RecordCommit(csn);
       samples.emplace_back(csn, now);
     }
     now += 1000;

@@ -46,22 +46,22 @@ Schema KvSchema() {
 Row MakeRow(Key id, int64_t v) { return Row{Value(id), Value(v)}; }
 
 TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
-  TransactionManager mgr;
-  MvccRowStore rows(1, KvSchema(), &mgr, nullptr);
   auto delta = std::make_unique<InMemoryDeltaStore>();
   InMemoryDeltaStore* delta_ptr = delta.get();
-  ColumnTable table(KvSchema());
-  DataSynchronizer sync(
-      SyncStrategy::kInMemoryMerge, &table,
-      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(delta_ptr));
   struct Router : ChangeSink {
-    InMemoryDeltaStore* d;
-    void OnCommit(const std::vector<ChangeEvent>& evs) override {
+    InMemoryDeltaStore* d = nullptr;
+    void OnCommit(std::vector<ChangeEvent> evs) override {
       d->AppendBatch(evs);
     }
   } router;
   router.d = delta_ptr;
-  mgr.RegisterSink(&router);
+  TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
+                         &router);
+  MvccRowStore rows(1, KvSchema(), &mgr, nullptr);
+  ColumnTable table(KvSchema());
+  DataSynchronizer sync(
+      SyncStrategy::kInMemoryMerge, &table,
+      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(delta_ptr));
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {

@@ -334,19 +334,17 @@ TEST(ShardedCommitTest, WatermarkBoundedByAllocation) {
 
 class RecordingSink : public ChangeSink {
  public:
-  void OnCommit(const std::vector<ChangeEvent>& events) override {
-    // Called under publish_mu_ + sinks_mu_, so plain fields are safe here —
-    // but keep the vector append and the order check data-race-free anyway.
+  void OnCommit(std::vector<ChangeEvent> events) override {
+    // Called under publish_mu_, so plain fields are safe here.
     for (const ChangeEvent& ev : events) csns_.push_back(ev.csn);
   }
   std::vector<CSN> csns_;
 };
 
 TEST(ShardedCommitTest, SinkPublicationStaysCsnOrdered) {
-  TransactionManager mgr(nullptr, /*commit_shards=*/8);
-  MvccRowStore store(1, AccountSchema(), &mgr, nullptr);
   RecordingSink sink;
-  mgr.RegisterSink(&sink);
+  TransactionManager mgr(nullptr, /*commit_shards=*/8, &sink);
+  MvccRowStore store(1, AccountSchema(), &mgr, nullptr);
 
   constexpr int kWriters = 4;
   constexpr int kPerWriter = 250;
@@ -363,7 +361,6 @@ TEST(ShardedCommitTest, SinkPublicationStaysCsnOrdered) {
     });
   }
   for (auto& t : writers) t.join();
-  mgr.UnregisterSink(&sink);
 
   ASSERT_EQ(sink.csns_.size(), size_t(kWriters) * kPerWriter);
   for (size_t i = 1; i < sink.csns_.size(); ++i) {

@@ -165,7 +165,8 @@ void BM_MergeDeltaBatch(benchmark::State& state) {
     table->EnableCompressionAdvisor(true);
     std::vector<DeltaEntry> entries = proto;
     state.ResumeTiming();
-    ApplyEntriesToColumnTable(table.get(), std::move(entries), n);
+    WriteGuard g(table->latch());
+    ApplyEntriesToColumnTableLocked(table.get(), std::move(entries), n);
     benchmark::DoNotOptimize(table.get());
     benchmark::ClobberMemory();
   }
@@ -262,6 +263,35 @@ void BM_MvccVisibilityCheck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MvccVisibilityCheck);
+
+// A point read of a committed key into a fresh Row, as TP callers do:
+// Arg(0) reads four INT64 cells, Arg(1) adds a 24-byte string cell.
+void BM_MvccGet(benchmark::State& state) {
+  const bool with_string = state.range(0) != 0;
+  std::vector<ColumnDef> cols = ScanSchema().columns();
+  if (with_string) cols.push_back({"s", Type::kString});
+  TransactionManager mgr;
+  MvccRowStore store(1, Schema(cols), &mgr, nullptr);
+  constexpr int kKeys = 100000;
+  {
+    auto txn = mgr.Begin();
+    for (int64_t i = 0; i < kKeys; ++i) {
+      Row r{Value(i), Value(i), Value(i), Value(i)};
+      if (with_string) r.Append(Value(std::string(24, 's')));
+      store.Insert(txn.get(), r);
+    }
+    mgr.Commit(txn.get());
+  }
+  const Snapshot snap = mgr.CurrentSnapshot();
+  Random rng(5);
+  for (auto _ : state) {
+    Row out;
+    benchmark::DoNotOptimize(
+        store.Get(snap, static_cast<Key>(rng.Uniform(kKeys)), &out));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MvccGet)->Arg(0)->Arg(1);
 
 void BM_WalAppend(benchmark::State& state) {
   WalWriter wal({});

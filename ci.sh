@@ -13,8 +13,10 @@
 #   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
 #            the EBR/OLC concurrency tests, Value's ownership tests, the
 #            delta merge (rows move out of the drained entries), the delta
-#            append (rows move out of the commit's events) and the disk heap
-#            (records are written into pooled pages in place)
+#            append (rows move out of the commit's events), the disk heap
+#            (records are written into pooled pages in place) and the
+#            CH-benCHmark load and scans on every preset (packed MVCC
+#            versions own their strings; mvcc_test checks each free path)
 #   tsan   — TSan over the concurrency tests (zero suppressions)
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
@@ -157,14 +159,14 @@ suite_rank() {
 }
 
 suite_asan() {
-  echo "== asan+ubsan: executor/join/spill + EBR/OLC + Value ownership + merge + delta + heap tests =="
+  echo "== asan+ubsan: executor/join/spill + EBR/OLC + Value ownership + merge + delta + heap + CH load tests =="
   local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
                     thread_safety_regression_test database_test
                     ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test types_test sync_test
-                    delta_test disk_row_store_test)
+                    delta_test disk_row_store_test chbench_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null
   cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do

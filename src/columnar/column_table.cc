@@ -10,16 +10,19 @@ void ColumnTable::EnableCompressionAdvisor(bool on) {
 }
 
 void ColumnTable::AppendBatch(std::vector<Row> rows, CSN up_to_csn) {
-  if (!rows.empty()) {
-    WriteGuard g(latch_);
-    AppendBatchLocked(std::move(rows));
-  }
+  WriteGuard g(latch_);
+  AppendBatchLocked(std::move(rows), up_to_csn);
+}
+
+void ColumnTable::AppendBatchLocked(std::vector<Row> rows, CSN up_to_csn) {
+  AppendGroupLocked(std::move(rows));
   // order: release — freshness probes read merged_csn_ with acquire outside
   // the latch; the merged rows must be visible before the watermark.
   merged_csn_.store(up_to_csn, std::memory_order_release);
 }
 
-void ColumnTable::AppendBatchLocked(std::vector<Row> rows) {
+void ColumnTable::AppendGroupLocked(std::vector<Row> rows) {
+  if (rows.empty()) return;
   auto group = std::make_unique<RowGroup>();
   group->num_rows = rows.size();
   group->keys.reserve(rows.size());
@@ -52,6 +55,10 @@ void ColumnTable::AppendBatchLocked(std::vector<Row> rows) {
 
 bool ColumnTable::DeleteKey(Key key, CSN csn) {
   WriteGuard g(latch_);
+  return DeleteKeyLocked(key, csn);
+}
+
+bool ColumnTable::DeleteKeyLocked(Key key, CSN csn) {
   const auto it = key_index_.find(key);
   bool found = false;
   if (it != key_index_.end()) {
@@ -91,7 +98,7 @@ size_t ColumnTable::Compact() {
   }
   groups_.clear();
   key_index_.clear();
-  if (!live.empty()) AppendBatchLocked(std::move(live));
+  AppendGroupLocked(std::move(live));
   for (auto& gp : groups_) after += gp->MemoryBytes();
   return before > after ? before - after : 0;
 }

@@ -55,10 +55,16 @@ class ColumnTable {
   /// delete-marked first. Takes the rows by value: callers done with them
   /// move them in.
   void AppendBatch(std::vector<Row> rows, CSN up_to_csn);
+  /// AppendBatch for a caller that already holds latch() exclusive, so a
+  /// delta drain and its apply form one step no scan can see between.
+  void AppendBatchLocked(std::vector<Row> rows, CSN up_to_csn)
+      REQUIRES(latch_);
 
   /// Positionally delete-marks the row with this key. Returns false if the
   /// key is not present.
   bool DeleteKey(Key key, CSN csn);
+  /// DeleteKey for a caller that already holds latch() exclusive.
+  bool DeleteKeyLocked(Key key, CSN csn) REQUIRES(latch_);
 
   /// Drops all data (rebuild-from-primary begins with this).
   void Clear();
@@ -115,7 +121,8 @@ class ColumnTable {
   RWLatch& latch() const RETURN_CAPABILITY(latch_) { return latch_; }
 
  private:
-  void AppendBatchLocked(std::vector<Row> rows) REQUIRES(latch_);
+  /// Appends `rows` as one new row group (no-op when empty).
+  void AppendGroupLocked(std::vector<Row> rows) REQUIRES(latch_);
 
   // key -> (group, offset) of its live row.
   using KeyIndex = std::unordered_map<Key, std::pair<uint32_t, uint32_t>>;

@@ -415,18 +415,24 @@ Status LocalHtapEngine::SyncLoadedColumns(
     columns = ts->columns;
     loaded = ts->loaded;
   }
-  std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
-  if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
-    // Reduce each row to the loaded columns by moving the cells it keeps.
-    for (DeltaEntry& e : entries) {
-      if (e.op == ChangeOp::kDelete) continue;
-      Row projected;
-      for (int c : loaded)
-        projected.Append(std::move(e.row.Mutable(static_cast<size_t>(c))));
-      e.row = std::move(projected);
+  {
+    // Drain and apply as one step under the write latch (rank 500, then the
+    // delta's 550): a scan sees the rows in the delta or in the table.
+    ColumnTable* table = columns.get();
+    WriteGuard g(table->latch());
+    std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
+    if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
+      // Reduce each row to the loaded columns by moving the cells it keeps.
+      for (DeltaEntry& e : entries) {
+        if (e.op == ChangeOp::kDelete) continue;
+        Row projected;
+        for (int c : loaded)
+          projected.Append(std::move(e.row.Mutable(static_cast<size_t>(c))));
+        e.row = std::move(projected);
+      }
     }
+    ApplyEntriesToColumnTableLocked(table, std::move(entries), target);
   }
-  ApplyEntriesToColumnTable(columns.get(), std::move(entries), target);
   if (columns_out != nullptr) *columns_out = std::move(columns);
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
   return Status::OK();

@@ -646,12 +646,15 @@ void DistributedDb::SyncLearners() {
   for (auto& rt : shards_) {
     if (rt.learner_id < 0) continue;
     for (auto& [tid, delta] : rt.learner.deltas) {
+      ColumnTable* table = rt.learner.tables[tid].get();
+      // Drain and apply as one step under the write latch, as the local
+      // engine's merges do.
+      WriteGuard g(table->latch());
       auto entries = delta->DrainUpTo(kMaxCSN);
       if (entries.empty()) continue;
-      CSN up_to = rt.learner.tables[tid]->merged_csn();
+      CSN up_to = table->merged_csn();
       for (const auto& e : entries) up_to = std::max(up_to, e.csn);
-      ApplyEntriesToColumnTable(rt.learner.tables[tid].get(),
-                                std::move(entries), up_to);
+      ApplyEntriesToColumnTableLocked(table, std::move(entries), up_to);
     }
   }
 }

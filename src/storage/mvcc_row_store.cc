@@ -2,11 +2,66 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
+#include <new>
 
 #include "txn/txn_manager.h"
 
 namespace htap {
+
+// ---- RowVersion blocks ------------------------------------------------------
+
+RowVersion* RowVersion::Make(const Row& row) {
+  const size_t n = row.size();
+  void* block = ::operator new(BlockBytes(n));
+  auto* v = new (block) RowVersion();
+  const auto count = static_cast<uint32_t>(n);
+  std::memcpy(v->bytes() + kCountOffset, &count, sizeof(count));
+  uint8_t* tags = v->tags();
+  uint64_t* payloads = v->payloads();
+  for (size_t i = 0; i < n; ++i) row.Get(i).PackTo(&tags[i], &payloads[i]);
+  return v;
+}
+
+void RowVersion::Free(RowVersion* v) {
+  const size_t n = v->num_cells();
+  const uint8_t* tags = v->tags();
+  const uint64_t* payloads = v->payloads();
+  for (size_t i = 0; i < n; ++i) Value::FreePacked(tags[i], payloads[i]);
+  v->~RowVersion();
+  ::operator delete(v);
+}
+
+void RowVersion::Overwrite(const Row& row) {
+  const size_t n = num_cells();
+  assert(row.size() == n);
+  uint8_t* t = tags();
+  uint64_t* p = payloads();
+  for (size_t i = 0; i < n; ++i) {
+    Value::FreePacked(t[i], p[i]);
+    row.Get(i).PackTo(&t[i], &p[i]);
+  }
+}
+
+size_t RowVersion::HeapBytes() const {
+  const size_t n = num_cells();
+  const uint8_t* t = tags();
+  const uint64_t* p = payloads();
+  size_t b = BlockBytes(n);
+  for (size_t i = 0; i < n; ++i) b += Value::PackedHeapBytes(t[i], p[i]);
+  return b;
+}
+
+void RowVersion::DecodeTo(Row* out) const {
+  const size_t n = num_cells();
+  if (out->size() != n) *out = Row(std::vector<Value>(n));
+  const uint8_t* t = tags();
+  const uint64_t* p = payloads();
+  for (size_t i = 0; i < n; ++i) out->Mutable(i).AssignPacked(t[i], p[i]);
+}
+
+// ---- MvccRowStore -----------------------------------------------------------
 
 MvccRowStore::MvccRowStore(uint32_t table_id, Schema schema,
                            TransactionManager* txn_mgr, WalWriter* wal)
@@ -18,11 +73,11 @@ MvccRowStore::MvccRowStore(uint32_t table_id, Schema schema,
 MvccRowStore::~MvccRowStore() {
   if (txn_mgr_ != nullptr) txn_mgr_->ForgetStore(this);
   for (ChainStripe& s : stripes_) {
-    for (auto& chain : s.chains) {
-      RowVersion* v = chain->latest;
+    for (VersionChain& chain : s.chains) {
+      RowVersion* v = chain.latest;
       while (v != nullptr) {
         RowVersion* older = v->older;
-        delete v;
+        Destroy(v);
         v = older;
       }
     }
@@ -40,10 +95,9 @@ VersionChain* MvccRowStore::GetOrCreateChain(Key key) {
   // by now or serialized behind us.
   if (index_.Lookup(key, &payload))
     return reinterpret_cast<VersionChain*>(payload);
-  s.chains.push_back(std::unique_ptr<VersionChain>(new VersionChain{key}));
-  VersionChain* chain = s.chains.back().get();
+  VersionChain* chain = &s.chains.emplace_back(key);
   index_.Insert(key, reinterpret_cast<uint64_t>(chain));
-  mem_bytes_.fetch_add(sizeof(VersionChain) + 24, std::memory_order_relaxed);
+  mem_bytes_.fetch_add(sizeof(VersionChain), std::memory_order_relaxed);
   return chain;
 }
 
@@ -58,7 +112,7 @@ bool MvccRowStore::Visible(const RowVersion* v, const Snapshot& snap) const {
   while (true) {
     // order: acquire pairs with the release stores that stamp begin (writer
     // publish in Insert/Update, CSN re-stamp in TransactionManager::Commit)
-    // so the version's data/older fields written before the stamp are
+    // so the version's cells and older field written before the stamp are
     // visible.
     const uint64_t raw_b = v->begin.load(std::memory_order_acquire);
     if (IsTxnId(raw_b)) {
@@ -95,6 +149,19 @@ bool MvccRowStore::Visible(const RowVersion* v, const Snapshot& snap) const {
 void MvccRowStore::LogDml(Transaction* txn, WalRecordType type, Key key,
                           const Row& row) {
   if (wal_ != nullptr) wal_->AppendDml(type, txn->id(), table_id_, key, row);
+}
+
+RowVersion* MvccRowStore::NewVersion(const Row& row) {
+  RowVersion* v = RowVersion::Make(row);
+  versions_.fetch_add(1, std::memory_order_relaxed);
+  mem_bytes_.fetch_add(v->HeapBytes(), std::memory_order_relaxed);
+  return v;
+}
+
+void MvccRowStore::Destroy(RowVersion* v) {
+  ReleaseBytes(v->HeapBytes());
+  versions_.fetch_sub(1, std::memory_order_relaxed);
+  RowVersion::Free(v);
 }
 
 void MvccRowStore::ReleaseBytes(size_t bytes) {
@@ -135,11 +202,10 @@ Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
     }
   }
 
-  auto* v = new RowVersion();
+  RowVersion* v = NewVersion(row);
   // order: release so a latch-free reader that acquires this stamp also
-  // sees the version's construction (Visible() reads data through it).
+  // sees the version's construction, cells included.
   v->begin.store(txn->id(), std::memory_order_release);
-  v->data = row;
   v->older = latest;
   chain->latest = v;
 
@@ -147,9 +213,6 @@ Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
       UndoEntry{UndoEntry::Kind::kInsert, this, chain, v, nullptr});
   txn->RecordChange(table_id_, ChangeOp::kInsert, key, v);
   LogDml(txn, WalRecordType::kInsert, key, row);
-  versions_.fetch_add(1, std::memory_order_relaxed);
-  mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
-                       std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -185,10 +248,12 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
       txn_mgr_->RecordConflict();
       return Status::Conflict("uncommitted insert by another txn");
     }
-    // Updating our own uncommitted version: mutate in place.
-    mem_bytes_.fetch_add(row.MemoryBytes(), std::memory_order_relaxed);
-    ReleaseBytes(latest->data.MemoryBytes());
-    latest->data = row;
+    // Updating our own uncommitted version: rewrite its cells in place
+    // (the schema fixes the arity, so the block never grows).
+    const size_t before = latest->HeapBytes();
+    latest->Overwrite(row);
+    mem_bytes_.fetch_add(latest->HeapBytes(), std::memory_order_relaxed);
+    ReleaseBytes(before);
     txn->RecordChange(table_id_, ChangeOp::kUpdate, key, latest);
     LogDml(txn, WalRecordType::kUpdate, key, row);
     return Status::OK();
@@ -198,11 +263,10 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
     return Status::Conflict("row written after snapshot");
   }
 
-  auto* v = new RowVersion();
+  RowVersion* v = NewVersion(row);
   // order: release publishes the new version's construction to latch-free
   // stamp readers (same edge as the Insert path).
   v->begin.store(txn->id(), std::memory_order_release);
-  v->data = row;
   v->older = latest;
   // order: release so the end claim is never reordered before the new
   // version's publication above.
@@ -213,9 +277,6 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
       UndoEntry{UndoEntry::Kind::kUpdate, this, chain, v, latest});
   txn->RecordChange(table_id_, ChangeOp::kUpdate, key, v);
   LogDml(txn, WalRecordType::kUpdate, key, row);
-  versions_.fetch_add(1, std::memory_order_relaxed);
-  mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
-                       std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -268,7 +329,7 @@ Status MvccRowStore::Get(const Snapshot& snap, Key key, Row* out) const {
   SpinGuard g(chain->latch);
   for (const RowVersion* v = chain->latest; v != nullptr; v = v->older) {
     if (Visible(v, snap)) {
-      *out = v->data;
+      v->DecodeTo(out);
       return Status::OK();
     }
   }
@@ -285,13 +346,17 @@ void MvccRowStore::Scan(
 void MvccRowStore::ScanRange(
     const Snapshot& snap, Key lo, Key hi,
     const std::function<bool(Key, const Row&)>& visit) const {
+  Row scratch;  // decoded into for every key; reuses its string buffers
   index_.Scan(lo, hi, [&](Key key, uint64_t payload) {
     auto* chain = reinterpret_cast<VersionChain*>(payload);
-    SpinGuard g(chain->latch);
-    for (const RowVersion* v = chain->latest; v != nullptr; v = v->older) {
-      if (Visible(v, snap)) return visit(key, v->data);
+    {
+      SpinGuard g(chain->latch);
+      const RowVersion* v = chain->latest;
+      while (v != nullptr && !Visible(v, snap)) v = v->older;
+      if (v == nullptr) return true;  // nothing visible; keep scanning
+      v->DecodeTo(&scratch);
     }
-    return true;  // no visible version for this key; keep scanning
+    return visit(key, scratch);
   });
 }
 
@@ -331,12 +396,11 @@ void MvccRowStore::ApplyCommitted(ChangeOp op, Key key, const Row& row,
   switch (op) {
     case ChangeOp::kInsert:
     case ChangeOp::kUpdate: {
-      auto* v = new RowVersion();
+      RowVersion* v = NewVersion(row);
       // order: release/acquire — same begin/end publication edges as the
       // transactional DML paths; concurrent snapshot readers resolve these
       // stamps latch-free in Visible().
       v->begin.store(csn, std::memory_order_release);
-      v->data = row;
       v->older = chain->latest;
       if (chain->latest != nullptr &&
           chain->latest->end.load(std::memory_order_acquire) ==  // order: ^
@@ -346,9 +410,6 @@ void MvccRowStore::ApplyCommitted(ChangeOp op, Key key, const Row& row,
         live_rows_.fetch_add(1, std::memory_order_relaxed);
       }
       chain->latest = v;
-      versions_.fetch_add(1, std::memory_order_relaxed);
-      mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
-                           std::memory_order_relaxed);
       break;
     }
     case ChangeOp::kDelete: {
@@ -382,9 +443,7 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
     case UndoEntry::Kind::kInsert: {
       assert(u.chain->latest == u.new_version);
       u.chain->latest = u.new_version->older;
-      ReleaseBytes(sizeof(RowVersion) + u.new_version->data.MemoryBytes());
-      delete u.new_version;
-      versions_.fetch_sub(1, std::memory_order_relaxed);
+      Destroy(u.new_version);
       break;
     }
     case UndoEntry::Kind::kUpdate: {
@@ -393,9 +452,7 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
       // order: release — resurrecting the old version is a publication a
       // latch-free stamp reader may consume with its acquire load.
       u.old_version->end.store(kMaxCSN, std::memory_order_release);
-      ReleaseBytes(sizeof(RowVersion) + u.new_version->data.MemoryBytes());
-      delete u.new_version;
-      versions_.fetch_sub(1, std::memory_order_relaxed);
+      Destroy(u.new_version);
       break;
     }
     case UndoEntry::Kind::kDelete: {
@@ -431,12 +488,10 @@ size_t MvccRowStore::PruneChain(VersionChain* chain, CSN watermark) {
   size_t reclaimed = 0;
   while (dead != nullptr) {
     RowVersion* older = dead->older;
-    ReleaseBytes(sizeof(RowVersion) + dead->data.MemoryBytes());
-    delete dead;
+    Destroy(dead);
     ++reclaimed;
     dead = older;
   }
-  versions_.fetch_sub(reclaimed, std::memory_order_relaxed);
   return reclaimed;
 }
 
@@ -447,7 +502,7 @@ size_t MvccRowStore::Vacuum(CSN watermark) {
     chains.clear();
     {
       SpinGuard g(s.latch);
-      for (const auto& chain : s.chains) chains.push_back(chain.get());
+      for (VersionChain& chain : s.chains) chains.push_back(&chain);
     }
     for (VersionChain* chain : chains) reclaimed += PruneChain(chain, watermark);
   }

@@ -11,9 +11,9 @@
 #define HTAP_STORAGE_MVCC_ROW_STORE_H_
 
 #include <atomic>
+#include <cstring>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,16 +33,74 @@ namespace htap {
 
 class TransactionManager;
 
-/// One version of a row. begin/end encode lifetime per txn/types.h.
+/// One version of a row, packed into a single allocation (DESIGN.md §21):
+/// this 24-byte header, a 4-byte cell count, one tag byte per cell padded
+/// to 8, then one 8-byte payload per cell (Value's packed-cell form; a
+/// string cell's payload is its owned std::string*). begin/end encode
+/// lifetime per txn/types.h. Only MvccRowStore creates and frees versions;
+/// readers decode them into a Row.
 struct RowVersion {
   std::atomic<uint64_t> begin{0};
   std::atomic<uint64_t> end{kMaxCSN};
-  Row data;
   RowVersion* older = nullptr;
-};
 
-/// Per-key chain of versions, newest first.
+  /// Bytes of the block that holds a version of `cells` cells.
+  static constexpr size_t BlockBytes(size_t cells) {
+    return PayloadOffset(cells) + cells * sizeof(uint64_t);
+  }
+
+  /// Decodes the cells into *out. A row that already has num_cells() cells
+  /// is assigned in place, reusing its string buffers.
+  void DecodeTo(Row* out) const;
+
+ private:
+  friend class MvccRowStore;
+
+  static constexpr size_t kCountOffset = 24;  // == sizeof(RowVersion)
+  static constexpr size_t kTagOffset = kCountOffset + sizeof(uint32_t);
+  static constexpr size_t PayloadOffset(size_t cells) {
+    return (kTagOffset + cells + 7) & ~size_t{7};
+  }
+
+  size_t num_cells() const {
+    uint32_t n;
+    std::memcpy(&n, bytes() + kCountOffset, sizeof(n));
+    return n;
+  }
+
+  /// Allocates a version holding a copy of `row`'s cells.
+  static RowVersion* Make(const Row& row);
+  /// Frees the strings `v` owns, then its block.
+  static void Free(RowVersion* v);
+  /// Replaces the cells with a copy of `row`'s (same arity), freeing the
+  /// old strings first.
+  void Overwrite(const Row& row);
+  /// The block plus every string cell's Value::StringHeapBytes.
+  size_t HeapBytes() const;
+
+  RowVersion() = default;
+  ~RowVersion() = default;
+
+  const char* bytes() const { return reinterpret_cast<const char*>(this); }
+  char* bytes() { return reinterpret_cast<char*>(this); }
+  const uint8_t* tags() const {
+    return reinterpret_cast<const uint8_t*>(bytes() + kTagOffset);
+  }
+  uint8_t* tags() { return reinterpret_cast<uint8_t*>(bytes() + kTagOffset); }
+  const uint64_t* payloads() const {
+    return reinterpret_cast<const uint64_t*>(bytes() +
+                                             PayloadOffset(num_cells()));
+  }
+  uint64_t* payloads() {
+    return reinterpret_cast<uint64_t*>(bytes() + PayloadOffset(num_cells()));
+  }
+};
+static_assert(sizeof(RowVersion) == 24, "the cell count follows the header");
+
+/// Per-key chain of versions, newest first. Stored in place in its
+/// stripe's deque, which never moves an element.
 struct VersionChain {
+  explicit VersionChain(Key k) : key(k) {}
   const Key key;  // chain identity, fixed at creation
   RowVersion* latest GUARDED_BY(latch) = nullptr;
   SpinLatch latch{LockRank::kVersionChain, "version-chain"};
@@ -76,14 +134,17 @@ class MvccRowStore {
 
   // ---- Reads ------------------------------------------------------------
 
-  /// Point read at a snapshot.
+  /// Point read at a snapshot. Decodes the visible version into *out.
   Status Get(const Snapshot& snap, Key key, Row* out) const;
 
-  /// Full scan at a snapshot, in key order. Return false to stop.
+  /// Full scan at a snapshot, in key order. Return false to stop. Each
+  /// visible version is decoded into one scratch row per scan, so the Row
+  /// reference `visit` gets is valid only during that call: copy what you
+  /// keep. `visit` runs with no chain latch held.
   void Scan(const Snapshot& snap,
             const std::function<bool(Key, const Row&)>& visit) const;
 
-  /// Key-range scan [lo, hi] at a snapshot.
+  /// Key-range scan [lo, hi] at a snapshot; `visit` as for Scan.
   void ScanRange(const Snapshot& snap, Key lo, Key hi,
                  const std::function<bool(Key, const Row&)>& visit) const;
 
@@ -121,6 +182,9 @@ class MvccRowStore {
   size_t VersionCount() const {
     return versions_.load(std::memory_order_relaxed);
   }
+  /// What the store has allocated for rows: each version's block
+  /// (RowVersion::BlockBytes) plus its strings' Value::StringHeapBytes, and
+  /// sizeof(VersionChain) per key. The B+-tree is not counted.
   size_t MemoryBytes() const {
     return mem_bytes_.load(std::memory_order_relaxed);
   }
@@ -143,7 +207,12 @@ class MvccRowStore {
 
   void LogDml(Transaction* txn, WalRecordType type, Key key, const Row& row);
 
-  /// Subtracts a freed version's footprint from mem_bytes_, saturating at 0.
+  /// Allocates a version holding `row` and counts it.
+  RowVersion* NewVersion(const Row& row);
+  /// Uncounts and frees a version: the one path every free takes.
+  void Destroy(RowVersion* v);
+
+  /// Subtracts a freed footprint from mem_bytes_, saturating at 0.
   void ReleaseBytes(size_t bytes);
 
   const uint32_t table_id_;
@@ -153,16 +222,17 @@ class MvccRowStore {
 
   BTree index_;  // key -> VersionChain* (optimistic latch coupling)
 
-  // Chain ownership directory, striped by key hash so concurrent writers
-  // creating chains for different keys rarely contend (a same-key race
-  // serializes on its stripe and double-checks the index under the latch).
-  // Chains are owned here and never freed until the store dies (keys are
-  // never unindexed; fully-dead chains are invisible to scans), so the
-  // transaction manager's retire lists may hold chain pointers.
+  // Chain directory, striped by key hash so concurrent writers creating
+  // chains for different keys rarely contend (a same-key race serializes on
+  // its stripe and double-checks the index under the latch). Each chain is
+  // stored in place in its stripe's deque: appending to a deque never moves
+  // an element, so the index, undo entries and the transaction manager's
+  // retire lists may hold chain pointers. Chains live until the store dies
+  // (keys are never unindexed; fully-dead chains are invisible to scans).
   static constexpr size_t kChainStripes = 64;
   struct alignas(64) ChainStripe {
     SpinLatch latch{LockRank::kStoreChains, "row-store-chains"};
-    std::deque<std::unique_ptr<VersionChain>> chains GUARDED_BY(latch);
+    std::deque<VersionChain> chains GUARDED_BY(latch);
   };
   ChainStripe& stripe(Key key) const {
     return stripes_[static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL >>

@@ -48,8 +48,9 @@ DataSynchronizer::DataSynchronizer(ColumnTable* table,
       primary_(primary),
       clock_(clock) {}
 
-void ApplyEntriesToColumnTable(ColumnTable* table,
-                               std::vector<DeltaEntry> entries, CSN up_to) {
+void ApplyEntriesToColumnTableLocked(ColumnTable* table,
+                                     std::vector<DeltaEntry> entries,
+                                     CSN up_to) {
   // Fold the batch, last write per key wins, without copying a row: sorting
   // (key, index) pairs groups each key's entries in commit order. A key
   // whose last entry is an upsert survives with that entry's row, placed at
@@ -78,7 +79,7 @@ void ApplyEntriesToColumnTable(ColumnTable* table,
     }
     // A delete anywhere in the batch removes the key's merged row; an
     // upsert after it re-adds the key in the new group.
-    if (deleted) table->DeleteKey(key, 0);
+    if (deleted) table->DeleteKeyLocked(key, 0);
     const size_t last = order[end - 1].second;
     if (entries[last].op != ChangeOp::kDelete) {
       survivor[first_upsert] = last;
@@ -92,7 +93,7 @@ void ApplyEntriesToColumnTable(ColumnTable* table,
   for (size_t i = 0; i < n; ++i)
     if (survivor[i] != kNone)
       batch.push_back(std::move(entries[survivor[i]].row));
-  table->AppendBatch(std::move(batch), up_to);
+  table->AppendBatchLocked(std::move(batch), up_to);
 }
 
 void DataSynchronizer::EnableStatsMaintenance(
@@ -132,11 +133,16 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
   } else {
     if (source_ == nullptr)
       return Status::Internal("merge synchronizer has no delta source");
-    std::vector<DeltaEntry> entries = source_->DrainUpTo(target_csn);
-    stats_.entries_merged += entries.size();
-    // The stats builder reads the rows before the merge moves them out.
-    if (stats_builder_ != nullptr) stats_builder_->ApplyEntries(entries);
-    ApplyEntriesToColumnTable(table_, std::move(entries), target_csn);
+    {
+      // Drain and apply as one step under the write latch (rank 500, then
+      // the delta's 550): a scan sees the rows in the delta or in the table.
+      WriteGuard g(table_->latch());
+      std::vector<DeltaEntry> entries = source_->DrainUpTo(target_csn);
+      stats_.entries_merged += entries.size();
+      // The stats builder reads the rows before the merge moves them out.
+      if (stats_builder_ != nullptr) stats_builder_->ApplyEntries(entries);
+      ApplyEntriesToColumnTableLocked(table_, std::move(entries), target_csn);
+    }
     if (stats_builder_ != nullptr) {
       if (stats_builder_->deletes_since_recompute() >
           compact_delete_threshold_) {

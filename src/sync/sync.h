@@ -157,8 +157,13 @@ class DataSynchronizer {
 /// learner replica apply loop. Last write per key wins; the surviving rows
 /// move, uncopied, into one new row group, each at its key's first upsert
 /// in the batch (DESIGN.md §19).
-void ApplyEntriesToColumnTable(ColumnTable* table,
-                               std::vector<DeltaEntry> entries, CSN up_to);
+///
+/// The caller holds the table's latch exclusive from before it drains the
+/// entries until this returns. Otherwise a scan that reads the delta and
+/// then the table could fall between the two and miss the drained rows.
+void ApplyEntriesToColumnTableLocked(ColumnTable* table,
+                                     std::vector<DeltaEntry> entries,
+                                     CSN up_to) REQUIRES(table->latch());
 
 /// Periodic background sync driver: wakes every `interval`, syncs to the
 /// latest committed CSN when the staged-entry threshold or interval hits.

@@ -49,7 +49,7 @@ class Transaction {
   /// Undo log (row-store internal).
   std::vector<UndoEntry>& undo() { return undo_; }
 
-  /// Records a change to publish on commit, without its row: commit copies
+  /// Records a change to publish on commit, without its row: commit decodes
   /// the row from `source`, the version this transaction wrote (null for a
   /// delete). The transaction owns that version until it commits, so no
   /// other writer and no GC step can change or free it before the copy.

@@ -52,14 +52,14 @@ Status TransactionManager::Commit(Transaction* txn) {
     return Status::OK();
   }
 
-  // Copy each event's row from the version it names. The versions are still
-  // this transaction's (begin/end hold its id), so no writer or GC step can
-  // change or free them, and no lock is needed. Filling here rather than at
-  // each DML keeps a batch's rows together in memory.
+  // Decode each event's row from the version it names. The versions are
+  // still this transaction's (begin/end hold its id), so no writer or GC
+  // step can change or free them, and no lock is needed. Filling here rather
+  // than at each DML keeps a batch's rows together in memory.
   if (sink_ != nullptr) {
     for (size_t i = 0; i < txn->changes_.size(); ++i)
       if (txn->change_sources_[i] != nullptr)
-        txn->changes_[i].row = txn->change_sources_[i]->data;
+        txn->change_sources_[i]->DecodeTo(&txn->changes_[i].row);
   }
 
   if (wal_ != nullptr) {

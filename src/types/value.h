@@ -8,6 +8,7 @@
 #define HTAP_TYPES_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace htap {
@@ -125,6 +126,53 @@ class Value {
   /// Approximate footprint in bytes (for memory accounting).
   size_t MemoryBytes() const {
     return sizeof(Value) + (is_string() ? StringHeapBytes(*u_.s) : 0);
+  }
+
+  // ---- Packed cells (DESIGN.md §21) ---------------------------------------
+  // A packed cell is this box taken apart: a tag byte and an 8-byte payload,
+  // stored by a container that keeps many cells in one block (the MVCC row
+  // versions). A string cell's payload is its owned std::string*, so a
+  // packed cell must be released with FreePacked. Callers never interpret
+  // the tag; only Value knows its numbering.
+
+  /// Writes a copy of this value as a packed cell (a string is deep-copied).
+  void PackTo(uint8_t* tag, uint64_t* payload) const {
+    *tag = static_cast<uint8_t>(tag_);
+    if (tag_ == Tag::kString) {
+      *payload = reinterpret_cast<uintptr_t>(new std::string(*u_.s));
+    } else {
+      static_assert(sizeof(Payload) == sizeof(uint64_t));
+      std::memcpy(payload, &u_, sizeof(uint64_t));
+    }
+  }
+  /// Assigns a copy of a packed cell to this value. String to string reuses
+  /// this value's buffer, so a row decoded into again and again allocates
+  /// only when a string outgrows it.
+  void AssignPacked(uint8_t tag, uint64_t payload) {
+    const auto t = static_cast<Tag>(tag);
+    if (t == Tag::kString) {
+      const auto* s = reinterpret_cast<const std::string*>(payload);
+      if (tag_ == Tag::kString) {
+        *u_.s = *s;
+        return;
+      }
+      *this = Value(*s);
+      return;
+    }
+    if (tag_ == Tag::kString) delete u_.s;
+    tag_ = t;
+    std::memcpy(&u_, &payload, sizeof(uint64_t));
+  }
+  /// Releases what a packed cell owns (a string's heap object, if any).
+  static void FreePacked(uint8_t tag, uint64_t payload) {
+    if (static_cast<Tag>(tag) == Tag::kString)
+      delete reinterpret_cast<std::string*>(payload);
+  }
+  /// Heap bytes a packed cell holds outside its block (StringHeapBytes for
+  /// a string, else 0).
+  static size_t PackedHeapBytes(uint8_t tag, uint64_t payload) {
+    if (static_cast<Tag>(tag) != Tag::kString) return 0;
+    return StringHeapBytes(*reinterpret_cast<const std::string*>(payload));
   }
 
  private:

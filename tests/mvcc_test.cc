@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -198,6 +200,251 @@ TEST_F(MvccTest, ScanRangeBounds) {
   EXPECT_EQ(keys, (std::vector<Key>{10, 11, 12, 13, 14, 15}));
 }
 
+// ---- Packed versions (DESIGN.md §21) --------------------------------------
+
+// Same tag and bit-identical payload: stricter than Row ==, which equates
+// -0.0 with 0.0, NaN with anything, and an INT64 with an equal DOUBLE.
+void ExpectSameRow(const Row& a, const Row& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    const Value& x = a.Get(i);
+    const Value& y = b.Get(i);
+    ASSERT_EQ(x.is_null(), y.is_null());
+    ASSERT_EQ(x.is_int64(), y.is_int64());
+    ASSERT_EQ(x.is_double(), y.is_double());
+    ASSERT_EQ(x.is_string(), y.is_string());
+    if (x.is_int64()) {
+      EXPECT_EQ(x.AsInt64(), y.AsInt64());
+    }
+    if (x.is_double()) {
+      const double dx = x.AsDouble(), dy = y.AsDouble();
+      EXPECT_EQ(std::memcmp(&dx, &dy, sizeof(double)), 0);
+    }
+    if (x.is_string()) {
+      EXPECT_EQ(x.AsString(), y.AsString());
+    }
+  }
+}
+
+Schema PackedSchema() {
+  return Schema({{"id", Type::kInt64}, {"d", Type::kDouble},
+                 {"s", Type::kString}, {"n", Type::kInt64}});
+}
+
+// Edge cells, one row each: NULL, INT64 min/max, DOUBLE -0.0/NaN/±inf, an
+// INT64 in the DOUBLE column, strings of 0, 15, 16 and 1,000 bytes.
+std::vector<Row> PackedEdgeRows() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {
+      Row{Value(int64_t{1}), Value(-0.0), Value(std::string()),
+          Value(std::numeric_limits<int64_t>::min())},
+      Row{Value(int64_t{2}), Value(std::numeric_limits<double>::quiet_NaN()),
+          Value(std::string(15, 'a')),
+          Value(std::numeric_limits<int64_t>::max())},
+      Row{Value(int64_t{3}), Value(kInf), Value(std::string(16, 'b')),
+          Value::Null()},
+      Row{Value(int64_t{4}), Value(-kInf), Value(std::string(1000, 'c')),
+          Value(int64_t{0})},
+      Row{Value(int64_t{5}), Value(int64_t{42}), Value::Null(),
+          Value(2.5)},
+  };
+}
+
+TEST(MvccPackedTest, InsertGetScanAndCommitEventsAreExact) {
+  struct CollectingSink : ChangeSink {
+    std::vector<ChangeEvent> events;
+    void OnCommit(std::vector<ChangeEvent> evs) override {
+      for (ChangeEvent& ev : evs) events.push_back(std::move(ev));
+    }
+  } sink;
+  TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
+                         &sink);
+  MvccRowStore store(1, PackedSchema(), &mgr, nullptr);
+  const std::vector<Row> rows = PackedEdgeRows();
+
+  auto t = mgr.Begin();
+  for (const Row& r : rows) ASSERT_TRUE(store.Insert(t.get(), r).ok());
+  for (const Row& r : rows) {  // own writes, before commit
+    Row out;
+    ASSERT_TRUE(store.Get(t->snapshot(), r.GetKey(PackedSchema()), &out).ok());
+    ExpectSameRow(out, r);
+  }
+  ASSERT_TRUE(mgr.Commit(t.get()).ok());
+
+  const Snapshot snap = mgr.CurrentSnapshot();
+  for (const Row& r : rows) {
+    Row out;
+    ASSERT_TRUE(store.Get(snap, r.GetKey(PackedSchema()), &out).ok());
+    ExpectSameRow(out, r);
+  }
+  size_t i = 0;
+  store.Scan(snap, [&](Key k, const Row& r) {
+    EXPECT_EQ(k, rows[i].GetKey(PackedSchema()));
+    ExpectSameRow(r, rows[i]);
+    ++i;
+    return true;
+  });
+  EXPECT_EQ(i, rows.size());
+
+  ASSERT_EQ(sink.events.size(), rows.size());
+  for (size_t e = 0; e < rows.size(); ++e)
+    ExpectSameRow(sink.events[e].row, rows[e]);
+}
+
+TEST(MvccPackedTest, ScanReusesItsRowAcrossStringNullString) {
+  // One scratch row serves the whole scan: each key's cells must replace
+  // the previous key's, whatever their kinds.
+  TransactionManager mgr;
+  MvccRowStore store(1, PackedSchema(), &mgr, nullptr);
+  const std::vector<Row> rows = {
+      Row{Value(int64_t{10}), Value(1.5), Value(std::string(40, 'x')),
+          Value(int64_t{1})},
+      Row{Value(int64_t{11}), Value::Null(), Value::Null(), Value::Null()},
+      Row{Value(int64_t{12}), Value(int64_t{3}), Value(std::string("short")),
+          Value(std::string("not an int"))},
+      Row{Value(int64_t{13}), Value(2.0), Value(std::string()), Value(7.5)},
+      Row{Value(int64_t{14}), Value(-1.0), Value(std::string(1000, 'y')),
+          Value(int64_t{-1})},
+      Row{Value(int64_t{15}), Value(0.0), Value(std::string(3, 'z')),
+          Value::Null()},
+  };
+  auto t = mgr.Begin();
+  for (const Row& r : rows) ASSERT_TRUE(store.Insert(t.get(), r).ok());
+  ASSERT_TRUE(mgr.Commit(t.get()).ok());
+
+  std::vector<Row> seen;
+  store.Scan(mgr.CurrentSnapshot(), [&](Key, const Row& r) {
+    seen.push_back(r);  // the reference is valid only during the call
+    return true;
+  });
+  ASSERT_EQ(seen.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) ExpectSameRow(seen[i], rows[i]);
+}
+
+TEST(MvccPackedTest, OwnVersionUpdateGrowsThenShrinksAString) {
+  TransactionManager mgr;
+  MvccRowStore store(1, PackedSchema(), &mgr, nullptr);
+  const Row small{Value(int64_t{1}), Value(1.0), Value(std::string("a")),
+                  Value(int64_t{1})};
+  const Row big{Value(int64_t{1}), Value(int64_t{2}),
+                Value(std::string(500, 'g')), Value::Null()};
+  const Row shrunk{Value(int64_t{1}), Value::Null(),
+                   Value(std::string("b")), Value(3.0)};
+
+  auto t = mgr.Begin();
+  ASSERT_TRUE(store.Insert(t.get(), small).ok());
+  const size_t bytes_small = store.MemoryBytes();
+  ASSERT_TRUE(store.Update(t.get(), big).ok());  // in place: no new version
+  EXPECT_EQ(store.VersionCount(), 1u);
+  EXPECT_EQ(store.MemoryBytes(),
+            bytes_small - Value::StringHeapBytes(std::string("a")) +
+                Value::StringHeapBytes(std::string(500, 'g')));
+  Row out;
+  ASSERT_TRUE(store.Get(t->snapshot(), 1, &out).ok());
+  ExpectSameRow(out, big);
+  ASSERT_TRUE(store.Update(t.get(), shrunk).ok());
+  EXPECT_EQ(store.VersionCount(), 1u);
+  EXPECT_EQ(store.MemoryBytes(), bytes_small);
+  ASSERT_TRUE(store.Get(t->snapshot(), 1, &out).ok());
+  ExpectSameRow(out, shrunk);
+  ASSERT_TRUE(mgr.Commit(t.get()).ok());
+  ASSERT_TRUE(store.Get(mgr.CurrentSnapshot(), 1, &out).ok());
+  ExpectSameRow(out, shrunk);
+}
+
+TEST(MvccPackedTest, AbortAndGcFreeEveryString) {
+  // Under ASan/LSan a string a freed version kept would show as a leak;
+  // the byte gauge must also come back to exactly the survivors.
+  TransactionManager mgr;
+  MvccRowStore store(1, PackedSchema(), &mgr, nullptr);
+  auto row = [](Key k, size_t len) {
+    return Row{Value(k), Value(0.5), Value(std::string(len, 's')),
+               Value(std::string(len + 1, 't'))};
+  };
+  auto t0 = mgr.Begin();
+  for (Key k = 0; k < 8; ++k)
+    ASSERT_TRUE(store.Insert(t0.get(), row(k, 20)).ok());
+  ASSERT_TRUE(mgr.Commit(t0.get()).ok());
+  const size_t committed = store.MemoryBytes();
+
+  auto t1 = mgr.Begin();  // aborted: inserts, updates, own updates
+  for (Key k = 8; k < 12; ++k)
+    ASSERT_TRUE(store.Insert(t1.get(), row(k, 30)).ok());
+  for (Key k = 0; k < 8; ++k)
+    ASSERT_TRUE(store.Update(t1.get(), row(k, 40)).ok());
+  for (Key k = 0; k < 4; ++k)
+    ASSERT_TRUE(store.Update(t1.get(), row(k, 100)).ok());
+  ASSERT_TRUE(mgr.Abort(t1.get()).ok());
+  EXPECT_EQ(store.VersionCount(), 8u);
+  EXPECT_EQ(store.MemoryBytes(), committed + 4 * sizeof(VersionChain));
+
+  for (size_t round = 0; round < 3; ++round) {  // superseded, then collected
+    auto t = mgr.Begin();
+    for (Key k = 0; k < 8; ++k)
+      ASSERT_TRUE(store.Update(t.get(), row(k, 50 + round)).ok());
+    ASSERT_TRUE(mgr.Commit(t.get()).ok());
+  }
+  EXPECT_EQ(store.Vacuum(mgr.Watermark()), 24u);
+  EXPECT_EQ(store.VersionCount(), 8u);
+  const size_t per_row = RowVersion::BlockBytes(4) +
+                         Value::StringHeapBytes(std::string(52, 's')) +
+                         Value::StringHeapBytes(std::string(53, 't'));
+  EXPECT_EQ(store.MemoryBytes(), 12 * sizeof(VersionChain) + 8 * per_row);
+}
+
+TEST(MvccPackedTest, MemoryBytesIsTheSumOfWhatIsAllocated) {
+  // The gauge counts each version's block plus its strings' heap bytes,
+  // and one VersionChain per key: pinned here after a fixed sequence.
+  TransactionManager mgr;
+  MvccRowStore store(1, TestSchema(), &mgr, nullptr);
+  const size_t chain = sizeof(VersionChain);
+  const size_t block = RowVersion::BlockBytes(3);
+  auto str = [](size_t len) {
+    return Value::StringHeapBytes(std::string(len, 'n'));
+  };
+  auto row = [](Key k, size_t len) {
+    return MakeRow(k, k, std::string(len, 'n'));
+  };
+  EXPECT_EQ(store.MemoryBytes(), 0u);
+
+  auto t1 = mgr.Begin();  // insert two keys
+  ASSERT_TRUE(store.Insert(t1.get(), row(1, 20)).ok());
+  ASSERT_TRUE(store.Insert(t1.get(), row(2, 20)).ok());
+  ASSERT_TRUE(mgr.Commit(t1.get()).ok());
+  EXPECT_EQ(store.MemoryBytes(), 2 * chain + 2 * (block + str(20)));
+
+  auto t2 = mgr.Begin();  // update: a second version of key 1
+  ASSERT_TRUE(store.Update(t2.get(), row(1, 30)).ok());
+  ASSERT_TRUE(mgr.Commit(t2.get()).ok());
+  EXPECT_EQ(store.MemoryBytes(),
+            2 * chain + 3 * block + 2 * str(20) + str(30));
+
+  auto t3 = mgr.Begin();  // update, then own-version update in place
+  ASSERT_TRUE(store.Update(t3.get(), row(2, 40)).ok());
+  ASSERT_TRUE(store.Update(t3.get(), row(2, 17)).ok());
+  ASSERT_TRUE(mgr.Commit(t3.get()).ok());
+  EXPECT_EQ(store.MemoryBytes(),
+            2 * chain + 4 * block + 2 * str(20) + str(30) + str(17));
+
+  auto t4 = mgr.Begin();  // delete: stamps an end, allocates nothing
+  ASSERT_TRUE(store.Delete(t4.get(), 1).ok());
+  ASSERT_TRUE(mgr.Commit(t4.get()).ok());
+  EXPECT_EQ(store.MemoryBytes(),
+            2 * chain + 4 * block + 2 * str(20) + str(30) + str(17));
+
+  auto t5 = mgr.Begin();  // abort: the new key's chain stays, versions go
+  ASSERT_TRUE(store.Insert(t5.get(), row(3, 50)).ok());
+  ASSERT_TRUE(store.Update(t5.get(), row(2, 60)).ok());
+  ASSERT_TRUE(mgr.Abort(t5.get()).ok());
+  EXPECT_EQ(store.MemoryBytes(),
+            3 * chain + 4 * block + 2 * str(20) + str(30) + str(17));
+
+  // GC keeps each latest version (key 1's is deleted but still latest).
+  EXPECT_EQ(store.Vacuum(mgr.Watermark()), 2u);
+  EXPECT_EQ(store.MemoryBytes(), 3 * chain + 2 * block + str(30) + str(17));
+}
+
 TEST_F(MvccTest, ChangeSinkReceivesCommitOrderedEvents) {
   struct CollectingSink : ChangeSink {
     std::vector<ChangeEvent> events;
@@ -231,7 +478,7 @@ TEST_F(MvccTest, ChangeSinkReceivesCommitOrderedEvents) {
     EXPECT_EQ(ev.table_id, 1u);
   }
   EXPECT_GT(sink.events[0].csn, 0u);
-  // Rows are copied at commit from the versions the events name: key 1's
+  // Rows are decoded at commit from the versions the events name: key 1's
   // insert and its in-place update both carry the final image, key 2's
   // insert keeps the image its version held, and a delete carries no row.
   EXPECT_EQ(sink.events[0].row, MakeRow(1, 2));

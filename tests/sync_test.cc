@@ -144,7 +144,10 @@ TEST(SyncTest, ApplyEntriesFoldsBatch) {
   add(ChangeOp::kInsert, 2, 5, 3);
   add(ChangeOp::kDelete, 2, 0, 4);   // cancels the insert
   add(ChangeOp::kInsert, 3, 7, 5);
-  ApplyEntriesToColumnTable(&table, entries, 5);
+  {
+    WriteGuard g(table.latch());
+    ApplyEntriesToColumnTableLocked(&table, entries, 5);
+  }
   EXPECT_EQ(table.live_rows(), 2u);
   size_t gi, off;
   ASSERT_TRUE(table.FindKey(1, &gi, &off));
@@ -204,7 +207,10 @@ TEST(SyncTest, PropertyFoldMatchesLastWriteWinsModel) {
     std::sort(expect_order.begin(), expect_order.end());
 
     const size_t groups_before = table.num_groups();
-    ApplyEntriesToColumnTable(&table, std::move(entries), 2 + n);
+    {
+      WriteGuard g(table.latch());
+      ApplyEntriesToColumnTableLocked(&table, std::move(entries), 2 + n);
+    }
     SCOPED_TRACE("trial " + std::to_string(trial));
     EXPECT_EQ(table.merged_csn(), 2 + n);
     EXPECT_EQ(table.live_rows(), model.size());

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -202,6 +204,79 @@ TEST(ValueTest, MemoryBytesCountsTheOutOfLineString) {
   const Row r{Value(int64_t{1}), Value(kLong), Value::Null(), Value(2.0)};
   EXPECT_EQ(r.MemoryBytes(), sizeof(Row) + 3 * sizeof(Value) +
                                  s.MemoryBytes());
+}
+
+// Same tag and bit-identical payload: stricter than ==, which equates
+// -0.0 with 0.0, every NaN with every number it is not ordered against,
+// and an INT64 with the DOUBLE of the same value.
+void ExpectSameCell(const Value& a, const Value& b) {
+  ASSERT_EQ(a.is_null(), b.is_null());
+  ASSERT_EQ(a.is_int64(), b.is_int64());
+  ASSERT_EQ(a.is_double(), b.is_double());
+  ASSERT_EQ(a.is_string(), b.is_string());
+  if (a.is_int64()) {
+    EXPECT_EQ(a.AsInt64(), b.AsInt64());
+  }
+  if (a.is_double()) {
+    const double x = a.AsDouble(), y = b.AsDouble();
+    EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0);
+  }
+  if (a.is_string()) {
+    EXPECT_EQ(a.AsString(), b.AsString());
+  }
+}
+
+std::vector<Value> PackedEdgeValues() {
+  return {Value::Null(),
+          Value(int64_t{42}),
+          Value(2.5),
+          Value(std::numeric_limits<int64_t>::min()),
+          Value(std::numeric_limits<int64_t>::max()),
+          Value(-0.0),
+          Value(std::numeric_limits<double>::quiet_NaN()),
+          Value(std::numeric_limits<double>::infinity()),
+          Value(-std::numeric_limits<double>::infinity()),
+          Value(std::string()),
+          Value(std::string(15, 'a')),
+          Value(std::string(16, 'b')),
+          Value(std::string(1000, 'c'))};
+}
+
+TEST(ValueTest, PackedCellRoundTripIsExact) {
+  for (const Value& v : PackedEdgeValues()) {
+    uint8_t tag;
+    uint64_t payload;
+    v.PackTo(&tag, &payload);
+    Value back;
+    back.AssignPacked(tag, payload);
+    ExpectSameCell(back, v);
+    if (v.is_string()) {
+      // The cell owns a copy of the string, not the source's.
+      EXPECT_NE(reinterpret_cast<const std::string*>(payload), &v.AsString());
+      EXPECT_EQ(Value::PackedHeapBytes(tag, payload),
+                Value::StringHeapBytes(v.AsString()));
+    } else {
+      EXPECT_EQ(Value::PackedHeapBytes(tag, payload), 0u);
+    }
+    Value::FreePacked(tag, payload);
+  }
+}
+
+TEST(ValueTest, AssignPackedOverEveryKindOfCell) {
+  // Every (target, source) pair: the target's old string is reused or
+  // freed (checked under ASan/LSan), never leaked or shared.
+  for (const Value& target : PackedEdgeValues()) {
+    for (const Value& source : PackedEdgeValues()) {
+      uint8_t tag;
+      uint64_t payload;
+      source.PackTo(&tag, &payload);
+      Value v = target;
+      v.AssignPacked(tag, payload);
+      ExpectSameCell(v, source);
+      Value::FreePacked(tag, payload);
+      ExpectSameCell(v, source);  // v kept its own copy
+    }
+  }
 }
 
 TEST(SchemaTest, ValidateRequirements) {

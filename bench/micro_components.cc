@@ -1,12 +1,15 @@
 // Google-benchmark microbenchmarks for the individual substrates: B+-tree
 // operations, column encodings and the encoding advisor, the delta merge,
-// columnar vs row scans, MVCC transaction path, WAL append, one insert
-// transaction through the local engine, and Raft replication (virtual-time
-// cost per commit).
+// columnar vs row scans, MVCC transaction path, WAL append, disk-heap
+// point reads, one insert transaction through the local engine, and Raft
+// replication (virtual-time cost per commit).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "columnar/column_table.h"
 #include "columnar/compression_advisor.h"
@@ -15,6 +18,7 @@
 #include "exec/executor.h"
 #include "index/btree.h"
 #include "sim/raft.h"
+#include "storage/disk_row_store.h"
 #include "storage/mvcc_row_store.h"
 #include "sync/sync.h"
 #include "txn/txn_manager.h"
@@ -347,6 +351,50 @@ void BM_WalAppendDml(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WalAppendDml)->Arg(0)->Arg(1);
+
+// A point read of the disk heap into a fresh Row: what (c)'s MVCC store
+// pays for a key whose version it evicted (DESIGN.md §22). 20,000
+// orderline-shaped rows take 334 pages. Arg(0): a 512-page pool holds them
+// all, so every read hits. Arg(1): a 16-page pool, so about 95% of reads
+// miss and load the page from the file (from the OS page cache: no device
+// read is timed).
+void BM_HeapGet(benchmark::State& state) {
+  const size_t pool_pages = state.range(0) == 0 ? 512 : 16;
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("htap-bm-heap-" + std::to_string(state.range(0))))
+          .string();
+  std::remove(path.c_str());
+  constexpr int kKeys = 20000;
+  {
+    DiskRowStore heap(path,
+                      Schema({{"k", Type::kInt64}, {"o", Type::kInt64},
+                              {"d", Type::kInt64}, {"n", Type::kInt64},
+                              {"i", Type::kInt64}, {"s", Type::kInt64},
+                              {"amount", Type::kDouble}, {"q", Type::kInt64},
+                              {"del", Type::kInt64}, {"info", Type::kString}}),
+                      pool_pages);
+    if (!heap.Open().ok()) state.SkipWithError("cannot open the heap");
+    for (int64_t k = 0; k < kKeys; ++k) heap.Put(OrderlineRow(k));
+    heap.Flush();
+    const BufferPoolStats before = heap.pool_stats();
+    Random rng(5);
+    for (auto _ : state) {
+      Row out;
+      benchmark::DoNotOptimize(
+          heap.Get(static_cast<Key>(rng.Uniform(kKeys)), &out));
+    }
+    const BufferPoolStats after = heap.pool_stats();
+    const uint64_t misses = after.misses - before.misses;
+    state.counters["miss_ratio"] =
+        static_cast<double>(misses) /
+        static_cast<double>(misses + after.hits - before.hits);
+    state.counters["pages"] = heap.num_pages();
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HeapGet)->Arg(0)->Arg(1);
 
 // One 256-row insert transaction per iteration through Database and the
 // LocalHtapEngine, WAL on (in memory), no background merge: row versions,

@@ -2,27 +2,39 @@
 //
 // Transactions run against the MVCC row stores and the WAL; each commit's
 // changes fan out to the table's delta (and, for (c), write through to its
-// disk heap). Analytical scans pick the row side or the column side by the
-// preset's access-path rule. (a) and (d) keep a merged column table synced
-// by the daemon; (c) keeps only the columns the advisor loaded, merged on
-// scan, and falls back to scanning the disk heap (paying buffer-pool I/O)
-// when a query touches a column that is not loaded.
+// disk heap, whose images the row store then evicts: DESIGN.md §22).
+// Analytical scans pick the row side or the column side by the preset's
+// access-path rule. (a) and (d) keep a merged column table synced by the
+// daemon; (c) keeps only the columns the advisor loaded, merged on scan
+// (and by the daemon once the delta reaches sync_entry_threshold), and
+// falls back to scanning the disk heap (paying buffer-pool I/O) when a
+// query touches a column that is not loaded.
 
 #include <stdlib.h>
 
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "core/engines.h"
 
 namespace htap {
 
-/// Background merge driver: one thread syncing every registered
-/// synchronizer on interval/threshold triggers.
+/// Background merge driver: one thread syncing every registered table on
+/// interval/threshold triggers.
 class SyncDaemon {
  public:
+  /// One table's merge: the entries waiting for it, and the merge itself.
+  struct Task {
+    std::function<size_t()> pending;
+    std::function<Status(CSN)> sync_to;
+  };
+
+  /// Never: an interval for a daemon that only the threshold triggers.
+  static constexpr Micros kNoInterval = std::numeric_limits<Micros>::max();
+
   SyncDaemon(TransactionManager* txn_mgr, Micros interval_micros,
              size_t entry_threshold)
       : txn_mgr_(txn_mgr),
@@ -31,9 +43,9 @@ class SyncDaemon {
 
   ~SyncDaemon() { Stop(); }
 
-  void AddTask(DataSynchronizer* sync) {
+  void AddTask(Task task) {
     MutexLock lk(&tasks_mu_);
-    tasks_.push_back(sync);
+    tasks_.push_back(std::move(task));
   }
 
   void Start() {
@@ -55,7 +67,7 @@ class SyncDaemon {
   Status SyncAllNow() {
     const CSN target = txn_mgr_->LastCommittedCsn();
     MutexLock lk(&tasks_mu_);
-    for (DataSynchronizer* t : tasks_) HTAP_RETURN_NOT_OK(t->SyncTo(target));
+    for (const Task& t : tasks_) HTAP_RETURN_NOT_OK(t.sync_to(target));
     return Status::OK();
   }
 
@@ -69,8 +81,8 @@ class SyncDaemon {
       bool threshold_hit = false;
       if (entry_threshold_ != 0) {
         MutexLock lk(&tasks_mu_);
-        for (DataSynchronizer* t : tasks_)
-          threshold_hit |= t->PendingEntries() >= entry_threshold_;
+        for (const Task& t : tasks_)
+          threshold_hit |= t.pending() >= entry_threshold_;
       }
       if (slept >= interval_micros_ || threshold_hit) {
         SyncAllNow();
@@ -85,7 +97,7 @@ class SyncDaemon {
   // Outermost lock in the system: held across SyncTo(), which reaches the
   // sync, table-latch, delta, and catalog locks (DESIGN.md §11).
   Mutex tasks_mu_{LockRank::kSyncDaemon, "sync-daemon-tasks"};
-  std::vector<DataSynchronizer*> tasks_ GUARDED_BY(tasks_mu_);
+  std::vector<Task> tasks_ GUARDED_BY(tasks_mu_);
   std::atomic<bool> stop_{false};
   // htap-lint: guarded-by — touched only from Start()/Stop()/dtor, which
   // the owning engine serializes; never from the daemon thread itself.
@@ -247,10 +259,15 @@ LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
       wal_(MakeWal(options, preset.wal_name)),
       txn_mgr_(wal_.get(), options.commit_shards, /*sink=*/this),
       ap_(options_) {
-  if (options_.background_sync && !preset_.disk_heap) {
-    daemon_ = std::make_unique<SyncDaemon>(&txn_mgr_,
-                                           options_.sync_interval_micros,
-                                           options_.sync_entry_threshold);
+  // (c) merges on scan, so its daemon only bounds the delta: it runs when
+  // sync_entry_threshold entries wait (a bulk load), never on the interval.
+  if (options_.background_sync &&
+      (!preset_.disk_heap || options_.sync_entry_threshold != 0)) {
+    daemon_ = std::make_unique<SyncDaemon>(
+        &txn_mgr_,
+        preset_.disk_heap ? SyncDaemon::kNoInterval
+                          : options_.sync_interval_micros,
+        options_.sync_entry_threshold);
     daemon_->Start();
   }
 }
@@ -290,8 +307,6 @@ LocalHtapEngine::TableState* LocalHtapEngine::FindTable(
 Status LocalHtapEngine::CreateTable(const TableInfo& info) {
   if (tables_.count(info.id) != 0)
     return Status::AlreadyExists("table id in use");
-  auto rows = std::make_unique<MvccRowStore>(info.id, info.schema, &txn_mgr_,
-                                             wal_.get());
   std::unique_ptr<DiskRowStore> heap;
   if (preset_.disk_heap) {
     if (heap_dir_.empty()) return Status::IOError("no heap directory");
@@ -300,6 +315,10 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
         options_.buffer_pool_pages);
     HTAP_RETURN_NOT_OK(heap->Open());
   }
+  // (c)'s row store caches the heap: it keeps only the versions the heap
+  // does not hold yet, or that a snapshot still needs.
+  auto rows = std::make_unique<MvccRowStore>(info.id, info.schema, &txn_mgr_,
+                                             wal_.get(), heap.get());
   std::unique_ptr<DeltaStore> delta;
   if (preset_.l1l2_delta)
     delta = std::make_unique<L1L2DeltaStore>(info.schema,
@@ -322,7 +341,16 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
           catalog_->PublishStats(name, st, as_of);
         },
         options_.stats_compact_delete_threshold);
-    if (daemon_) daemon_->AddTask(ts->sync.get());
+    if (daemon_) {
+      DataSynchronizer* sync = ts->sync.get();
+      daemon_->AddTask({[sync] { return sync->PendingEntries(); },
+                        [sync](CSN target) { return sync->SyncTo(target); }});
+    }
+  } else if (daemon_) {
+    daemon_->AddTask({[t = ts.get()] { return t->delta->EntryCount(); },
+                      [this, t = ts.get()](CSN target) {
+                        return SyncLoadedColumns(t, target, nullptr, nullptr);
+                      }});
   }
   tables_[info.id] = std::move(ts);
   return Status::OK();
@@ -387,13 +415,10 @@ void LocalHtapEngine::OnCommit(std::vector<ChangeEvent> events) {
   ForEachTableRun(events, [this](uint32_t tid, std::span<ChangeEvent> run) {
     TableState* ts = FindTable(tid);
     if (ts == nullptr) return;
-    if (ts->heap != nullptr) {  // write-through to the durable heap
-      for (const ChangeEvent& ev : run) {
-        if (ev.op == ChangeOp::kDelete)
-          ts->heap->Delete(ev.key);
-        else
-          ts->heap->Put(ev.row);
-      }
+    if (ts->heap != nullptr) {
+      // Write through to the heap, then tell the row store it may evict
+      // the versions this commit wrote.
+      ts->rows->HeapWritten(run.front().csn, ts->heap->Apply(run).ok());
     }
     ts->delta->AppendBatch(run);
   });
@@ -447,11 +472,18 @@ TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
   const MvccRowStore* store = ts->rows.get();
   std::vector<Row> sample;
   sample.reserve(2048);
-  const ReadView view(&txn_mgr_);
-  store->Scan(view.snapshot(), [&](Key, const Row& r) {
+  const auto take = [&](Key, const Row& r) {
     sample.push_back(r);
     return sample.size() < 2048;
-  });
+  };
+  if (ts->heap != nullptr) {
+    // (c)'s rows live in the heap: sample its first pages, in file order.
+    // A failed read only leaves the sample smaller.
+    ts->heap->Scan(take);
+  } else {
+    const ReadView view(&txn_mgr_);
+    store->Scan(view.snapshot(), take);
+  }
   ts->stats = TableStats::Compute(ts->info.schema, sample);
   ts->stats.row_count = store->ApproxRowCount();
   ts->stats_at_csn = now;

@@ -90,8 +90,9 @@ struct LocalPreset {
   /// row scan, instead of the cost-based choice.
   bool column_primary = false;
   /// (c)'s parts: commits write through to a disk heap that serves row
-  /// scans, and the column side holds only the columns the advisor loaded,
-  /// merged lazily on scan instead of by the sync daemon.
+  /// scans and that the MVCC store caches (DESIGN.md §22), and the column
+  /// side holds only the columns the advisor loaded, merged lazily on scan
+  /// (the sync daemon merges only at its entry threshold).
   bool disk_heap = false;
   /// QueryExecInfo::access_path when the column side / row side serves.
   const char* column_scan_desc = "";
@@ -159,7 +160,8 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
     // from a nested struct.
     std::vector<int> loaded;  // base column indexes, in the columns' layout
     // Merges the delta into `columns` on the daemon; null for disk_heap,
-    // whose loaded columns merge on scan (SyncLoadedColumns).
+    // whose loaded columns merge on scan and at the daemon's threshold
+    // (SyncLoadedColumns).
     std::unique_ptr<DataSynchronizer> sync;
     // Serializes SyncLoadedColumns' "snapshot the current generation + drain
     // the delta + apply" so concurrent scans cannot apply drained batches

@@ -117,10 +117,10 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
     std::vector<Row> rows;
     rows.reserve(primary_->ApproxRowCount());
     const Snapshot snap{target_csn, 0};
-    primary_->Scan(snap, [&](Key, const Row& r) {
+    HTAP_RETURN_NOT_OK(primary_->Scan(snap, [&](Key, const Row& r) {
       rows.push_back(r);
       return true;
-    });
+    }));
     const size_t loaded = rows.size();
     // A rebuild already holds the full live row set — recompute exactly,
     // before the rows move into the column table.

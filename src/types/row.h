@@ -6,6 +6,7 @@
 #define HTAP_TYPES_ROW_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "types/schema.h"
@@ -56,7 +57,14 @@ class Row {
     for (const auto& v : values_) v.EncodeTo(out);
   }
 
-  static bool DecodeFrom(const std::string& in, size_t* pos, Row* out) {
+  /// Bytes EncodeTo appends.
+  size_t EncodedBytes() const {
+    size_t n = Value(static_cast<int64_t>(values_.size())).EncodedBytes();
+    for (const auto& v : values_) n += v.EncodedBytes();
+    return n;
+  }
+
+  static bool DecodeFrom(std::string_view in, size_t* pos, Row* out) {
     Value n;
     if (!Value::DecodeFrom(in, pos, &n) || !n.is_int64()) return false;
     const int64_t count = n.AsInt64();

@@ -19,7 +19,7 @@ void PutFixed64(std::string* out, uint64_t v) {
   out->append(buf, 8);
 }
 
-bool GetFixed64(const std::string& in, size_t* pos, uint64_t* v) {
+bool GetFixed64(std::string_view in, size_t* pos, uint64_t* v) {
   if (*pos + 8 > in.size()) return false;
   std::memcpy(v, in.data() + *pos, 8);
   *pos += 8;
@@ -135,7 +135,7 @@ void Value::EncodeTo(std::string* out) const {
   }
 }
 
-bool Value::DecodeFrom(const std::string& in, size_t* pos, Value* out) {
+bool Value::DecodeFrom(std::string_view in, size_t* pos, Value* out) {
   if (*pos >= in.size()) return false;
   const uint8_t tag = static_cast<uint8_t>(in[(*pos)++]);
   switch (tag) {
@@ -160,7 +160,7 @@ bool Value::DecodeFrom(const std::string& in, size_t* pos, Value* out) {
       uint64_t n;
       if (!GetFixed64(in, pos, &n)) return false;
       if (*pos + n > in.size()) return false;
-      *out = Value(in.substr(*pos, n));
+      *out = Value(std::string(in.substr(*pos, n)));
       *pos += n;
       return true;
     }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace htap {
 
@@ -110,11 +111,16 @@ class Value {
 
   std::string ToString() const;
 
-  /// Binary (de)serialization used by the WAL and log-delta files.
+  /// Binary (de)serialization used by the WAL, log-delta files and the
+  /// disk heap.
   void EncodeTo(std::string* out) const;
+  /// Bytes EncodeTo appends.
+  size_t EncodedBytes() const {
+    return 1 + (is_null() ? 0 : 8) + (is_string() ? u_.s->size() : 0);
+  }
   /// Decodes one value starting at *pos; advances *pos. Returns false on
   /// malformed input.
-  static bool DecodeFrom(const std::string& in, size_t* pos, Value* out);
+  static bool DecodeFrom(std::string_view in, size_t* pos, Value* out);
 
   /// Heap bytes a string cell holds outside the box: the std::string
   /// object and its buffer. Row::MemoryBytes and the batch-side estimate

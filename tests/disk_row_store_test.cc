@@ -1,6 +1,8 @@
 // Disk row store tests: heap round trips, upsert/tombstone semantics,
-// persistence across reopen, buffer-pool hit/miss/eviction accounting, and
-// the heap file format and pool counters pinned for a fixed sequence.
+// persistence across reopen, buffer-pool hit/miss/eviction accounting, the
+// heap file format and pool counters pinned for a fixed sequence, the page
+// bound Put enforces, and the file-order scan (one fetch per page, a view
+// as of its start).
 
 #include <gtest/gtest.h>
 
@@ -232,6 +234,104 @@ TEST_F(DiskRowStoreTest, RejectsOversizedRow) {
   ASSERT_TRUE(store.Open().ok());
   EXPECT_TRUE(store.Put(MakeRow(1, 1, std::string(kDiskPageSize, 'z')))
                   .IsInvalidArgument());
+}
+
+// Fits is the exact bound Put enforces: a record of one page fits, one
+// byte more does not.
+TEST_F(DiskRowStoreTest, FitsIsThePutBound) {
+  DiskRowStore store(path_, TestSchema(), 4);
+  ASSERT_TRUE(store.Open().ok());
+  // Record: 13 header bytes, a 9-byte count, two 9-byte ints, then the
+  // string's tag and length (9 bytes) and its bytes.
+  const size_t max_string = kDiskPageSize - 13 - 9 - 9 - 9 - 9;
+  const Row largest = MakeRow(1, 1, std::string(max_string, 'q'));
+  const Row too_large = MakeRow(2, 2, std::string(max_string + 1, 'q'));
+  EXPECT_TRUE(DiskRowStore::Fits(largest));
+  EXPECT_FALSE(DiskRowStore::Fits(too_large));
+  EXPECT_TRUE(store.Put(largest).ok());
+  EXPECT_TRUE(store.Put(too_large).IsInvalidArgument());
+  Row out;
+  ASSERT_TRUE(store.Get(1, &out).ok());
+  EXPECT_EQ(out, largest);
+}
+
+// A scan walks the heap file once, in page order, so a cold scan misses
+// once per page, even when the file's record order is unrelated to the key
+// order an index walk would follow.
+TEST_F(DiskRowStoreTest, ScanFetchesEachPageOnce) {
+  constexpr uint32_t kPinnedPages = 223;
+  // Every page, once: the 4-page pool no longer holds the last pages by
+  // the time the scan reaches them.
+  constexpr uint64_t kPinnedScanMisses = 223;
+  DiskRowStore store(path_, TestSchema(), 4);
+  ASSERT_TRUE(store.Open().ok());
+  for (Key i = 0; i < 1500; ++i) {
+    const Key k = i * 7919 % 1500;  // every key once, scrambled
+    ASSERT_TRUE(store.Put(MakeRow(k, k, std::string(850, 'x'))).ok());
+  }
+  // Rewrite every third row, so some newest records sit at the file's end.
+  for (Key k = 0; k < 1500; k += 3)
+    ASSERT_TRUE(store.Put(MakeRow(k, -k, std::string(850, 'y'))).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(store.num_pages(), kPinnedPages);
+
+  const uint64_t misses_before = store.pool_stats().misses;
+  std::map<Key, int64_t> seen;
+  ASSERT_TRUE(store
+                  .Scan([&](Key k, const Row& r) {
+                    EXPECT_TRUE(seen.emplace(k, r.Get(1).AsInt64()).second);
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(store.pool_stats().misses - misses_before, kPinnedScanMisses);
+  ASSERT_EQ(seen.size(), 1500u);
+  for (const auto& [k, v] : seen) EXPECT_EQ(v, k % 3 == 0 ? -k : k);
+}
+
+// A scan visits the heap as of its start. `visit` runs with no lock held,
+// so it can write to the store mid-scan: rewrites of keys the scan has not
+// reached yet, a delete, and an insert must not show, and no key may be
+// visited twice.
+TEST_F(DiskRowStoreTest, ScanIsAsOfItsStartAcrossConcurrentWrites) {
+  DiskRowStore store(path_, TestSchema(), 4);
+  ASSERT_TRUE(store.Open().ok());
+  std::map<Key, Row> expect;
+  for (Key k = 0; k < 400; ++k) {
+    Row row = MakeRow(k, k, std::string(300, 'a'));
+    ASSERT_TRUE(store.Put(row).ok());
+    expect[k] = std::move(row);
+  }
+  std::map<Key, Row> got;
+  bool wrote = false;
+  ASSERT_TRUE(store
+                  .Scan([&](Key k, const Row& r) {
+                    EXPECT_TRUE(got.emplace(k, r).second) << "key " << k;
+                    if (!wrote) {
+                      wrote = true;
+                      // Keys behind and ahead of the scan, twice each.
+                      for (int round = 0; round < 2; ++round)
+                        for (Key w = 0; w < 400; w += 7)
+                          EXPECT_TRUE(
+                              store.Put(MakeRow(w, -w - round, "new")).ok());
+                      EXPECT_TRUE(store.Delete(399).ok());
+                      EXPECT_TRUE(store.Put(MakeRow(1000, 1, "late")).ok());
+                    }
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(got, expect);
+  // A scan started now sees the writes.
+  std::map<Key, Row> after;
+  ASSERT_TRUE(store
+                  .Scan([&](Key k, const Row& r) {
+                    after.emplace(k, r);
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(after.size(), 400u);  // 399 deleted, 1000 inserted
+  EXPECT_EQ(after.at(7).Get(1).AsInt64(), -8);
+  EXPECT_EQ(after.count(399), 0u);
+  EXPECT_EQ(after.at(1000).Get(2).AsString(), "late");
 }
 
 }  // namespace

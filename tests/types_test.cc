@@ -66,7 +66,11 @@ TEST(ValueTest, CodecRoundTrip) {
                          Value(int64_t{1} << 62), Value(2.75), Value(""),
                          Value("hello world"), Value(std::string(1000, 'x'))};
   std::string buf;
-  for (const Value& v : cases) v.EncodeTo(&buf);
+  for (const Value& v : cases) {
+    const size_t before = buf.size();
+    v.EncodeTo(&buf);
+    EXPECT_EQ(buf.size() - before, v.EncodedBytes());
+  }
   size_t pos = 0;
   for (const Value& expected : cases) {
     Value got;
@@ -314,6 +318,7 @@ TEST(RowTest, CodecRoundTrip) {
   Row r{Value(int64_t{1}), Value::Null(), Value(2.5), Value("abc")};
   std::string buf;
   r.EncodeTo(&buf);
+  EXPECT_EQ(buf.size(), r.EncodedBytes());
   size_t pos = 0;
   Row got;
   ASSERT_TRUE(Row::DecodeFrom(buf, &pos, &got));

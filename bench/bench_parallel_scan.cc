@@ -1,7 +1,7 @@
 // Morsel-driven parallel scan & aggregation scaling curve.
 //
-// Measures ScanHtap (column scan + delta union, double-typed filter) and
-// HashAggregate (partial tables + merge) throughput at 1/2/4/8 workers over
+// Measures ScanHtapBatches (column scan + delta union, double-typed filter)
+// and HashAggregate over its batches (partial tables + merge) throughput at 1/2/4/8 workers over
 // the engine-style AP pool, verifying that every parallel result is
 // identical to the serial one. Emits one JSON line per point so the curve
 // can be plotted / regression-tracked:
@@ -52,13 +52,14 @@ Point RunPoint(const ColumnTable& table, const InMemoryDeltaStore& delta,
                                      AggSpec::Max(1, "mx")};
 
   Point p;
-  std::vector<Row> rows;
+  std::vector<ColumnBatch> batches;
   for (int rep = -1; rep < kReps; ++rep) {  // rep -1 = warmup
     Stopwatch sw;
-    rows = ScanHtap(table, &delta, kMaxCSN - 1, pred, {}, exec, nullptr);
+    batches =
+        ScanHtapBatches(table, &delta, kMaxCSN - 1, pred, {}, exec, nullptr);
     if (rep >= 0) p.scan_sec += sw.ElapsedSeconds();
   }
-  if (rows != serial_scan) {
+  if (BatchesToRows(batches) != serial_scan) {
     std::fprintf(stderr, "FATAL: parallel scan result differs at %zu threads\n",
                  threads);
     std::abort();
@@ -66,7 +67,7 @@ Point RunPoint(const ColumnTable& table, const InMemoryDeltaStore& delta,
   std::vector<Row> agg;
   for (int rep = -1; rep < kReps; ++rep) {
     Stopwatch sw;
-    agg = HashAggregate(rows, {2}, aggs, exec);
+    agg = HashAggregate(batches, {2}, aggs, exec);
     if (rep >= 0) p.agg_sec += sw.ElapsedSeconds();
   }
   auto less = [](const Row& a, const Row& b) {
@@ -128,8 +129,10 @@ int main() {
   const auto serial_scan = ScanHtap(table, &delta, kMaxCSN - 1,
                                     Predicate::Ge(3, Value(10.0)), {});
   const auto serial_agg = HashAggregate(
-      serial_scan, {2},
-      {AggSpec::Count("n"), AggSpec::Sum(3, "s"), AggSpec::Max(1, "mx")});
+      ScanHtapBatches(table, &delta, kMaxCSN - 1, Predicate::Ge(3, Value(10.0)),
+                      {}, ExecContext{}),
+      {2}, {AggSpec::Count("n"), AggSpec::Sum(3, "s"), AggSpec::Max(1, "mx")},
+      ExecContext{});
   const Point serial = RunPoint(table, delta, 1, serial_scan, serial_agg);
 
   std::printf("%8s | %12s | %12s | %8s | %12s | %8s\n", "threads",

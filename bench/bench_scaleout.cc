@@ -99,8 +99,9 @@ RunResult RunConfig(int shards, int clients, Micros duration, uint64_t seed,
     const auto leader_rows = db.LeaderRows(t);
     if (db.LearnerRows(t) != leader_rows) r.state_equal = false;
     // The columnar path must expose the same row set after the merge.
-    if (db.AnalyticalScan(t, Predicate::True(), {}, /*include_delta=*/false)
-            .size() != leader_rows.size())
+    if (TotalActiveRows(db.AnalyticalScanBatches(
+            t, Predicate::True(), {}, /*batch_rows=*/0,
+            /*include_delta=*/false)) != leader_rows.size())
       r.state_equal = false;
   }
 

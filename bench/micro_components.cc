@@ -220,7 +220,8 @@ void BM_RowScanFiltered(benchmark::State& state) {
   mgr.Commit(txn.get());
   const Predicate pred = Predicate::Eq(1, Value(int64_t{42}));
   for (auto _ : state) {
-    auto out = ScanRowStore(store, mgr.CurrentSnapshot(), pred, {0});
+    auto out =
+        ScanRowStore(store, mgr.CurrentSnapshot(), pred, {0}, ExecContext{});
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() * 100000);

@@ -16,13 +16,16 @@
 #            append (rows move out of the commit's events), the disk heap
 #            (records are written into pooled pages in place), (c)'s
 #            version cache (evicted versions are freed by the GC step and
-#            restored by writers) and the CH-benCHmark load and scans on
+#            restored by writers), the CH-benCHmark load and scans on
 #            every preset (packed MVCC versions own their strings;
-#            mvcc_test checks each free path)
+#            mvcc_test checks each free path) and the query runner's one
+#            batch pipeline (query_runner_test, optimizer_test)
 #   tsan   — TSan over the concurrency tests (zero suppressions), including
 #            the disk heap (TP reads race commits' writes and page-order
-#            scans) and (c)'s version cache (readers re-check a chain after
-#            reading its image outside the latch)
+#            scans), (c)'s version cache (readers re-check a chain after
+#            reading its image outside the latch) and the CH queries on
+#            every preset (the row side's batch source runs key-range
+#            morsels on the AP pool)
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
 #   tidy   — clang-tidy over every first-party TU — skipped with a notice
@@ -164,7 +167,7 @@ suite_rank() {
 }
 
 suite_asan() {
-  echo "== asan+ubsan: executor/join/spill + EBR/OLC + Value ownership + merge + delta + heap + version cache + CH load tests =="
+  echo "== asan+ubsan: executor/join/spill + EBR/OLC + Value ownership + merge + delta + heap + version cache + CH load + query runner tests =="
   local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
@@ -172,7 +175,7 @@ suite_asan() {
                     ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test types_test sync_test
                     delta_test disk_row_store_test chbench_test
-                    version_cache_test)
+                    version_cache_test query_runner_test optimizer_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null
   cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
@@ -188,7 +191,7 @@ suite_tsan() {
                     thread_safety_regression_test database_test
                     ebr_test tp_scaling_test mvcc_test wal_test
                     sim_test raft_test dist_db_test types_test
-                    disk_row_store_test version_cache_test)
+                    disk_row_store_test version_cache_test chbench_test)
   cmake -B build-tsan -S . -DHTAP_TSAN=ON > /dev/null
   cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"
   for t in "${TSAN_TESTS[@]}"; do

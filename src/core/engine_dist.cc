@@ -111,21 +111,8 @@ void DistributedHtapEngine::AwaitLearners() {
     env_.RunUntil(env_.Now() + options_.sim_step_micros);
 }
 
-Result<std::vector<Row>> DistributedHtapEngine::Scan(const ScanRequest& req,
-                                                     ScanStats* stats,
-                                                     std::string* path_desc) {
-  if (req.require_fresh) AwaitLearners();
-  if (path_desc != nullptr)
-    *path_desc = req.require_fresh ? "learner-logdelta+column-scan"
-                                   : "learner-column-scan";
-  return db_->AnalyticalScan(req.table->id, *req.pred, req.projection,
-                             /*include_delta=*/req.require_fresh, stats);
-}
-
-Result<std::vector<ColumnBatch>> DistributedHtapEngine::BatchScan(
+Result<std::vector<ColumnBatch>> DistributedHtapEngine::Scan(
     const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
-  if (req.path == PathHint::kForceRow)
-    return Status::NotSupported("forced row scan");
   if (req.require_fresh) AwaitLearners();
   if (path_desc != nullptr)
     *path_desc = req.require_fresh ? "learner-logdelta+column-scan"
@@ -142,22 +129,15 @@ Result<QueryResult> DistributedHtapEngine::Execute(const QueryPlan& plan,
                              std::string* desc) {
     return Scan(req, stats, desc);
   };
-  BatchScanFn batch_scan;
-  if (options_.vectorized_exec)
-    batch_scan = [this](const ScanRequest& req, ScanStats* stats,
-                        std::string* desc) {
-      return BatchScan(req, stats, desc);
-    };
   // The facade drives the simulator from one thread, so execution stays
-  // serial; the context still carries the batch/join knobs.
+  // serial; the context still carries the batch and join settings.
   ExecContext exec;
   exec.min_parallel_join_build = options_.parallel_join_min_build_rows;
   exec.join_spill_budget_bytes = options_.join_spill_budget_bytes;
   exec.join_spill_dir = options_.join_spill_dir;
   exec.stats_staleness_csns = options_.stats_staleness_csns;
   exec.batch_rows = options_.vectorized_batch_rows;
-  exec.vectorized_join = options_.vectorized_join;
-  return RunPlan(plan, *catalog_, scan, info, exec, batch_scan);
+  return RunPlan(plan, *catalog_, scan, info, exec);
 }
 
 Status DistributedHtapEngine::ForceSync(const TableInfo&) {

@@ -445,7 +445,19 @@ Status LocalHtapEngine::SyncLoadedColumns(
     // delta's 550): a scan sees the rows in the delta or in the table.
     ColumnTable* table = columns.get();
     WriteGuard g(table->latch());
+    if (target <= table->merged_csn()) {
+      // Already merged past the target (a later scan's or the daemon's
+      // merge): draining less would move merged_csn back.
+      if (columns_out != nullptr) *columns_out = std::move(columns);
+      if (loaded_out != nullptr) *loaded_out = std::move(loaded);
+      return Status::OK();
+    }
     std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
+    if (!entries.empty()) {
+      // order: relaxed — plain counters; Stats() reads a recent value.
+      ts->merges.fetch_add(1, std::memory_order_relaxed);
+      ts->entries_merged.fetch_add(entries.size(), std::memory_order_relaxed);
+    }
     if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
       // Reduce each row to the loaded columns by moving the cells it keeps.
       for (DeltaEntry& e : entries) {
@@ -592,8 +604,7 @@ Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
   std::shared_ptr<ColumnTable> columns;
   std::vector<int> loaded;
   if (ts->sync == nullptr) {
-    HTAP_RETURN_NOT_OK(SyncLoadedColumns(ts, txn_mgr_.LastCommittedCsn(),
-                                         &columns, &loaded));
+    HTAP_RETURN_NOT_OK(SyncLoadedColumns(ts, req.csn, &columns, &loaded));
   } else {
     MutexLock lk(&tables_mu_);
     columns = ts->columns;
@@ -628,57 +639,42 @@ Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
   return acc;
 }
 
-Result<std::vector<Row>> LocalHtapEngine::Scan(const ScanRequest& req,
-                                               ScanStats* stats,
-                                               std::string* path_desc) {
+Result<std::vector<ColumnBatch>> LocalHtapEngine::Scan(
+    const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
   TableState* ts = FindTable(req.table->id);
   if (ts == nullptr) return Status::NotFound("no such table");
   if (preset_.disk_heap)
     advisor_.RecordAccess(req.table->name, TouchedColumns(req));
   HTAP_ASSIGN_OR_RETURN(ScanAccess acc, ResolveAccess(req, ts));
+  const ExecContext exec = ap_.ctx();
 
   if (acc.columns != nullptr) {
     if (path_desc != nullptr) *path_desc = preset_.column_scan_desc;
-    return ScanHtap(*acc.columns, acc.delta, txn_mgr_.LastCommittedCsn(),
-                    acc.pred, acc.proj, ap_.ctx(), stats);
+    return ScanHtapBatches(*acc.columns, acc.delta, req.csn, acc.pred,
+                           acc.proj, exec, stats);
   }
-  std::vector<Row> out;
+  // The row side: each row that passes goes straight into the batches.
+  BatchBuilder out(req.table->schema, req.projection, exec.batch_rows);
   if (acc.path == AccessPath::kRowIndexLookup) {
     if (path_desc != nullptr) *path_desc = AccessPathName(acc.path);
     Row row;
     if (Read(*req.table, acc.pk_key, &row).ok() && req.pred->Eval(row))
-      out.push_back(ProjectRow(req.projection, row));
-    return out;
+      out.Append(row);
+    return out.Finish();
   }
   if (path_desc != nullptr) *path_desc = preset_.row_scan_desc;
   if (ts->heap == nullptr) {
     // Row paths read MVCC versions, so they pin the GC watermark.
     const ReadView view(&txn_mgr_);
     return ScanRowStore(*ts->rows, view.snapshot(), *req.pred,
-                        req.projection, ap_.ctx());
+                        req.projection, exec);
   }
   // Scan the disk heap through the buffer pool.
   HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& row) {
-    if (req.pred->Eval(row)) out.push_back(ProjectRow(req.projection, row));
+    if (req.pred->Eval(row)) out.Append(row);
     return true;
   }));
-  return out;
-}
-
-Result<std::vector<ColumnBatch>> LocalHtapEngine::BatchScan(
-    const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
-  TableState* ts = FindTable(req.table->id);
-  if (ts == nullptr) return Status::NotFound("no such table");
-  HTAP_ASSIGN_OR_RETURN(ScanAccess acc, ResolveAccess(req, ts));
-  if (acc.columns == nullptr)
-    return Status::NotSupported("the row side serves this scan");
-  // Record the access only once it is certain this path serves the query;
-  // a decline falls back to Scan, which records unconditionally.
-  if (preset_.disk_heap)
-    advisor_.RecordAccess(req.table->name, TouchedColumns(req));
-  if (path_desc != nullptr) *path_desc = preset_.column_scan_desc;
-  return ScanHtapBatches(*acc.columns, acc.delta, txn_mgr_.LastCommittedCsn(),
-                         acc.pred, acc.proj, ap_.ctx(), stats);
+  return out.Finish();
 }
 
 Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
@@ -687,14 +683,10 @@ Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
                              std::string* desc) {
     return Scan(req, stats, desc);
   };
-  BatchScanFn batch_scan;
-  if (ap_.vectorized)
-    batch_scan = [this](const ScanRequest& req, ScanStats* stats,
-                        std::string* desc) {
-      return BatchScan(req, stats, desc);
-    };
+  // One committed CSN for the whole query: every scan reads the delta (and
+  // (c) merges on scan) up to it.
   return RunPlan(plan, *catalog_, scan, info,
-                 ap_.ctx(txn_mgr_.LastCommittedCsn()), batch_scan);
+                 ap_.ctx(txn_mgr_.LastCommittedCsn()));
 }
 
 Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {
@@ -735,6 +727,10 @@ EngineStats LocalHtapEngine::Stats() {
       const SyncStats ss = ts->sync->stats();
       s.merges += ss.merges;
       s.entries_merged += ss.entries_merged;
+    } else {
+      // order: relaxed — counters only, as SyncLoadedColumns writes them.
+      s.merges += ts->merges.load(std::memory_order_relaxed);
+      s.entries_merged += ts->entries_merged.load(std::memory_order_relaxed);
     }
     s.column_store_bytes += ts->columns->MemoryBytes();
     s.delta_bytes += ts->delta->MemoryBytes();

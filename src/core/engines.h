@@ -13,6 +13,7 @@
 #ifndef HTAP_CORE_ENGINES_H_
 #define HTAP_CORE_ENGINES_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 
@@ -43,8 +44,6 @@ struct ApScanRuntime {
   std::string spill_dir;
   uint64_t stats_staleness = 65536;
   size_t batch_rows = 4096;  // rows per ColumnBatch (DESIGN.md §12)
-  bool vectorized = true;    // engine offers its batch scan to the runner
-  bool vectorized_join = true;  // batch-native joins (DESIGN.md §13)
 
   explicit ApScanRuntime(const DatabaseOptions& options)
       : threads(EffectiveParallelScanThreads(options)),
@@ -52,9 +51,7 @@ struct ApScanRuntime {
         spill_budget(options.join_spill_budget_bytes),
         spill_dir(options.join_spill_dir),
         stats_staleness(options.stats_staleness_csns),
-        batch_rows(options.vectorized_batch_rows),
-        vectorized(options.vectorized_exec),
-        vectorized_join(options.vectorized_join) {
+        batch_rows(options.vectorized_batch_rows) {
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads, "ap-scan");
   }
 
@@ -70,7 +67,6 @@ struct ApScanRuntime {
     exec.committed_csn = committed_csn;
     exec.stats_staleness_csns = stats_staleness;
     exec.batch_rows = batch_rows;
-    exec.vectorized_join = vectorized_join;
     return exec;
   }
 };
@@ -167,6 +163,11 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
     // the delta + apply" so concurrent scans cannot apply drained batches
     // out of commit order (or drain entries into a superseded generation).
     Mutex merge_mu{LockRank::kEngineTableSync, "local-column-merge"};
+    // SyncLoadedColumns' non-empty drains and the entries they merged:
+    // written under merge_mu, read lock-free by Stats() (which holds
+    // tables_mu_, ranked above merge_mu).
+    std::atomic<uint64_t> merges{0};
+    std::atomic<uint64_t> entries_merged{0};
     // Plan-time row-store stats: refreshed from a snapshot scan while
     // concurrent queries copy them out, so they carry their own mutex.
     Mutex stats_mu{LockRank::kEngineTableStats, "local-table-stats"};
@@ -176,20 +177,19 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   struct ScanAccess;
 
   TableState* FindTable(uint32_t table_id) const;
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized scan: serves only scans the column side serves, as
-  /// ColumnBatches straight off the encoded segments; declines everything
-  /// else with NotSupported (the runner falls back to Scan).
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
-  /// The access-path decision shared by Scan and BatchScan, plus — when the
-  /// column side serves — the pinned generation and the request remapped
-  /// onto its layout.
+  /// The runner's scan: the column side's batches straight off the encoded
+  /// segments, or the row side's rows (the MVCC store, (c)'s disk heap, or
+  /// one PK lookup) appended into batches as they are read.
+  Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
+                                        ScanStats* stats,
+                                        std::string* path_desc);
+  /// Scan's access-path decision, plus — when the column side serves — the
+  /// pinned generation and the request remapped onto its layout.
   Result<ScanAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
   /// Drains the delta up to `target` into the current loaded-column
-  /// generation and (optionally) returns that generation to scan.
+  /// generation and (optionally) returns that generation to scan. A target
+  /// at or below the generation's merged CSN drains nothing, so merged_csn
+  /// never moves back.
   Status SyncLoadedColumns(TableState* ts, CSN target,
                            std::shared_ptr<ColumnTable>* columns_out,
                            std::vector<int>* loaded_out);
@@ -241,13 +241,12 @@ class DistributedHtapEngine : public HtapEngine {
   sim::SimEnv* env() { return &env_; }
 
  private:
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized learner scan: ColumnBatches straight off the shard
-  /// learners' column tables; declines only a forced row scan.
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
+  /// The runner's scan, for every path hint: ColumnBatches straight off the
+  /// shard learners' column tables (the learners are (b)'s only scannable
+  /// copy; a forced row scan reads them too).
+  Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
+                                        ScanStats* stats,
+                                        std::string* path_desc);
   /// Before a require_fresh scan: pumps virtual time until every shard's
   /// learner holds all its leader committed, so the delta-union scan
   /// reflects each commit the caller has seen (bounded by

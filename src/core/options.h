@@ -74,27 +74,10 @@ struct DatabaseOptions {
   /// compacts the column table and fully recomputes the table's statistics.
   size_t stats_compact_delete_threshold = 8192;
 
-  /// Vectorized batch execution (DESIGN.md §12): the scan emits fixed-size
-  /// ColumnBatches of typed vectors instead of rows, predicates evaluate
-  /// directly on the encoded segment data, and eligible plans (simple scans
-  /// and single-table aggregates on a column path) run batch-at-a-time end
-  /// to end. Output is byte-identical to the row path. Off = row-at-a-time
-  /// everywhere.
-  bool vectorized_exec = true;
-
-  /// Rows per ColumnBatch the vectorized scan emits (0 = one batch per row
-  /// group). Larger batches amortize dispatch; smaller batches stay cache-
-  /// resident.
+  /// Rows per ColumnBatch every scan emits (DESIGN.md §12; 0 = one batch
+  /// per row group, or per row-side scan). Larger batches amortize
+  /// dispatch; smaller batches stay cache-resident.
   size_t vectorized_batch_rows = 4096;
-
-  /// Batch-native hash joins with late materialization (DESIGN.md §13):
-  /// when every input of a join plan can scan as batches, join keys are
-  /// extracted straight from the typed columns, only (input, index) lineage
-  /// flows between join steps, and payload columns are gathered once after
-  /// the last join. Requires vectorized_exec; the planner still falls back
-  /// to the row pipeline when its cost model prefers early materialization.
-  /// Output stays byte-identical to the row join path.
-  bool vectorized_join = true;
 
   /// Per-segment compression advisor: when segments are (re)built at sync
   /// or compaction time, re-pick each segment's encoding from observed

@@ -132,35 +132,6 @@ Status ComputeJoinLayout(const std::vector<BoundJoin>& joins,
   return Status::OK();
 }
 
-/// One hash join with build-side selection (DESIGN.md §9). `build_left` is
-/// the planner's decision — from catalog-statistics estimates when the plan
-/// was ordered at plan time, from exact input sizes otherwise. When
-/// building on the left, the swapped join's pairs — (right, left) index
-/// order — are re-sorted to (left, right) and materialized build-side-
-/// first, so the output rows and their order are byte-identical to the
-/// unswapped join in every regime.
-std::vector<Row> JoinStep(const std::vector<Row>& cur,
-                          const std::vector<Row>& right, int left_col,
-                          int right_col, bool build_left,
-                          const ExecContext& exec, JoinStats* step) {
-  if (!build_left) {
-    const JoinPairs pairs =
-        HashJoinPairs(cur, right, left_col, right_col, exec, step);
-    return MaterializeJoinPairs(cur, right, pairs,
-                                /*build_side_first=*/false, exec);
-  }
-  JoinPairs pairs = HashJoinPairs(right, cur, right_col, left_col, exec, step);
-  step->build_swapped = true;
-  std::sort(pairs.begin(), pairs.end(),
-            [](const std::pair<uint32_t, uint32_t>& a,
-               const std::pair<uint32_t, uint32_t>& b) {
-              return a.second != b.second ? a.second < b.second
-                                          : a.first < b.first;
-            });
-  return MaterializeJoinPairs(right, cur, pairs, /*build_side_first=*/true,
-                              exec);
-}
-
 /// Rounds a fractional cardinality estimate to a row count.
 size_t RoundRows(double est) {
   return est <= 0 ? 0 : static_cast<size_t>(est + 0.5);
@@ -208,159 +179,15 @@ bool CatalogJoinEstimates(const QueryPlan& plan, const Catalog& catalog,
   return true;
 }
 
-/// Executes the plan's joins over `*rows_io` (the scanned base table).
-///
-/// Join ordering is decided BEFORE any join table is read. When every
-/// referenced table has fresh published statistics in the catalog, the
-/// greedy order is chosen at plan time purely from metadata and the join
-/// tables are then scanned lazily in execution order; otherwise the planner
-/// falls back to the pre-stats behavior — scan every join table up front
-/// and count distinct join keys exactly.
-///
-/// Join-order selection may execute clauses out of plan order; when it
-/// does, every input grows a hidden int64 index column, and after the last
-/// join the rows are sorted lexicographically by the hidden columns in PLAN
-/// order — the tuple (base index, match index per clause) is unique and is
-/// exactly the plan-order nested-loop order — then projected back to the
-/// plan's combined layout. When the chosen order is plan order (always the
-/// case for 0–1 joins), none of that machinery is engaged.
-Status ExecuteJoins(const std::vector<BoundJoin>& joins, const TableInfo& base,
-                    const Catalog& catalog, const ScanFn& scan,
-                    const QueryPlan& plan, const ExecContext& exec,
-                    QueryExecInfo* xi, std::vector<Row>* rows_io) {
-  const size_t njoins = joins.size();
-  const size_t base_width = base.schema.columns().size();
-
-  JoinLayout layout;
-  HTAP_RETURN_NOT_OK(ComputeJoinLayout(joins, base_width, &layout));
-  const std::vector<size_t>& width = layout.width;
-  const std::vector<size_t>& offset = layout.offset;
-  const std::vector<std::vector<size_t>>& deps = layout.deps;
-  const size_t total_cols = layout.total_cols;
-
-  std::vector<std::vector<Row>> jrows(njoins);
-  std::vector<uint8_t> scanned(njoins, 0);
-  const auto scan_join = [&](size_t j) -> Status {
-    if (scanned[j]) return Status::OK();
-    ScanRequest rreq;
-    rreq.table = joins[j].table;
-    rreq.pred = joins[j].where;
-    rreq.path = plan.path;
-    rreq.require_fresh = plan.require_fresh;
-    HTAP_ASSIGN_OR_RETURN(jrows[j], scan(rreq, nullptr, nullptr));
-    scanned[j] = 1;
-    return Status::OK();
-  };
-
-  // Greedy join-order selection (trivial for 0–1 joins).
-  std::vector<size_t> order(njoins);
-  for (size_t j = 0; j < njoins; ++j) order[j] = j;
-  std::vector<JoinRelEstimate> rels(njoins);
-  std::vector<double> est_steps;  // estimated output rows per executed step
-  bool stats_planned = false;
-  size_t base_est = 0;
-  if (njoins > 1) {
-    uint64_t age = 0;
-    stats_planned = CatalogJoinEstimates(plan, catalog, base, joins, exec,
-                                         &base_est, &rels, &age);
-    if (stats_planned) {
-      order = ChooseJoinOrder(base_est, rels, deps, &est_steps);
-      xi->join_used_catalog_stats = true;
-      xi->join_stats_age_csns = age;
-    } else {
-      // Sampling fallback: read every join table and count keys exactly.
-      for (size_t j = 0; j < njoins; ++j) HTAP_RETURN_NOT_OK(scan_join(j));
-      for (size_t j = 0; j < njoins; ++j) {
-        rels[j].rows = jrows[j].size();
-        rels[j].key_ndv = static_cast<double>(
-            CountDistinctKeys(jrows[j], joins[j].right_col));
-      }
-      order = ChooseJoinOrder(rows_io->size(), rels, deps, &est_steps);
-    }
-    xi->join_order = order;
-    xi->join_est_rows = est_steps;
-  }
-  bool reorder = false;
-  for (size_t s = 0; s < njoins; ++s) reorder = reorder || order[s] != s;
-
-  // Tag the base input with a hidden index column when the order changed
-  // (join inputs are tagged as they are scanned, below).
-  std::vector<Row> cur = std::move(*rows_io);
-  if (reorder)
-    for (size_t i = 0; i < cur.size(); ++i)
-      cur[i].Append(Value(static_cast<int64_t>(i)));
-
-  // phys_of_logical maps plan-order combined columns to their position in
-  // the physical (execution-order, hidden-tagged) layout.
-  std::vector<int> phys_of_logical(total_cols, -1);
-  for (size_t c = 0; c < base_width; ++c)
-    phys_of_logical[c] = static_cast<int>(c);
-  const size_t base_hidden = base_width;        // valid when reorder
-  std::vector<size_t> join_hidden(njoins, 0);   // valid when reorder
-  size_t cur_width = base_width + (reorder ? 1 : 0);
-
-  for (size_t s = 0; s < njoins; ++s) {
-    const size_t j = order[s];
-    HTAP_RETURN_NOT_OK(scan_join(j));  // no-op on the fallback path
-    if (reorder)
-      for (size_t i = 0; i < jrows[j].size(); ++i)
-        jrows[j][i].Append(Value(static_cast<int64_t>(i)));
-    const int lc_phys = phys_of_logical[static_cast<size_t>(joins[j].left_col)];
-    if (lc_phys < 0)
-      return Status::Internal("join order violated a key dependency");
-    // Build-side selection: plan-time estimates when stats chose the order,
-    // exact input sizes otherwise. Either way the output is restored to the
-    // unswapped layout/order, so a misestimate can only cost time.
-    const bool build_left =
-        stats_planned
-            ? ChooseBuildSideLeft(
-                  s == 0 ? base_est : RoundRows(est_steps[s - 1]),
-                  rels[j].rows)
-            : ChooseBuildSideLeft(cur.size(), jrows[j].size());
-    JoinStats step;
-    cur = JoinStep(cur, jrows[j], lc_phys, joins[j].right_col, build_left,
-                   exec, &step);
-    std::vector<Row>().swap(jrows[j]);  // scanned side now folded into cur
-    for (size_t c = 0; c < width[j]; ++c)
-      phys_of_logical[offset[j] + c] = static_cast<int>(cur_width + c);
-    if (reorder) join_hidden[j] = cur_width + width[j];
-    cur_width += width[j] + (reorder ? 1 : 0);
-    FoldJoinStats(step, &xi->join);
-    xi->join_steps.push_back(step);
-    if (njoins > 1) xi->join_actual_rows.push_back(cur.size());
-  }
-
-  if (reorder) {
-    // Restore plan-order nested-loop order, then the plan-order layout.
-    std::vector<size_t> sort_cols;
-    sort_cols.push_back(base_hidden);
-    for (size_t j = 0; j < njoins; ++j) sort_cols.push_back(join_hidden[j]);
-    std::sort(cur.begin(), cur.end(), [&](const Row& a, const Row& b) {
-      for (size_t c : sort_cols) {
-        const int64_t av = a.Get(c).AsInt64();
-        const int64_t bv = b.Get(c).AsInt64();
-        if (av != bv) return av < bv;
-      }
-      return false;
-    });
-    cur = Project(cur, phys_of_logical);
-  }
-
-  *rows_io = std::move(cur);
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Batch-native join pipeline with late materialization (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
 /// One join input's batch image plus derived per-row metadata. The dense
 /// active index space (active positions in batch order) is the pipeline's
-/// row identity — it equals the input's row index in the row pipeline, so
-/// lineage tuples double as the row path's hidden-index columns.
+/// row identity: the input's row index in nested-loop order.
 struct BatchInput {
   std::vector<ColumnBatch> batches;
-  bool batched_scan = false;  // served by the engine's batch scan
   /// dense active index -> (batch, position): the late-materialization
   /// gather map.
   std::vector<std::pair<uint32_t, uint32_t>> dense;
@@ -449,35 +276,73 @@ void GatherColumn(const BatchInput& in, size_t col,
   }
 }
 
-/// Outcome of the batch join pipeline attempt.
-struct BatchJoinOutcome {
-  /// False when the planner's materialization cost model chose the row
-  /// pipeline's early regime: the base table has still been scanned (its
-  /// scan stats are recorded), and `rows` holds its row image for the
-  /// caller to run ExecuteJoins over.
-  bool executed = false;
-  bool agg_done = false;    // `rows` is already the aggregated output
-  bool projected = false;   // `rows` already carries plan.projection
-  bool base_batched = false;  // base scan was served as batches
-  std::vector<Row> rows;
+/// The scan of one table for `plan`: its pushed-down predicate, the plan's
+/// path hint and freshness, and the query's read CSN. The projection is the
+/// caller's to set (empty = all columns).
+ScanRequest RequestFor(const QueryPlan& plan, const TableInfo& table,
+                       const Predicate* pred, const ExecContext& exec) {
+  ScanRequest req;
+  req.table = &table;
+  req.pred = pred;
+  req.path = plan.path;
+  req.require_fresh = plan.require_fresh;
+  req.csn = exec.committed_csn;
+  return req;
+}
+
+/// The columns an aggregating plan consumes from its input, ascending, with
+/// the group and aggregate indexes remapped onto that narrowed layout.
+/// COUNT(*) alone consumes no column, so the layout then holds just `pk`:
+/// a batch needs one column to carry its row count.
+struct NarrowedAggregate {
+  std::vector<int> cols;
+  std::vector<int> groups;
+  std::vector<AggSpec> aggs;
 };
 
-/// Executes the plan's joins batch-at-a-time (DESIGN.md §13). Join keys are
-/// extracted straight from the typed scan batches; between join steps only
-/// lineage flows — one dense input index per joined input per intermediate
-/// row — and payload columns are gathered exactly once, after the last
-/// join and the reorder fixup, restricted to the columns the plan consumes
-/// (aggregate inputs, the projection, or the full combined layout). Inputs
-/// whose engine declines the batch scan are bridged in with RowsToBatches,
-/// so a single row-only input no longer forces the whole plan back to
-/// row-at-a-time execution. Ordering, build-side selection, swap fixups,
-/// and the reorder sort mirror ExecuteJoins decision-for-decision, so the
-/// output is byte-identical to the row pipeline in every regime.
-Result<BatchJoinOutcome> ExecuteJoinsBatches(
-    const std::vector<BoundJoin>& joins, const TableInfo& base,
-    const Catalog& catalog, const ScanFn& scan, const BatchScanFn& batch_scan,
-    const QueryPlan& plan, const ExecContext& exec, QueryExecInfo* xi) {
-  BatchJoinOutcome out;
+NarrowedAggregate NarrowAggregate(const QueryPlan& plan, int pk) {
+  NarrowedAggregate n;
+  const auto add = [&](int c) {
+    if (c >= 0 && std::find(n.cols.begin(), n.cols.end(), c) == n.cols.end())
+      n.cols.push_back(c);
+  };
+  for (int g : plan.group_by) add(g);
+  for (const AggSpec& a : plan.aggs) add(a.column);
+  if (n.cols.empty()) n.cols.push_back(pk);
+  std::sort(n.cols.begin(), n.cols.end());
+  const auto pos_of = [&](int c) {
+    return static_cast<int>(std::find(n.cols.begin(), n.cols.end(), c) -
+                            n.cols.begin());
+  };
+  n.groups = plan.group_by;
+  for (int& g : n.groups) g = pos_of(g);
+  n.aggs = plan.aggs;
+  for (AggSpec& a : n.aggs)
+    if (a.column >= 0) a.column = pos_of(a.column);
+  return n;
+}
+
+/// Executes the plan's joins batch-at-a-time (DESIGN.md §13) and returns
+/// the plan's output rows before sort/limit: aggregated, projected, or the
+/// full combined layout. Join keys are extracted straight from the typed
+/// scan batches; between join steps only lineage flows — one dense input
+/// index per joined input per intermediate row — and payload columns are
+/// gathered exactly once, after the last join and the reorder fixup,
+/// restricted to the columns the plan consumes.
+///
+/// Join ordering is decided BEFORE any join table is read. When every
+/// referenced table has fresh published statistics in the catalog, the
+/// greedy order is chosen at plan time purely from metadata and the join
+/// tables are then scanned lazily in execution order; otherwise every join
+/// table is scanned up front and its distinct join keys counted exactly.
+/// Whatever the order and build sides, the output is in plan-order
+/// nested-loop order: a build-side swap re-sorts its pairs, and a reordered
+/// plan sorts the final lineage tuples in plan order.
+Result<std::vector<Row>> RunJoins(const std::vector<BoundJoin>& joins,
+                                  const TableInfo& base,
+                                  const Catalog& catalog, const ScanFn& scan,
+                                  const QueryPlan& plan,
+                                  const ExecContext& exec, QueryExecInfo* xi) {
   const size_t njoins = joins.size();
   const size_t base_width = base.schema.columns().size();
   JoinLayout layout;
@@ -489,46 +354,36 @@ Result<BatchJoinOutcome> ExecuteJoinsBatches(
   std::vector<uint8_t> ready(ninputs, 0);
   const auto scan_input = [&](size_t t) -> Status {
     if (ready[t]) return Status::OK();
-    ScanRequest req;
-    req.table = t == 0 ? &base : joins[t - 1].table;
-    req.pred = t == 0 ? &plan.where : joins[t - 1].where;
-    req.path = plan.path;
-    req.require_fresh = plan.require_fresh;
+    const ScanRequest req =
+        t == 0 ? RequestFor(plan, base, &plan.where, exec)
+               : RequestFor(plan, *joins[t - 1].table, joins[t - 1].where,
+                            exec);
     ScanStats* ss = t == 0 ? &xi->scan : nullptr;
     std::string* ap = t == 0 ? &xi->access_path : nullptr;
-    Result<std::vector<ColumnBatch>> b = batch_scan(req, ss, ap);
-    if (b.ok()) {
-      inputs[t].batches = std::move(b.value());
-      inputs[t].batched_scan = true;
-    } else if (b.status().IsNotSupported()) {
-      HTAP_ASSIGN_OR_RETURN(const std::vector<Row> rows, scan(req, ss, ap));
-      inputs[t].batches =
-          RowsToBatches(rows, req.table->schema, {}, exec.batch_rows);
-    } else {
-      return b.status();
-    }
+    HTAP_ASSIGN_OR_RETURN(inputs[t].batches, scan(req, ss, ap));
     FinishBatchInput(&inputs[t], want_weights);
     ready[t] = 1;
     return Status::OK();
   };
   HTAP_RETURN_NOT_OK(scan_input(0));
-  out.base_batched = inputs[0].batched_scan;
 
-  // Join ordering: the same decision procedure as ExecuteJoins (catalog
-  // estimates when fresh, exact sampling otherwise), with NDV counted off
-  // the extracted key columns instead of materialized rows.
+  // Join ordering (trivial for 0–1 joins): catalog estimates when fresh,
+  // exact sampling otherwise, with NDV counted off the extracted key
+  // columns.
   std::vector<size_t> order(njoins);
   for (size_t j = 0; j < njoins; ++j) order[j] = j;
   std::vector<JoinRelEstimate> rels(njoins);
   std::vector<double> est_steps;
   bool stats_planned = false;
   size_t base_est = 0;
-  uint64_t stats_age = 0;
   if (njoins > 1) {
+    uint64_t stats_age = 0;
     stats_planned = CatalogJoinEstimates(plan, catalog, base, joins, exec,
                                          &base_est, &rels, &stats_age);
     if (stats_planned) {
       order = ChooseJoinOrder(base_est, rels, layout.deps, &est_steps);
+      xi->join_used_catalog_stats = true;
+      xi->join_stats_age_csns = stats_age;
     } else {
       for (size_t j = 0; j < njoins; ++j) HTAP_RETURN_NOT_OK(scan_input(j + 1));
       for (size_t j = 0; j < njoins; ++j) {
@@ -537,57 +392,6 @@ Result<BatchJoinOutcome> ExecuteJoinsBatches(
             InputKeys(&inputs[j + 1], joins[j].right_col)));
       }
       order = ChooseJoinOrder(inputs[0].rows(), rels, layout.deps, &est_steps);
-    }
-  }
-
-  // Materialization-regime gate: when usable step estimates exist, the
-  // planner may prefer early materialization — which IS the row pipeline —
-  // so the batch attempt backs out before any join runs. 0–1 joins carry no
-  // estimates and always run late.
-  std::vector<size_t> step_widths;
-  size_t cum_width = base_width;
-  for (size_t s = 0; s < njoins; ++s) {
-    cum_width += layout.width[order[s]];
-    step_widths.push_back(cum_width);
-  }
-  std::vector<int> out_cols;
-  std::vector<int> groups = plan.group_by;
-  std::vector<AggSpec> aggs = plan.aggs;
-  if (!plan.aggs.empty()) {
-    const auto add_col = [&](int c) {
-      if (c < 0) return;
-      if (std::find(out_cols.begin(), out_cols.end(), c) == out_cols.end())
-        out_cols.push_back(c);
-    };
-    for (int g : plan.group_by) add_col(g);
-    for (const AggSpec& a : plan.aggs) add_col(a.column);
-    std::sort(out_cols.begin(), out_cols.end());
-    const auto pos_of = [&](int c) {
-      return static_cast<int>(
-          std::find(out_cols.begin(), out_cols.end(), c) - out_cols.begin());
-    };
-    for (int& g : groups) g = pos_of(g);
-    for (AggSpec& a : aggs)
-      if (a.column >= 0) a.column = pos_of(a.column);
-    // COUNT(*) with no groups consumes no payload; gather one column so the
-    // output batches still carry the row count.
-    if (out_cols.empty()) out_cols.push_back(0);
-  } else if (!plan.projection.empty()) {
-    out_cols = plan.projection;
-  } else {
-    out_cols.resize(layout.total_cols);
-    for (size_t c = 0; c < layout.total_cols; ++c)
-      out_cols[c] = static_cast<int>(c);
-  }
-  if (!ChooseLateMaterialization(est_steps, step_widths, out_cols.size())) {
-    out.rows = BatchesToRows(inputs[0].batches);
-    return out;  // executed == false: run the row pipeline
-  }
-
-  if (njoins > 1) {
-    if (stats_planned) {
-      xi->join_used_catalog_stats = true;
-      xi->join_stats_age_csns = stats_age;
     }
     xi->join_order = order;
     xi->join_est_rows = est_steps;
@@ -690,7 +494,7 @@ Result<BatchJoinOutcome> ExecuteJoinsBatches(
 
   if (reorder) {
     // Restore plan-order nested-loop order: the lineage tuple in plan order
-    // is unique and is exactly the row pipeline's hidden-column sort key.
+    // is unique, and ascending tuples are exactly nested-loop order.
     const size_t n = lineage[0].size();
     std::vector<uint32_t> perm(n);
     for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
@@ -710,6 +514,18 @@ Result<BatchJoinOutcome> ExecuteJoinsBatches(
   // into output batches. Payload values are touched here for the first
   // time — everything upstream moved indices.
   const Schema combined = CombinedSchema(base, joins);
+  NarrowedAggregate narrowed;
+  std::vector<int> out_cols;
+  if (!plan.aggs.empty()) {
+    narrowed = NarrowAggregate(plan, combined.pk_index());
+    out_cols = narrowed.cols;
+  } else if (!plan.projection.empty()) {
+    out_cols = plan.projection;
+  } else {
+    out_cols.resize(layout.total_cols);
+    for (size_t c = 0; c < layout.total_cols; ++c)
+      out_cols[c] = static_cast<int>(c);
+  }
   const size_t n = lineage[0].size();
   const size_t chunk =
       exec.batch_rows == 0 ? std::max<size_t>(n, 1) : exec.batch_rows;
@@ -737,15 +553,9 @@ Result<BatchJoinOutcome> ExecuteJoinsBatches(
   xi->join.join_batches += total_batches;
   xi->join.rows_late_materialized += n;
 
-  if (!plan.aggs.empty()) {
-    out.rows = HashAggregate(obatches, groups, aggs, exec);
-    out.agg_done = true;
-  } else {
-    out.rows = BatchesToRows(obatches);
-    out.projected = !plan.projection.empty();
-  }
-  out.executed = true;
-  return out;
+  if (!plan.aggs.empty())
+    return HashAggregate(obatches, narrowed.groups, narrowed.aggs, exec);
+  return BatchesToRows(obatches);
 }
 
 }  // namespace
@@ -761,8 +571,7 @@ Result<Schema> PlanOutputSchema(const QueryPlan& plan,
 
 Result<QueryResult> RunPlan(const QueryPlan& plan, const Catalog& catalog,
                             const ScanFn& scan, QueryExecInfo* info,
-                            const ExecContext& exec,
-                            const BatchScanFn& batch_scan) {
+                            const ExecContext& exec) {
   const TableInfo* base = catalog.Find(plan.table);
   if (base == nullptr) return Status::NotFound("no table: " + plan.table);
   HTAP_ASSIGN_OR_RETURN(const std::vector<BoundJoin> joins,
@@ -770,113 +579,33 @@ Result<QueryResult> RunPlan(const QueryPlan& plan, const Catalog& catalog,
 
   QueryExecInfo local_info;
   QueryExecInfo* xi = info != nullptr ? info : &local_info;
+  xi->vectorized = true;
 
-  // Projection pushdown. Simple scans push the user's projection; single-
-  // table aggregates push exactly the columns the aggregation consumes
-  // (and remap the aggregate/group indexes onto the narrowed layout) — the
-  // core benefit of columnar access. Joins work on full rows.
-  const bool simple = joins.empty() && plan.aggs.empty();
-  const bool narrowed_agg = joins.empty() && !plan.aggs.empty();
-
-  std::vector<int> agg_scan_cols;       // pushed-down scan projection
-  std::vector<int> remapped_groups = plan.group_by;
-  std::vector<AggSpec> remapped_aggs = plan.aggs;
-  if (narrowed_agg) {
-    auto add_col = [&](int c) {
-      if (c < 0) return;
-      if (std::find(agg_scan_cols.begin(), agg_scan_cols.end(), c) ==
-          agg_scan_cols.end())
-        agg_scan_cols.push_back(c);
-    };
-    for (int c : plan.group_by) add_col(c);
-    for (const AggSpec& a : plan.aggs) add_col(a.column);
-    std::sort(agg_scan_cols.begin(), agg_scan_cols.end());
-    auto pos_of = [&](int c) {
-      return static_cast<int>(std::find(agg_scan_cols.begin(),
-                                        agg_scan_cols.end(), c) -
-                              agg_scan_cols.begin());
-    };
-    for (int& g : remapped_groups) g = pos_of(g);
-    for (AggSpec& a : remapped_aggs)
-      if (a.column >= 0) a.column = pos_of(a.column);
-  }
-
-  ScanRequest req;
-  req.table = base;
-  req.pred = &plan.where;
-  if (simple)
-    req.projection = plan.projection;
-  else if (narrowed_agg)
-    req.projection = agg_scan_cols;
-  req.path = plan.path;
-  req.require_fresh = plan.require_fresh;
-
-  // Vectorized base access (DESIGN.md §12): for plans the batch pipeline
-  // covers — simple scans and single-table aggregates — the scan emits
-  // column batches and the aggregate consumes them directly. The engine
-  // declines requests its batch path cannot serve (NotSupported), and the
-  // runner falls back to the row scan; any other error is the query's.
+  // The joins fan build/probe morsels onto the same AP pool as scans, so
+  // the scheduler's OLAP concurrency quota bounds their in-flight morsels
+  // exactly as it bounds scan morsels.
   std::vector<Row> rows;
-  bool agg_done = false;
-  bool scanned = false;
-  bool joins_done = false;
-  bool projected = false;
-
-  // Batch-native joins (DESIGN.md §13): when the engine offers a batch scan
-  // and the knob is on, join plans run the late-materialization pipeline —
-  // unless its cost model prefers the row pipeline's early regime, in which
-  // case the already-scanned base rows feed ExecuteJoins below.
-  if (batch_scan != nullptr && !joins.empty() && exec.vectorized_join) {
-    HTAP_ASSIGN_OR_RETURN(
-        BatchJoinOutcome bj,
-        ExecuteJoinsBatches(joins, *base, catalog, scan, batch_scan, plan,
-                            exec, xi));
-    rows = std::move(bj.rows);
-    scanned = true;
-    if (bj.executed) {
-      xi->vectorized = true;
-      joins_done = true;
-      agg_done = bj.agg_done;
-      projected = bj.projected;
+  if (!joins.empty()) {
+    HTAP_ASSIGN_OR_RETURN(rows,
+                          RunJoins(joins, *base, catalog, scan, plan, exec, xi));
+  } else {
+    // Projection pushdown: a plain scan pushes the user's projection; an
+    // aggregate pushes exactly the columns it consumes, with its indexes
+    // remapped onto the narrowed layout — the core benefit of columnar
+    // access.
+    ScanRequest req = RequestFor(plan, *base, &plan.where, exec);
+    NarrowedAggregate narrowed;
+    if (plan.aggs.empty()) {
+      req.projection = plan.projection;
+    } else {
+      narrowed = NarrowAggregate(plan, base->schema.pk_index());
+      req.projection = narrowed.cols;
     }
-  }
-
-  if (batch_scan != nullptr && (simple || narrowed_agg)) {
-    Result<std::vector<ColumnBatch>> batches =
-        batch_scan(req, &xi->scan, &xi->access_path);
-    if (batches.ok()) {
-      xi->vectorized = true;
-      scanned = true;
-      if (narrowed_agg) {
-        rows = HashAggregate(batches.value(), remapped_groups, remapped_aggs,
-                             exec);
-        agg_done = true;
-      } else {
-        rows = BatchesToRows(batches.value());
-      }
-    } else if (!batches.status().IsNotSupported()) {
-      return batches.status();
-    }
-  }
-  if (!scanned) {
-    HTAP_ASSIGN_OR_RETURN(rows, scan(req, &xi->scan, &xi->access_path));
-  }
-
-  if (!joins.empty() && !joins_done) {
-    // The joins fan build/probe morsels onto the same AP pool as scans, so
-    // the scheduler's OLAP concurrency quota bounds their in-flight morsels
-    // exactly as it bounds scan morsels.
-    HTAP_RETURN_NOT_OK(
-        ExecuteJoins(joins, *base, catalog, scan, plan, exec, xi, &rows));
-  }
-
-  if (!plan.aggs.empty() && !agg_done) {
-    rows = narrowed_agg
-               ? HashAggregate(rows, remapped_groups, remapped_aggs, exec)
-               : HashAggregate(rows, plan.group_by, plan.aggs, exec);
-  } else if (plan.aggs.empty() && !simple && !projected &&
-             !plan.projection.empty()) {
-    rows = Project(rows, plan.projection);
+    HTAP_ASSIGN_OR_RETURN(const std::vector<ColumnBatch> batches,
+                          scan(req, &xi->scan, &xi->access_path));
+    rows = plan.aggs.empty()
+               ? BatchesToRows(batches)
+               : HashAggregate(batches, narrowed.groups, narrowed.aggs, exec);
   }
 
   if (plan.order_by >= 0)

@@ -1,6 +1,7 @@
 #include "exec/batch.h"
 
 #include <numeric>
+#include <utility>
 
 namespace htap {
 
@@ -122,21 +123,48 @@ size_t TotalActiveRows(const std::vector<ColumnBatch>& batches) {
   return total;
 }
 
+BatchBuilder::BatchBuilder(const Schema& schema, std::vector<int> projection,
+                           size_t batch_rows)
+    : schema_(schema),
+      projection_(std::move(projection)),
+      batch_rows_(batch_rows) {}
+
+void BatchBuilder::Append(const Row& row) {
+  if (cur_.columns.empty()) {
+    // The first batch grows as rows come; once one has filled, the next
+    // ones are likely to fill too, so they reserve their whole size.
+    cur_ = MakeBatch(schema_, projection_, out_.empty() ? 0 : batch_rows_);
+  }
+  if (projection_.empty()) {
+    for (size_t c = 0; c < cur_.columns.size(); ++c)
+      cur_.columns[c].AppendValue(row.Get(c));
+  } else {
+    for (size_t c = 0; c < projection_.size(); ++c)
+      cur_.columns[c].AppendValue(row.Get(static_cast<size_t>(projection_[c])));
+  }
+  if (batch_rows_ != 0 && cur_.rows() >= batch_rows_) {
+    out_.push_back(std::move(cur_));
+    cur_ = ColumnBatch{};
+  }
+}
+
+std::vector<ColumnBatch> BatchBuilder::Finish() {
+  if (cur_.rows() > 0) out_.push_back(std::move(cur_));
+  cur_ = ColumnBatch{};
+  std::vector<ColumnBatch> out = std::move(out_);
+  out_.clear();
+  return out;
+}
+
 std::vector<ColumnBatch> RowsToBatches(const std::vector<Row>& rows,
                                        const Schema& schema,
                                        const std::vector<int>& projection,
                                        size_t batch_rows) {
-  std::vector<ColumnBatch> out;
-  const size_t cap = batch_rows == 0 ? rows.size() : batch_rows;
-  for (size_t lo = 0; lo < rows.size(); lo += std::max<size_t>(cap, 1)) {
-    const size_t hi = std::min(rows.size(), lo + std::max<size_t>(cap, 1));
-    ColumnBatch b = MakeBatch(schema, projection, hi - lo);
-    for (size_t i = lo; i < hi; ++i)
-      for (size_t c = 0; c < b.columns.size(); ++c)
-        b.columns[c].AppendValue(rows[i].Get(c));
-    out.push_back(std::move(b));
-  }
-  return out;
+  const Schema projected =
+      projection.empty() ? schema : schema.Project(projection);
+  BatchBuilder builder(projected, {}, batch_rows);
+  for (const Row& r : rows) builder.Append(r);
+  return builder.Finish();
 }
 
 std::vector<Row> BatchesToRows(const std::vector<ColumnBatch>& batches) {

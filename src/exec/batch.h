@@ -65,13 +65,34 @@ size_t TotalActiveRows(const std::vector<ColumnBatch>& batches);
 /// bridge back to the row-at-a-time operators.
 std::vector<Row> BatchesToRows(const std::vector<ColumnBatch>& batches);
 
-/// The inverse bridge: packs rows into compacted batches of at most
-/// `batch_rows` rows each (0 = one batch for everything), typed by
-/// `schema` narrowed to `projection` (empty = all columns). Rows must match
-/// the projected layout. BatchesToRows(RowsToBatches(rows, ...)) == rows.
-/// Used when a join input's engine declines the batch scan: the rows it
-/// returned join the batch pipeline instead of forcing the whole plan back
-/// to row-at-a-time execution (DESIGN.md §13).
+/// Packs rows appended one at a time into compacted batches of at most
+/// `batch_rows` rows each (0 = one batch for everything), typed by `schema`
+/// narrowed to `projection` (empty = all columns). Append takes a full
+/// schema-layout row and copies only the projected cells, so a row source
+/// (the MVCC scan, the disk heap, the delta) converts at the source without
+/// building an intermediate row vector. Cells must match the schema's
+/// column types (a NULL cell is always accepted).
+class BatchBuilder {
+ public:
+  /// `schema` must outlive the builder.
+  BatchBuilder(const Schema& schema, std::vector<int> projection,
+               size_t batch_rows);
+
+  void Append(const Row& row);
+  /// The batches built so far (the partial last one included); the builder
+  /// is empty afterwards.
+  std::vector<ColumnBatch> Finish();
+
+ private:
+  const Schema& schema_;
+  const std::vector<int> projection_;
+  const size_t batch_rows_;
+  ColumnBatch cur_;
+  std::vector<ColumnBatch> out_;
+};
+
+/// Packs rows already in the projected layout into batches, as BatchBuilder
+/// does: BatchesToRows(RowsToBatches(rows, ...)) == rows.
 std::vector<ColumnBatch> RowsToBatches(const std::vector<Row>& rows,
                                        const Schema& schema,
                                        const std::vector<int>& projection,

@@ -155,48 +155,39 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return s;
 }
 
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection) {
-  std::vector<Row> out;
-  store.Scan(snap, [&](Key, const Row& row) {
-    if (pred.Eval(row)) out.push_back(ProjectRow(row, projection));
-    return true;
-  });
-  return out;
-}
-
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection,
-                              const ExecContext& exec) {
-  if (!exec.parallel())
-    return ScanRowStore(store, snap, pred, projection);
+std::vector<ColumnBatch> ScanRowStore(const MvccRowStore& store,
+                                      const Snapshot& snap,
+                                      const Predicate& pred,
+                                      const std::vector<int>& projection,
+                                      const ExecContext& exec) {
+  const auto scan = [&](const auto& walk) {
+    BatchBuilder builder(store.schema(), projection, exec.batch_rows);
+    walk([&](Key, const Row& row) {
+      if (pred.Eval(row)) builder.Append(row);
+      return true;
+    });
+    return builder.Finish();
+  };
   const std::vector<std::pair<Key, Key>> ranges =
-      store.SplitKeyRanges(exec.max_parallelism);
+      exec.parallel() ? store.SplitKeyRanges(exec.max_parallelism)
+                      : std::vector<std::pair<Key, Key>>{};
   if (ranges.size() <= 1)
-    return ScanRowStore(store, snap, pred, projection);
+    return scan([&](const auto& visit) { store.Scan(snap, visit); });
 
-  std::vector<std::vector<Row>> partial(ranges.size());
+  std::vector<std::vector<ColumnBatch>> partial(ranges.size());
   {
     TaskGroup tg(exec.pool);
     for (size_t i = 0; i < ranges.size(); ++i) {
       tg.Run([&, i] {
-        store.ScanRange(snap, ranges[i].first, ranges[i].second,
-                        [&](Key, const Row& row) {
-                          if (pred.Eval(row))
-                            partial[i].push_back(ProjectRow(row, projection));
-                          return true;
-                        });
+        partial[i] = scan([&](const auto& visit) {
+          store.ScanRange(snap, ranges[i].first, ranges[i].second, visit);
+        });
       });
     }
   }
-  size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  std::vector<Row> out;
-  out.reserve(total);
+  std::vector<ColumnBatch> out;
   for (auto& p : partial)
-    for (Row& r : p) out.push_back(std::move(r));
+    for (ColumnBatch& b : p) out.push_back(std::move(b));
   return out;
 }
 
@@ -329,31 +320,17 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
   // batches after every main group (the position the row scan has always
   // used). Delta rows append through the schema-typed vectors; rows are in
   // override-map iteration order, identical for serial and parallel.
-  const Schema& schema = table.schema();
   std::vector<ColumnBatch> delta_batches;
   ScanStats delta_st;
   auto delta_morsel = [&] {
-    ColumnBatch cur;
+    BatchBuilder builder(table.schema(), projection, exec.batch_rows);
     for (const auto& [key, e] : overrides) {
       if (e->op == ChangeOp::kDelete) continue;
       if (!pred.Eval(e->row)) continue;
-      if (cur.columns.empty())
-        cur = MakeBatch(schema, projection, exec.batch_rows);
-      if (projection.empty()) {
-        for (size_t c = 0; c < cur.columns.size(); ++c)
-          cur.columns[c].AppendValue(e->row.Get(c));
-      } else {
-        for (size_t c = 0; c < projection.size(); ++c)
-          cur.columns[c].AppendValue(
-              e->row.Get(static_cast<size_t>(projection[c])));
-      }
+      builder.Append(e->row);
       ++delta_st.delta_rows_emitted;
-      if (exec.batch_rows != 0 && cur.rows() >= exec.batch_rows) {
-        delta_batches.push_back(std::move(cur));
-        cur = ColumnBatch{};
-      }
     }
-    if (cur.rows() > 0) delta_batches.push_back(std::move(cur));
+    delta_batches = builder.Finish();
   };
 
   // 3. Main groups: one morsel per group, merged in group order — the batch
@@ -1071,7 +1048,7 @@ std::vector<size_t> EstimateBatchRowBytes(
     b.ForEachActive([&](size_t i) {
       // Mirrors Row::MemoryBytes for the materialized image of this row:
       // the Row shell, one Value per column, and each string cell's
-      // out-of-line std::string (pinned by vectorized_join_test).
+      // out-of-line std::string (pinned by RowsToBatchesTest).
       size_t bytes = sizeof(Row) + b.columns.size() * sizeof(Value);
       for (const ColumnVector& cv : b.columns)
         if (cv.type() == Type::kString && !cv.IsNull(i))
@@ -1528,34 +1505,9 @@ class GroupTable {
              const std::vector<AggSpec>& aggs)
       : group_cols_(group_cols), aggs_(aggs) {}
 
-  void Absorb(const Row& row) {
-    uint64_t h = 1469598103934665603ULL;
-    for (int c : group_cols_)
-      h = h * 1099511628211ULL ^ row.Get(static_cast<size_t>(c)).Hash();
-    GroupData* gd = FindOrCreate(h, [&](const Row& key_row) {
-      for (size_t i = 0; i < group_cols_.size(); ++i)
-        if (row.Get(static_cast<size_t>(group_cols_[i])) != key_row.Get(i))
-          return false;
-      return true;
-    }, [&] {
-      Row key_row;
-      for (int c : group_cols_)
-        key_row.Append(row.Get(static_cast<size_t>(c)));
-      return key_row;
-    });
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (aggs_[a].column < 0)
-        gd->states[a].Update(Value(static_cast<int64_t>(1)));
-      else
-        gd->states[a].Update(row.Get(static_cast<size_t>(aggs_[a].column)));
-    }
-  }
-
   /// Absorbs every active position of a batch. Group keys hash and compare
   /// through the typed cell helpers (no Value boxing on the hot path); a
-  /// key row is boxed only when a new group materializes. State updates are
-  /// bit-exact mirrors of Absorb on the row image, so a batch table and a
-  /// row table over the same input finalize identically.
+  /// key row is boxed only when a new group materializes.
   void AbsorbBatch(const ColumnBatch& batch) {
     batch.ForEachActive([&](size_t i) {
       uint64_t h = 1469598103934665603ULL;
@@ -1671,45 +1623,6 @@ constexpr size_t kMinRowsPerAggWorker = 2048;
 
 }  // namespace
 
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs) {
-  GroupTable table(group_cols, aggs);
-  for (const Row& row : rows) table.Absorb(row);
-  return table.Finalize();
-}
-
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec) {
-  size_t workers =
-      exec.parallel()
-          ? std::min(exec.max_parallelism,
-                     std::max<size_t>(rows.size() / kMinRowsPerAggWorker, 1))
-          : 1;
-  if (workers <= 1) return HashAggregate(rows, group_cols, aggs);
-
-  std::vector<GroupTable> tables;
-  tables.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) tables.emplace_back(group_cols, aggs);
-  const size_t chunk = (rows.size() + workers - 1) / workers;
-  {
-    TaskGroup tg(exec.pool);
-    for (size_t w = 0; w < workers; ++w) {
-      tg.Run([&, w] {
-        const size_t lo = w * chunk;
-        const size_t hi = std::min(rows.size(), lo + chunk);
-        for (size_t i = lo; i < hi; ++i) tables[w].Absorb(rows[i]);
-      });
-    }
-  }
-  // Single-threaded combine in worker order (deterministic).
-  for (size_t w = 1; w < workers; ++w)
-    tables[0].MergeFrom(std::move(tables[w]));
-  return tables[0].Finalize();
-}
-
 std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs,
@@ -1728,7 +1641,7 @@ std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
   }
   // Parallel: each worker absorbs a contiguous range of whole batches into
   // its own partial table; tables combine single-threaded in worker order,
-  // mirroring the row variant's determinism contract.
+  // so the output is deterministic for a given batch sequence.
   std::vector<GroupTable> tables;
   tables.reserve(workers);
   for (size_t w = 0; w < workers; ++w) tables.emplace_back(group_cols, aggs);
@@ -1762,14 +1675,6 @@ void SortLimit(std::vector<Row>* rows, int col, bool desc, size_t limit) {
   } else {
     std::stable_sort(rows->begin(), rows->end(), cmp);
   }
-}
-
-std::vector<Row> Project(const std::vector<Row>& rows,
-                         const std::vector<int>& projection) {
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  for (const Row& r : rows) out.push_back(ProjectRow(r, projection));
-  return out;
 }
 
 }  // namespace htap

@@ -1,5 +1,8 @@
-// The block executor: scans (row, columnar, HTAP delta+column union),
-// hash join, hash aggregation, sort/limit, projection.
+// The block executor's operators: scans (MVCC row store, columnar, HTAP
+// delta+column union), hash join, hash aggregation, sort/limit.
+// Scans emit ColumnBatches (exec/batch.h); the query runner
+// (core/query_runner.h) strings these operators into its one pipeline —
+// scan, joins, aggregate or projection, sort/limit — on those batches.
 //
 // Operators materialize their full output — at the scale of this library the
 // simplicity is worth more than pipelining, and the benchmark comparisons
@@ -8,9 +11,9 @@
 //
 // Map of this header (each operator links its DESIGN.md section):
 //
-//   ScanRowStore / ScanHtap    serial + morsel-driven scans ....... DESIGN §7
+//   ScanRowStore / ScanHtapBatches  serial + morsel scans .... DESIGN §§7, 12
 //   HashAggregate              serial + partial-table parallel .... DESIGN §7
-//   HashJoinPairs / HashJoin   hash equi-join; three regimes ...... DESIGN §§8–9
+//   HashJoinPairsKeys          hash equi-join; three regimes ...... DESIGN §§8–9
 //     - serial: one chained table (small builds)
 //     - radix-partitioned parallel: scatter/build/probe morsels
 //     - grace (out-of-core): oversized partitions spill both sides' join
@@ -19,8 +22,11 @@
 //       recursively re-partitioning skewed partitions; triggered by
 //       ExecContext::join_spill_budget_bytes. Payload columns never spill
 //       — materialization happens after the pair set is final (§13).
-//   MaterializeJoinPairs       (probe,build) index pairs -> rows
-//   SortLimit / Project        output shaping
+//   SortLimit                  output shaping
+//
+// The row-input operators ScanHtap, HashJoin, HashJoinPairs,
+// MaterializeJoinPairs and ExtractJoinKeys(rows) serve the operator tests
+// and bench_parallel_join's batch-vs-row comparison; no query runs on them.
 //
 // Scans, aggregation, and the hash join are morsel-driven when given an
 // ExecContext with a thread pool: one morsel per row group (column scans),
@@ -97,12 +103,6 @@ struct ExecContext {
   /// group.
   size_t batch_rows = 4096;
 
-  /// Batch-native joins with late materialization (DESIGN.md §13). Mirrors
-  /// DatabaseOptions::vectorized_join; the query runner additionally
-  /// requires every join input to scan as batches and the planner's
-  /// materialization cost model to prefer the late regime.
-  bool vectorized_join = true;
-
   bool parallel() const { return pool != nullptr && max_parallelism > 1; }
 };
 
@@ -130,19 +130,16 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Scans an MVCC row store at a snapshot. `projection` lists output columns
-/// (empty = all).
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection);
-
-/// Parallel variant: range-partitions the key space into one morsel per
-/// worker and merges per-range output in key-range order, so the result
-/// equals the serial scan exactly (key order preserved).
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection,
-                              const ExecContext& exec);
+/// Scans an MVCC row store at a snapshot into batches of at most
+/// exec.batch_rows rows, in key order. `projection` lists output columns
+/// (empty = all). With a pool, the key space splits into one range morsel
+/// per worker and the per-range batches concatenate in range order, so
+/// BatchesToRows(result) equals the serial scan exactly.
+std::vector<ColumnBatch> ScanRowStore(const MvccRowStore& store,
+                                      const Snapshot& snap,
+                                      const Predicate& pred,
+                                      const std::vector<int>& projection,
+                                      const ExecContext& exec);
 
 /// The HTAP scan: main column store unioned with a delta store at snapshot
 /// CSN `snapshot`. Pass delta == nullptr for a pure column scan (the
@@ -305,26 +302,13 @@ size_t EstimateRowsBytes(const std::vector<Row>& rows);
 std::vector<size_t> EstimateBatchRowBytes(
     const std::vector<ColumnBatch>& batches);
 
-/// Hash aggregation. With empty `group_cols`, emits one global row. Output
-/// row layout: group values then one value per AggSpec.
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs);
-
-/// Parallel variant: workers build partial hash tables over disjoint row
-/// ranges; a final single-threaded combine merges them (group output order
-/// is unspecified, as with the serial variant).
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec);
-
-/// Batch aggregation: groups and aggregates directly over column batches
-/// under their selection vectors — no row materialization. Group hashing
-/// and aggregate-state updates use the typed hash/compare primitives, which
-/// match the Value-based ones bit for bit, so the output rows equal
-/// HashAggregate(BatchesToRows(batches), ...) exactly (same unspecified
-/// group order semantics). Parallel over whole batches when exec has a pool.
+/// Hash aggregation over column batches, under their selection vectors — no
+/// row materialization. With empty `group_cols`, emits one global row.
+/// Output row layout: group values then one value per AggSpec; group output
+/// order is unspecified. Group hashing uses the typed hash/compare
+/// primitives, which match the Value-based ones bit for bit. Parallel over
+/// whole batches when exec has a pool: workers build partial hash tables
+/// over disjoint batch ranges, combined single-threaded in worker order.
 std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs,
@@ -333,10 +317,6 @@ std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
 /// Sorts by `col` (ascending unless `desc`), keeps first `limit` rows
 /// (limit == 0 means all).
 void SortLimit(std::vector<Row>* rows, int col, bool desc, size_t limit);
-
-/// Keeps only `projection` columns of each row.
-std::vector<Row> Project(const std::vector<Row>& rows,
-                         const std::vector<int>& projection);
 
 }  // namespace htap
 

@@ -59,37 +59,12 @@ std::vector<size_t> ChooseJoinOrder(
   return order;
 }
 
-size_t CountDistinctKeys(const std::vector<Row>& rows, int col) {
-  const auto c = static_cast<size_t>(col);
-  std::set<Value> keys;
-  for (const Row& r : rows) {
-    const Value& v = r.Get(c);
-    if (!v.is_null()) keys.insert(v);
-  }
-  return keys.size();
-}
-
 size_t CountDistinctKeys(const JoinKeyColumn& keys) {
   std::set<Value> distinct;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (keys.valid[i]) distinct.insert(keys.GetValue(i));
   }
   return distinct.size();
-}
-
-bool ChooseLateMaterialization(const std::vector<double>& step_out_rows,
-                               const std::vector<size_t>& step_out_widths,
-                               size_t output_cols) {
-  if (step_out_rows.empty()) return true;
-  double early = 0;
-  for (size_t s = 0; s < step_out_rows.size(); ++s) {
-    const size_t width =
-        s < step_out_widths.size() ? step_out_widths[s] : output_cols;
-    early += step_out_rows[s] * static_cast<double>(width);
-  }
-  const double late = kLateGatherPenalty * step_out_rows.back() *
-                      static_cast<double>(output_cols);
-  return late <= early;
 }
 
 }  // namespace htap

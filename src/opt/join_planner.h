@@ -7,7 +7,7 @@
 // Both decisions are pure functions over cardinalities so they are trivially
 // deterministic; core/query_runner.cc applies them and restores the plan's
 // nested-loop output order afterwards (pair-sort fixup for the build-side
-// swap, hidden-index sort for reordered joins), keeping query results
+// swap, plan-order lineage sort for reordered joins), keeping query results
 // byte-identical to the unoptimized plan.
 
 #ifndef HTAP_OPT_JOIN_PLANNER_H_
@@ -47,34 +47,10 @@ std::vector<size_t> ChooseJoinOrder(
     const std::vector<std::vector<size_t>>& deps,
     std::vector<double>* step_estimates = nullptr);
 
-/// Exact count of distinct non-NULL values in column `col` (the NDV input
-/// above; computed from the already-scanned relation, so no estimation
-/// error).
-size_t CountDistinctKeys(const std::vector<Row>& rows, int col);
-
-/// As above over an extracted join-key column — the batch pipeline's NDV
-/// input (no row materialization).
+/// Exact count of distinct non-NULL keys in an extracted join-key column —
+/// the NDV input above, computed from the already-scanned relation, so no
+/// estimation error.
 size_t CountDistinctKeys(const JoinKeyColumn& keys);
-
-/// Materialization-regime choice for the batch join pipeline (DESIGN.md
-/// §13). Late materialization carries only (input, index) lineage through
-/// the join tree and gathers payload columns once, after the last join —
-/// the gathers are random-access, weighted kLateGatherPenalty per cell, but
-/// touch only `output_cols` columns of the final `step_out_rows.back()`
-/// rows. Early materialization (the row pipeline) concatenates full payload
-/// rows at every step — sequential, but every intermediate pays its whole
-/// width: cost Σ step_out_rows[s] * step_out_widths[s]. Returns true (late)
-/// when the late estimate undercuts the early one; chains that shrink, or
-/// plans consuming few columns (aggregates, narrow projections), choose
-/// late, while wide fan-out explosions fall back to early. Empty
-/// `step_out_rows` (0–1 joins, no estimates) defaults to late.
-bool ChooseLateMaterialization(const std::vector<double>& step_out_rows,
-                               const std::vector<size_t>& step_out_widths,
-                               size_t output_cols);
-
-/// Random-access gather penalty per cell in ChooseLateMaterialization's
-/// late-regime cost (sequential early-regime copies count 1.0).
-inline constexpr double kLateGatherPenalty = 2.0;
 
 }  // namespace htap
 

@@ -580,36 +580,6 @@ bool DistributedDb::Read(uint32_t table_id, Key key, Row* out) {
   return it->second->Get(table_id, key, out);
 }
 
-std::vector<Row> DistributedDb::AnalyticalScan(
-    uint32_t table_id, const Predicate& pred,
-    const std::vector<int>& projection, bool include_delta,
-    ScanStats* stats) {
-  std::vector<Row> out;
-  for (auto& rt : shards_) {
-    if (rt.learner_id < 0) continue;
-    const auto tit = rt.learner.tables.find(table_id);
-    if (tit == rt.learner.tables.end()) continue;
-    const DeltaReader* delta = nullptr;
-    if (include_delta) {
-      const auto dit = rt.learner.deltas.find(table_id);
-      if (dit != rt.learner.deltas.end()) delta = dit->second.get();
-    }
-    ScanStats local;
-    auto part = ScanHtap(*tit->second, delta, kMaxCSN, pred, projection,
-                         &local);
-    if (stats != nullptr) {
-      stats->groups_total += local.groups_total;
-      stats->groups_skipped += local.groups_skipped;
-      stats->main_rows_emitted += local.main_rows_emitted;
-      stats->delta_rows_emitted += local.delta_rows_emitted;
-      stats->delta_entries_read += local.delta_entries_read;
-    }
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
-}
-
 std::vector<ColumnBatch> DistributedDb::AnalyticalScanBatches(
     uint32_t table_id, const Predicate& pred,
     const std::vector<int>& projection, size_t batch_rows, bool include_delta,

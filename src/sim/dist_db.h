@@ -227,18 +227,10 @@ class DistributedDb {
   bool Read(uint32_t table_id, Key key, Row* out);
 
   /// Columnar scan over the learner replicas (log-delta + column union
-  /// when `include_delta`; pure column scan otherwise). Freshness depends
-  /// on replication + merge lag.
-  std::vector<Row> AnalyticalScan(uint32_t table_id, const Predicate& pred,
-                                  const std::vector<int>& projection,
-                                  bool include_delta = true,
-                                  ScanStats* stats = nullptr);
-
-  /// Vectorized learner scan (DESIGN.md §12/§13): the same shard walk,
-  /// visibility, and stats as AnalyticalScan, but each shard's learner
-  /// emits ColumnBatches of at most `batch_rows` rows (0 = one batch per
-  /// row group), concatenated in shard order —
-  /// BatchesToRows(result) is byte-identical to AnalyticalScan's output.
+  /// when `include_delta`; pure column scan otherwise), whose freshness
+  /// depends on replication + merge lag (DESIGN.md §§12–14). Each shard's
+  /// learner emits ColumnBatches of at most `batch_rows` rows (0 = one
+  /// batch per row group), concatenated in shard order.
   std::vector<ColumnBatch> AnalyticalScanBatches(
       uint32_t table_id, const Predicate& pred,
       const std::vector<int>& projection, size_t batch_rows,

@@ -276,10 +276,9 @@ void TpccWorkload::ScheduleApScan(Micros deadline) {
   db_->env()->Schedule(options_.ap_scan_interval, [this, deadline] {
     if (db_->env()->Now() > deadline) return;
     ++stats_.ap_scans;
-    stats_.ap_rows_read +=
-        db_->AnalyticalScan(TpccTables::kOrderLine, Predicate::True(), {},
-                            /*include_delta=*/true)
-            .size();
+    stats_.ap_rows_read += TotalActiveRows(db_->AnalyticalScanBatches(
+        TpccTables::kOrderLine, Predicate::True(), {}, /*batch_rows=*/0,
+        /*include_delta=*/true));
     stats_.repl_lag_max = std::max(
         stats_.repl_lag_max,
         db_->FreshnessLagMicros(

@@ -365,6 +365,15 @@ QueryResult MakeDmlResult(const std::string& counter_name, int64_t n) {
 
 }  // namespace
 
+Result<QueryPlan> BindSelectSql(const std::string& select_sql,
+                                const Catalog& catalog) {
+  HTAP_ASSIGN_OR_RETURN(Statement stmt, sql::Parse(select_sql));
+  if (stmt.kind != Statement::Kind::kSelect)
+    return Status::InvalidArgument("not a SELECT statement");
+  std::vector<int> out_perm;
+  return BindSelect(stmt.select, catalog, &out_perm);
+}
+
 Result<QueryResult> Database::ExecuteSql(const std::string& sql_text,
                                          QueryExecInfo* info) {
   HTAP_ASSIGN_OR_RETURN(Statement stmt, sql::Parse(sql_text));

@@ -102,6 +102,16 @@ struct Statement {
 Result<Statement> Parse(const std::string& input);
 
 }  // namespace sql
+
+class Catalog;
+struct QueryPlan;
+
+/// Binds a SELECT's text against `catalog` into the QueryPlan that
+/// Database::ExecuteSql runs for it. An aggregating plan outputs
+/// [groups..., aggs...]; ExecuteSql then reorders those columns into the
+/// select-list order.
+Result<QueryPlan> BindSelectSql(const std::string& select_sql,
+                                const Catalog& catalog);
 }  // namespace htap
 
 #endif  // HTAP_SQL_SQL_H_

@@ -13,8 +13,11 @@ namespace {
 
 class ChBenchTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Open(ArchitectureKind::kRowPlusInMemoryColumn); }
+
+  void Open(ArchitectureKind arch) {
     DatabaseOptions opts;
+    opts.architecture = arch;
     opts.background_sync = false;
     db_ = std::move(*Database::Open(opts));
     cfg_.warehouses = 1;
@@ -96,7 +99,16 @@ TEST_F(ChBenchTest, MixRunsAllProfilesWithoutFailure) {
   EXPECT_EQ(txns.aborts(), 0u);
 }
 
-TEST_F(ChBenchTest, AllQueriesExecuteAndAgreeAcrossPaths) {
+/// The cross-path check on every preset: each preset's row side (the MVCC
+/// store, (c)'s disk heap, (b)'s learner scan) against its column side.
+class ChBenchPresetTest
+    : public ChBenchTest,
+      public ::testing::WithParamInterface<ArchitectureKind> {
+ protected:
+  void SetUp() override { Open(GetParam()); }
+};
+
+TEST_P(ChBenchPresetTest, AllQueriesExecuteAndAgreeAcrossPaths) {
   ChTransactions txns(db_.get(), cfg_, 4);
   for (int i = 0; i < 50; ++i) txns.RunOne();
   ASSERT_TRUE(db_->ForceSyncAll().ok());
@@ -120,6 +132,17 @@ TEST_F(ChBenchTest, AllQueriesExecuteAndAgreeAcrossPaths) {
     EXPECT_EQ(canon(row_res->rows), canon(col_res->rows)) << q.name;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ChBenchPresetTest,
+    ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
+                      ArchitectureKind::kDistributedRowPlusColumnReplica,
+                      ArchitectureKind::kDiskRowPlusDistributedColumn,
+                      ArchitectureKind::kColumnPlusDeltaRow),
+    [](const ::testing::TestParamInfo<ArchitectureKind>& info) {
+      return std::string("arch") +
+             std::to_string(static_cast<int>(info.param));
+    });
 
 TEST_F(ChBenchTest, DriverProducesMetrics) {
   DriverConfig dcfg;

@@ -554,6 +554,29 @@ TEST(DiskEngineTest, EmptyDataDirKeepsHeapsPrivate) {
   EXPECT_EQ(heap_rows(third.get()), 2);
 }
 
+TEST(DiskEngineTest, LoadedColumnMergesAreCounted) {
+  // (c) has no DataSynchronizer: its merges run through the loaded-column
+  // path, and Stats() must count them like the other presets' merges.
+  DatabaseOptions opts;
+  opts.architecture = ArchitectureKind::kDiskRowPlusDistributedColumn;
+  opts.background_sync = false;
+  auto db = std::move(*Database::Open(opts));
+  ASSERT_TRUE(db->CreateTable("orders", OrdersSchema()).ok());
+  EXPECT_EQ(db->Stats().merges, 0u);
+  constexpr int kRows = 250;
+  auto txn = db->Begin();
+  for (int i = 0; i < kRows; ++i)
+    ASSERT_TRUE(txn->Insert("orders", Order(i, i % 5, "r", 1.5)).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  ASSERT_TRUE(db->ForceSyncAll().ok());
+  const EngineStats st = db->Stats();
+  EXPECT_GT(st.merges, 0u);
+  EXPECT_EQ(st.entries_merged, static_cast<uint64_t>(kRows));
+  // Nothing left to drain: a second sync is not a merge.
+  ASSERT_TRUE(db->ForceSyncAll().ok());
+  EXPECT_EQ(db->Stats().merges, st.merges);
+}
+
 TEST(DistEngineTest, StaleColumnScanLagsWithoutSync) {
   DatabaseOptions opts;
   opts.architecture = ArchitectureKind::kDistributedRowPlusColumnReplica;

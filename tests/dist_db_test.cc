@@ -144,9 +144,10 @@ TEST_F(DistDbTest, LearnerReplicatesAndMerges) {
   env_->RunUntil(env_->Now() + 500000);
   EXPECT_GT(db_->LearnerReplicatedCsn(1), 0u);
   db_->SyncLearners();
-  const auto rows =
-      db_->AnalyticalScan(1, Predicate::True(), {}, /*include_delta=*/false);
-  EXPECT_EQ(rows.size(), 20u);
+  EXPECT_EQ(TotalActiveRows(db_->AnalyticalScanBatches(
+                1, Predicate::True(), {}, /*batch_rows=*/0,
+                /*include_delta=*/false)),
+            20u);
   EXPECT_EQ(db_->LearnerMergedCsn(1), db_->LearnerReplicatedCsn(1));
 }
 
@@ -156,8 +157,12 @@ TEST_F(DistDbTest, DeltaUnionSeesUnmergedChanges) {
   env_->RunUntil(env_->Now() + 500000);
   // Without a merge, the pure column scan is blind; the log-delta union
   // sees the row — exactly the freshness trade-off of Table 2's AP row.
-  EXPECT_EQ(db_->AnalyticalScan(1, Predicate::True(), {}, false).size(), 0u);
-  EXPECT_EQ(db_->AnalyticalScan(1, Predicate::True(), {}, true).size(), 1u);
+  EXPECT_EQ(TotalActiveRows(
+                db_->AnalyticalScanBatches(1, Predicate::True(), {}, 0, false)),
+            0u);
+  EXPECT_EQ(TotalActiveRows(
+                db_->AnalyticalScanBatches(1, Predicate::True(), {}, 0, true)),
+            1u);
 }
 
 TEST_F(DistDbTest, FreshnessLagShrinksAfterMerge) {
@@ -188,7 +193,7 @@ TEST_F(DistDbTest, ScanStatsAggregateAcrossShards) {
   env_->RunUntil(env_->Now() + 500000);
   db_->SyncLearners();
   ScanStats stats;
-  db_->AnalyticalScan(1, Predicate::True(), {}, true, &stats);
+  db_->AnalyticalScanBatches(1, Predicate::True(), {}, 0, true, &stats);
   EXPECT_EQ(stats.main_rows_emitted, 30u);
   EXPECT_GE(stats.groups_total, 3u);  // at least one group per shard
 }

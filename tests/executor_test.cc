@@ -88,8 +88,9 @@ class ScanTest : public ::testing::Test {
 };
 
 TEST_F(ScanTest, RowScanWithPredicateAndProjection) {
-  const auto out = ScanRowStore(store_, mgr_.CurrentSnapshot(),
-                                Predicate::Eq(1, Value(int64_t{3})), {0, 3});
+  const auto out = BatchesToRows(
+      ScanRowStore(store_, mgr_.CurrentSnapshot(),
+                   Predicate::Eq(1, Value(int64_t{3})), {0, 3}, ExecContext{}));
   EXPECT_EQ(out.size(), 10u);
   EXPECT_EQ(out[0].size(), 2u);
 }
@@ -97,7 +98,8 @@ TEST_F(ScanTest, RowScanWithPredicateAndProjection) {
 TEST_F(ScanTest, ColumnScanMatchesRowScan) {
   const auto pred = Predicate::And({Predicate::Ge(0, Value(int64_t{20})),
                                     Predicate::Eq(2, Value("even"))});
-  auto row_out = ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {});
+  auto row_out = BatchesToRows(
+      ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {}, ExecContext{}));
   auto col_out = ScanHtap(table_, nullptr, kMaxCSN - 1, pred, {});
   auto key_of = [](const Row& r) { return r.Get(0).AsInt64(); };
   std::sort(row_out.begin(), row_out.end(),
@@ -196,9 +198,11 @@ TEST(HashAggregateTest, GlobalAggregates) {
   for (int i = 1; i <= 10; ++i)
     rows.push_back(Row{Value(static_cast<int64_t>(i))});
   const auto out = HashAggregate(
-      rows, {}, {AggSpec::Count("n"), AggSpec::Sum(0, "s"),
-                 AggSpec::Min(0, "mn"), AggSpec::Max(0, "mx"),
-                 AggSpec::Avg(0, "avg")});
+      RowsToBatches(rows, Schema({{"v", Type::kInt64}}), {}, 4),
+      {},
+      {AggSpec::Count("n"), AggSpec::Sum(0, "s"), AggSpec::Min(0, "mn"),
+       AggSpec::Max(0, "mx"), AggSpec::Avg(0, "avg")},
+      ExecContext{});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].Get(0).AsInt64(), 10);
   EXPECT_DOUBLE_EQ(out[0].Get(1).AsDouble(), 55.0);
@@ -211,20 +215,23 @@ TEST(HashAggregateTest, GroupByWithNullsAndEmptyInput) {
   std::vector<Row> rows = {Row{Value("a"), Value(int64_t{1})},
                            Row{Value("a"), Value::Null()},
                            Row{Value("b"), Value(int64_t{5})}};
-  auto out = HashAggregate(rows, {0},
-                           {AggSpec::Count("n"), AggSpec::Sum(1, "s")});
+  const Schema schema({{"k", Type::kString}, {"v", Type::kInt64}});
+  auto out = HashAggregate(RowsToBatches(rows, schema, {}, 2), {0},
+                           {AggSpec::Count("n"), AggSpec::Sum(1, "s")},
+                           ExecContext{});
   ASSERT_EQ(out.size(), 2u);
   SortLimit(&out, 0, false, 0);
   EXPECT_EQ(out[0].Get(0).AsString(), "a");
   EXPECT_EQ(out[0].Get(1).AsInt64(), 2);       // COUNT counts null rows too
   EXPECT_DOUBLE_EQ(out[0].Get(2).AsDouble(), 1.0);  // SUM skips nulls
 
-  const auto empty = HashAggregate({}, {}, {AggSpec::Count("n"),
-                                            AggSpec::Sum(0, "s")});
+  const auto empty = HashAggregate(
+      {}, {}, {AggSpec::Count("n"), AggSpec::Sum(0, "s")}, ExecContext{});
   ASSERT_EQ(empty.size(), 1u);
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
   EXPECT_TRUE(empty[0].Get(1).is_null());
-  EXPECT_TRUE(HashAggregate({}, {0}, {AggSpec::Count("n")}).empty());
+  EXPECT_TRUE(
+      HashAggregate({}, {0}, {AggSpec::Count("n")}, ExecContext{}).empty());
 }
 
 TEST(SortLimitTest, OrdersAndTruncates) {
@@ -235,14 +242,6 @@ TEST(SortLimitTest, OrdersAndTruncates) {
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].Get(0).AsInt64(), 9);
   EXPECT_EQ(rows[2].Get(0).AsInt64(), 7);
-}
-
-TEST(ProjectTest, ReordersColumns) {
-  std::vector<Row> rows = {Row{Value(int64_t{1}), Value("x"), Value(2.0)}};
-  const auto out = Project(rows, {2, 0});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].Get(0).AsDouble(), 2.0);
-  EXPECT_EQ(out[0].Get(1).AsInt64(), 1);
 }
 
 }  // namespace

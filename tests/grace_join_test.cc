@@ -232,7 +232,7 @@ TEST(JoinPlannerTest, CountDistinctKeysIgnoresNullsAndUnifiesNumerics) {
   rows.push_back(Row{Value(int64_t{2})});
   rows.push_back(Row{Value::Null()});
   rows.push_back(Row{Value("a")});
-  EXPECT_EQ(CountDistinctKeys(rows, 0), 3u);
+  EXPECT_EQ(CountDistinctKeys(ExtractJoinKeys(rows, 0)), 3u);
 }
 
 // --------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "opt/column_advisor.h"
 #include "opt/optimizer.h"
 #include "opt/stats_builder.h"
+#include "reference_eval.h"
 
 namespace htap {
 namespace {
@@ -344,7 +345,7 @@ class PlanTimeJoinTest : public ::testing::Test {
 
   ScanFn CountingScan() {
     return [this](const ScanRequest& req, ScanStats*,
-                  std::string*) -> Result<std::vector<Row>> {
+                  std::string*) -> Result<std::vector<ColumnBatch>> {
       ++scan_calls_[req.table->name];
       scan_sequence_.push_back(req.table->name);
       std::vector<Row> out;
@@ -359,7 +360,7 @@ class PlanTimeJoinTest : public ::testing::Test {
           proj.Append(r.Get(static_cast<size_t>(c)));
         out.push_back(std::move(proj));
       }
-      return out;
+      return RowsToBatches(out, req.table->schema, req.projection, 8);
     };
   }
 
@@ -432,7 +433,7 @@ TEST_F(PlanTimeJoinTest, MissingStatsFallBackToExactCounts) {
 }
 
 TEST_F(PlanTimeJoinTest, StatsAndFallbackOrdersProduceIdenticalRows) {
-  // The hidden-index fixup makes the output independent of the chosen
+  // The plan-order lineage sort makes the output independent of the chosen
   // order; run both paths and compare byte-for-byte.
   PublishLyingStats(/*as_of=*/1);
   ExecContext fresh;
@@ -447,6 +448,31 @@ TEST_F(PlanTimeJoinTest, StatsAndFallbackOrdersProduceIdenticalRows) {
   for (size_t i = 0; i < with_stats->rows.size(); ++i)
     EXPECT_EQ(with_stats->rows[i].ToString(), without->rows[i].ToString())
         << "row " << i;
+}
+
+TEST_F(PlanTimeJoinTest, ReorderedFanOutJoinsMatchReference) {
+  // Duplicate every dimension key so each join step fans out: executed in
+  // the stats' order [dim_b, dim_a], the joined rows come out grouped by
+  // dim_b match, and only the plan-order fixup restores nested-loop order.
+  for (const char* dim : {"dim_a", "dim_b"}) {
+    std::vector<Row>& rows = data_[dim];
+    const size_t n = rows.size();
+    for (size_t i = 0; i < n; ++i)
+      rows.push_back(
+          Row{rows[i].Get(0), Value(int64_t{-1} - static_cast<int64_t>(i))});
+  }
+  PublishLyingStats(/*as_of=*/1);
+  ExecContext exec;
+  exec.committed_csn = 1;
+  for (size_t batch_rows : {size_t{3}, size_t{4096}}) {
+    exec.batch_rows = batch_rows;
+    QueryExecInfo xi;
+    auto res = RunPlan(plan_, catalog_, CountingScan(), &xi, exec);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(xi.join_order, (std::vector<size_t>{1, 0}));
+    EXPECT_EQ(res->rows.size(), 80u);
+    EXPECT_EQ(res->rows, ref::Eval(plan_, data_)) << batch_rows;
+  }
 }
 
 }  // namespace

@@ -163,8 +163,9 @@ TEST_F(ParallelScanTest, ParallelRowScanMatchesSerial) {
   const Snapshot snap = mgr.CurrentSnapshot();
   for (const Predicate& pred :
        {Predicate::True(), Predicate::Eq(1, Value(int64_t{3}))}) {
-    const auto serial = ScanRowStore(store, snap, pred, {});
-    const auto par = ScanRowStore(store, snap, pred, {}, Par());
+    const auto serial =
+        BatchesToRows(ScanRowStore(store, snap, pred, {}, ExecContext{}));
+    const auto par = BatchesToRows(ScanRowStore(store, snap, pred, {}, Par()));
     // Range partitions concatenate in key order — identical to serial.
     EXPECT_EQ(serial, par);
   }
@@ -200,10 +201,11 @@ TEST_F(ParallelScanTest, ParallelAggregateMatchesSerial) {
                                      AggSpec::Min(3, "mn"),
                                      AggSpec::Max(3, "mx"),
                                      AggSpec::Avg(1, "avg")};
+  const auto batches = RowsToBatches(rows, TestSchema(), {}, 512);
   for (const std::vector<int>& groups :
        {std::vector<int>{}, std::vector<int>{2}, std::vector<int>{1, 2}}) {
-    auto serial = HashAggregate(rows, groups, aggs);
-    auto par = HashAggregate(rows, groups, aggs, Par());
+    auto serial = HashAggregate(batches, groups, aggs, ExecContext{});
+    auto par = HashAggregate(batches, groups, aggs, Par());
     // Group output order is unspecified (hash-table order); sort to compare.
     auto less = [](const Row& a, const Row& b) {
       return a.ToString() < b.ToString();
@@ -214,7 +216,8 @@ TEST_F(ParallelScanTest, ParallelAggregateMatchesSerial) {
   }
   // Empty input: global aggregate still yields its one row in parallel mode.
   const auto empty =
-      HashAggregate(std::vector<Row>{}, {}, {AggSpec::Count("n")}, Par());
+      HashAggregate(std::vector<ColumnBatch>{}, {}, {AggSpec::Count("n")},
+                    Par());
   ASSERT_EQ(empty.size(), 1u);
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
 }

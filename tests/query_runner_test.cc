@@ -41,8 +41,9 @@ class QueryRunnerTest : public ::testing::Test {
   /// and records what was requested.
   ScanFn MakeScan() {
     return [this](const ScanRequest& req, ScanStats*,
-                  std::string*) -> Result<std::vector<Row>> {
+                  std::string*) -> Result<std::vector<ColumnBatch>> {
       last_projection_ = req.projection;
+      scan_csns_.push_back(req.csn);
       const auto& source = req.table->name == "sales" ? sales_ : cust_;
       std::vector<Row> out;
       for (const Row& r : source) {
@@ -55,13 +56,14 @@ class QueryRunnerTest : public ::testing::Test {
           out.push_back(std::move(p));
         }
       }
-      return out;
+      return RowsToBatches(out, req.table->schema, req.projection, 8);
     };
   }
 
   Catalog catalog_;
   std::vector<Row> sales_, cust_;
   std::vector<int> last_projection_;
+  std::vector<CSN> scan_csns_;
 };
 
 TEST_F(QueryRunnerTest, SimpleScanPushesUserProjection) {
@@ -106,6 +108,27 @@ TEST_F(QueryRunnerTest, CountStarOnlyStillWorksWithPushdown) {
   auto res = RunPlan(plan, catalog_, MakeScan(), nullptr);
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 20);
+  // COUNT(*) consumes no column: the scan reads the primary key alone
+  // rather than every column (an empty projection).
+  EXPECT_EQ(last_projection_, (std::vector<int>{0}));
+}
+
+TEST_F(QueryRunnerTest, EveryScanOfAJoinReadsTheQueryCsn) {
+  QueryPlan plan;
+  plan.table = "sales";
+  JoinClause by_cust;
+  by_cust.table = "cust";
+  by_cust.left_col = 1;   // sales.cust
+  by_cust.right_col = 0;  // cust.c_id
+  JoinClause again = by_cust;
+  again.left_col = 5;  // the first join's c_id
+  plan.joins = {by_cust, again};
+  ExecContext exec;
+  exec.committed_csn = 42;
+  auto res = RunPlan(plan, catalog_, MakeScan(), nullptr, exec);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->rows.size(), 20u);
+  EXPECT_EQ(scan_csns_, (std::vector<CSN>{42, 42, 42}));
 }
 
 TEST_F(QueryRunnerTest, JoinThenAggregateUsesCombinedLayout) {

@@ -16,6 +16,8 @@
 #include "core/database.h"
 #include "exec/executor.h"
 #include "exec/segment_filter.h"
+#include "reference_eval.h"
+#include "sql/sql.h"
 
 namespace htap {
 namespace {
@@ -317,7 +319,7 @@ TEST_F(VectorizedScanTest, Int64AndStringFastPathsMatchGenericEval) {
   }
 }
 
-TEST_F(VectorizedScanTest, BatchAggregateMatchesRowAggregate) {
+TEST_F(VectorizedScanTest, BatchAggregateMatchesReference) {
   const auto batches = ScanHtapBatches(table_, &delta_, kMaxCSN - 1,
                                        Predicate::True(), {}, Serial(100));
   const auto rows = BatchesToRows(batches);
@@ -329,7 +331,7 @@ TEST_F(VectorizedScanTest, BatchAggregateMatchesRowAggregate) {
   };
   for (const std::vector<int>& groups :
        {std::vector<int>{}, std::vector<int>{2}, std::vector<int>{1, 2}}) {
-    auto expect = HashAggregate(rows, groups, aggs);
+    auto expect = ref::Aggregate(rows, groups, aggs);
     std::sort(expect.begin(), expect.end(), less);
     for (bool parallel : {false, true}) {
       auto got =
@@ -345,7 +347,7 @@ TEST_F(VectorizedScanTest, BatchAggregateMatchesRowAggregate) {
   std::vector<Row> kept;
   for (const Row& r : rows)
     if (Predicate::Ge(1, Value(int64_t{5})).Eval(r)) kept.push_back(r);
-  auto expect = HashAggregate(kept, {2}, aggs);
+  auto expect = ref::Aggregate(kept, {2}, aggs);
   auto got = HashAggregate(filtered, {2}, aggs, Serial());
   std::sort(expect.begin(), expect.end(), less);
   std::sort(got.begin(), got.end(), less);
@@ -604,38 +606,30 @@ TEST(CompressionAdvisorTest, ColumnTableReencodesSegmentsWhenEnabled) {
   EXPECT_GT(total_bytes, 0u);
 }
 
-// End-to-end: every architecture with a batch-capable scan path must return
-// the same query results with the vectorized pipeline on and off, and the
-// vectorized run must actually take the batch path.
-TEST(VectorizedDatabaseTest, VectorizedAndRowPipelinesAgree) {
+// End-to-end: on every local architecture, each access path must return
+// what the reference evaluator computes from that path's own table scans,
+// row order included, and a plain analytic filter must be served by the
+// column side.
+TEST(VectorizedDatabaseTest, EveryPathMatchesReference) {
   const std::vector<ArchitectureKind> archs = {
       ArchitectureKind::kRowPlusInMemoryColumn,
       ArchitectureKind::kDiskRowPlusDistributedColumn,
       ArchitectureKind::kColumnPlusDeltaRow,
   };
   for (ArchitectureKind arch : archs) {
-    auto open = [arch](bool vectorized) {
-      DatabaseOptions opts;
-      opts.architecture = arch;
-      opts.background_sync = false;
-      opts.vectorized_exec = vectorized;
-      opts.parallel_scan_threads = 4;
-      auto res = Database::Open(opts);
-      EXPECT_TRUE(res.ok());
-      return std::move(*res);
-    };
-    auto row_db = open(false);
-    auto vec_db = open(true);
-    const Schema schema = TestSchema();
-    for (auto* db : {row_db.get(), vec_db.get()}) {
-      ASSERT_TRUE(db->CreateTable("t", schema).ok());
-      for (Key id = 0; id < 600; ++id)
-        ASSERT_TRUE(db->InsertRow("t", TRow(id, id % 9,
-                                            id % 2 ? "odd" : "even",
-                                            id * 0.5))
-                        .ok());
-      ASSERT_TRUE(db->ForceSyncAll().ok());
-    }
+    DatabaseOptions opts;
+    opts.architecture = arch;
+    opts.background_sync = false;
+    opts.parallel_scan_threads = 4;
+    auto opened = Database::Open(opts);
+    ASSERT_TRUE(opened.ok());
+    auto db = std::move(*opened);
+    ASSERT_TRUE(db->CreateTable("t", TestSchema()).ok());
+    for (Key id = 0; id < 600; ++id)
+      ASSERT_TRUE(db->InsertRow("t", TRow(id, id % 9, id % 2 ? "odd" : "even",
+                                          id * 0.5))
+                      .ok());
+    ASSERT_TRUE(db->ForceSyncAll().ok());
     const std::vector<std::string> queries = {
         "SELECT id, price FROM t WHERE v >= 5 ORDER BY id",
         "SELECT * FROM t WHERE cat = 'odd' AND v < 3 ORDER BY id",
@@ -644,22 +638,29 @@ TEST(VectorizedDatabaseTest, VectorizedAndRowPipelinesAgree) {
         "SELECT COUNT(*) AS n, MIN(price) AS mn, MAX(price) AS mx FROM t",
     };
     for (const std::string& q : queries) {
-      QueryExecInfo row_info, vec_info;
-      auto a = row_db->ExecuteSql(q, &row_info);
-      auto b = vec_db->ExecuteSql(q, &vec_info);
-      ASSERT_TRUE(a.ok() && b.ok()) << q;
-      EXPECT_EQ(a->rows, b->rows) << q;
-      EXPECT_FALSE(row_info.vectorized) << q;
+      auto bound = BindSelectSql(q, *db->catalog());
+      ASSERT_TRUE(bound.ok()) << q;
+      for (PathHint path : {PathHint::kAuto, PathHint::kForceRow,
+                            PathHint::kForceColumn}) {
+        QueryPlan plan = *bound;
+        plan.path = path;
+        QueryExecInfo info;
+        auto got = db->Query(plan, &info);
+        ASSERT_TRUE(got.ok()) << q;
+        EXPECT_EQ(got->rows, ref::Eval(plan, ref::ScanTables(db.get(), plan,
+                                                             path)))
+            << q << " path " << static_cast<int>(path);
+        EXPECT_TRUE(info.vectorized) << q;
+      }
     }
     // A plain analytic filter resolves to a column scan in all three
-    // architectures — the batch pipeline must have served it.
+    // architectures.
     QueryExecInfo info;
-    ASSERT_TRUE(
-        vec_db->ExecuteSql("SELECT id FROM t WHERE v >= 5", &info).ok());
-    EXPECT_TRUE(info.vectorized) << "arch " << static_cast<int>(arch);
+    ASSERT_TRUE(db->ExecuteSql("SELECT id FROM t WHERE v >= 5", &info).ok());
+    EXPECT_GT(info.scan.groups_total, 0u) << "arch " << static_cast<int>(arch);
 
     // The advisor (on by default) surfaces per-encoding footprints.
-    const EngineStats st = vec_db->Stats();
+    const EngineStats st = db->Stats();
     size_t segs = 0, bytes = 0;
     for (size_t e = 0; e < kNumEncodings; ++e) {
       segs += st.column_encodings.segments[e];

@@ -14,6 +14,8 @@
 #include "core/database.h"
 #include "exec/batch.h"
 #include "exec/executor.h"
+#include "reference_eval.h"
+#include "sql/sql.h"
 #include "storage/spill_file.h"
 
 namespace htap {
@@ -203,19 +205,18 @@ TEST_F(VectorizedJoinKernelTest, BatchKeysMatchRowPairsEveryRegime) {
   }
 }
 
-/// End-to-end identity: the same plans executed with the batch join
-/// pipeline on and off must return byte-identical results — across
-/// architectures, batch sizes, thread counts, and forced-spill budgets.
+/// End-to-end: the join pipeline's answers must equal the nested-loop
+/// reference evaluator's over the same table scans, row order included —
+/// across architectures, access paths, batch sizes, thread counts, and
+/// forced-spill budgets.
 class VectorizedJoinPlanTest : public ::testing::Test {
  protected:
   static std::unique_ptr<Database> Open(ArchitectureKind arch,
-                                        bool vectorized_join,
                                         size_t batch_rows, size_t threads,
                                         size_t spill_budget) {
     DatabaseOptions opts;
     opts.architecture = arch;
     opts.background_sync = false;
-    opts.vectorized_join = vectorized_join;
     opts.vectorized_batch_rows = batch_rows;
     opts.parallel_scan_threads = threads;
     opts.parallel_join_min_build_rows = 1;
@@ -278,35 +279,46 @@ class VectorizedJoinPlanTest : public ::testing::Test {
     };
   }
 
-  static void ExpectSameResults(Database* row_db, Database* batch_db,
-                                const std::string& label) {
+  /// Runs every query on both forced paths (auto picks one of them per
+  /// scan) and checks each answer against the reference evaluator over
+  /// that path's table scans. Returns the last run's exec info per query.
+  static std::vector<QueryExecInfo> ExpectMatchesReference(
+      Database* db, const std::string& label) {
+    std::vector<QueryExecInfo> infos;
     for (const std::string& q : Queries()) {
-      auto expect = row_db->ExecuteSql(q);
-      ASSERT_TRUE(expect.ok()) << expect.status().ToString() << " " << q;
+      auto bound = BindSelectSql(q, *db->catalog());
+      EXPECT_TRUE(bound.ok()) << bound.status().ToString() << " " << q;
+      if (!bound.ok()) continue;
       QueryExecInfo info;
-      auto got = batch_db->ExecuteSql(q, &info);
-      ASSERT_TRUE(got.ok()) << got.status().ToString() << " " << q;
-      EXPECT_EQ(expect->rows, got->rows) << label << " query: " << q;
+      for (PathHint path : {PathHint::kForceRow, PathHint::kForceColumn}) {
+        QueryPlan plan = *bound;
+        plan.path = path;
+        info = QueryExecInfo{};
+        auto got = db->Query(plan, &info);
+        EXPECT_TRUE(got.ok()) << got.status().ToString() << " " << q;
+        if (!got.ok()) continue;
+        EXPECT_EQ(got->rows,
+                  ref::Eval(plan, ref::ScanTables(db, plan, path)))
+            << label << " path=" << static_cast<int>(path) << " query: " << q;
+      }
+      infos.push_back(info);
     }
+    return infos;
   }
 };
 
-TEST_F(VectorizedJoinPlanTest, BatchJoinMatchesRowJoinAcrossKnobs) {
+TEST_F(VectorizedJoinPlanTest, BatchJoinMatchesReferenceAcrossKnobs) {
   for (ArchitectureKind arch : {ArchitectureKind::kRowPlusInMemoryColumn,
                                 ArchitectureKind::kColumnPlusDeltaRow}) {
     for (size_t batch_rows : {size_t{7}, size_t{4096}}) {
       for (size_t threads : {size_t{1}, size_t{4}}) {
         for (size_t budget : {size_t{0}, size_t{1}}) {
-          auto row_db = Open(arch, /*vectorized_join=*/false, batch_rows,
-                             threads, budget);
-          auto batch_db = Open(arch, /*vectorized_join=*/true, batch_rows,
-                               threads, budget);
-          ExpectSameResults(
-              row_db.get(), batch_db.get(),
-              "arch=" + std::to_string(static_cast<int>(arch)) +
-                  " batch_rows=" + std::to_string(batch_rows) + " threads=" +
-                  std::to_string(threads) + " budget=" +
-                  std::to_string(budget));
+          auto db = Open(arch, batch_rows, threads, budget);
+          ExpectMatchesReference(
+              db.get(), "arch=" + std::to_string(static_cast<int>(arch)) +
+                            " batch_rows=" + std::to_string(batch_rows) +
+                            " threads=" + std::to_string(threads) +
+                            " budget=" + std::to_string(budget));
         }
       }
     }
@@ -314,62 +326,41 @@ TEST_F(VectorizedJoinPlanTest, BatchJoinMatchesRowJoinAcrossKnobs) {
 }
 
 TEST_F(VectorizedJoinPlanTest, DistributedLearnerServesBatchJoins) {
-  // Architecture (b) now offers its learner batch scan: the batch pipeline
-  // must produce the row pipeline's results there too.
-  auto row_db = Open(ArchitectureKind::kDistributedRowPlusColumnReplica,
-                     /*vectorized_join=*/false, 4096, 1, 0);
-  auto batch_db = Open(ArchitectureKind::kDistributedRowPlusColumnReplica,
-                       /*vectorized_join=*/true, 4096, 1, 0);
-  ExpectSameResults(row_db.get(), batch_db.get(), "arch=b");
+  // Architecture (b) serves every scan from its learners' batches.
+  auto db = Open(ArchitectureKind::kDistributedRowPlusColumnReplica, 4096, 1,
+                 0);
+  ExpectMatchesReference(db.get(), "arch=b");
 }
 
 TEST_F(VectorizedJoinPlanTest, BatchPipelineReportsJoinCounters) {
-  auto db = Open(ArchitectureKind::kRowPlusInMemoryColumn,
-                 /*vectorized_join=*/true, 4096, 1, 0);
-  QueryExecInfo info;
-  auto res = db->ExecuteSql(
+  auto db = Open(ArchitectureKind::kRowPlusInMemoryColumn, 4096, 1, 0);
+  const std::string q =
       "SELECT item.name, SUM(sale.qty) AS sold FROM sale "
       "JOIN item ON sale.item_id = item.i_id "
-      "JOIN promo ON item.i_id = promo.p_item GROUP BY item.name",
-      &info);
+      "JOIN promo ON item.i_id = promo.p_item GROUP BY item.name";
+  QueryExecInfo info;
+  auto res = db->ExecuteSql(q, &info);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(info.vectorized);
   EXPECT_GT(info.join.join_batches, 0u);
   EXPECT_GT(info.join.rows_late_materialized, 0u);
   EXPECT_EQ(info.join_steps.size(), 2u);
 
-  // With the knob off the same plan reports the row pipeline.
-  auto off = Open(ArchitectureKind::kRowPlusInMemoryColumn,
-                  /*vectorized_join=*/false, 4096, 1, 0);
-  QueryExecInfo off_info;
-  ASSERT_TRUE(off->ExecuteSql(
-                     "SELECT item.name, SUM(sale.qty) AS sold FROM sale "
-                     "JOIN item ON sale.item_id = item.i_id "
-                     "JOIN promo ON item.i_id = promo.p_item "
-                     "GROUP BY item.name",
-                     &off_info)
-                  .ok());
-  EXPECT_EQ(off_info.join.join_batches, 0u);
-  EXPECT_EQ(off_info.join.rows_late_materialized, 0u);
+  // The counted run's answer is the reference evaluator's.
+  auto plan = BindSelectSql(q, *db->catalog());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(res->rows,
+            ref::Eval(*plan, ref::ScanTables(db.get(), *plan, plan->path)));
 }
 
 TEST_F(VectorizedJoinPlanTest, ForcedSpillStaysIdenticalEndToEnd) {
   // A 1-byte budget forces every join step through the grace path's
-  // columnar spill pages; results and reported spill activity must agree
-  // with the row pipeline's spill.
-  auto row_db = Open(ArchitectureKind::kRowPlusInMemoryColumn,
-                     /*vectorized_join=*/false, 64, 1, 1);
-  auto batch_db = Open(ArchitectureKind::kRowPlusInMemoryColumn,
-                       /*vectorized_join=*/true, 64, 1, 1);
-  for (const std::string& q : Queries()) {
-    auto expect = row_db->ExecuteSql(q);
-    ASSERT_TRUE(expect.ok());
-    QueryExecInfo info;
-    auto got = batch_db->ExecuteSql(q, &info);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(expect->rows, got->rows) << q;
-    EXPECT_GT(info.join.spill_pages_written, 0u) << q;
-    EXPECT_GT(info.join.spill_pages_read, 0u) << q;
+  // columnar spill pages; results must still be the reference's, and the
+  // spill activity must be reported.
+  auto db = Open(ArchitectureKind::kRowPlusInMemoryColumn, 64, 1, 1);
+  for (const QueryExecInfo& info : ExpectMatchesReference(db.get(), "spill")) {
+    EXPECT_GT(info.join.spill_pages_written, 0u);
+    EXPECT_GT(info.join.spill_pages_read, 0u);
   }
 }
 

@@ -126,8 +126,9 @@ int main() {
   std::printf("host hardware_concurrency = %u\n\n",
               std::thread::hardware_concurrency());
 
-  const auto serial_scan = ScanHtap(table, &delta, kMaxCSN - 1,
-                                    Predicate::Ge(3, Value(10.0)), {});
+  const auto serial_scan = BatchesToRows(
+      ScanHtapBatches(table, &delta, kMaxCSN - 1,
+                      Predicate::Ge(3, Value(10.0)), {}, ExecContext{}));
   const auto serial_agg = HashAggregate(
       ScanHtapBatches(table, &delta, kMaxCSN - 1, Predicate::Ge(3, Value(10.0)),
                       {}, ExecContext{}),

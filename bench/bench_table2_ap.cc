@@ -46,13 +46,15 @@ TechniqueResult RunWith(DeltaT* delta, const ColumnTable& table,
   Stopwatch sw;
   const Predicate pred = Predicate::Ge(0, Value(static_cast<int64_t>(0)));
   ScanStats stats;
-  const auto rows =
-      ScanHtap(table, union_delta ? delta : nullptr, kMaxCSN - 1, pred,
-               {0}, &stats);
+  const auto batches =
+      ScanHtapBatches(table, union_delta ? delta : nullptr, kMaxCSN - 1, pred,
+                      {0}, ExecContext{}, &stats);
   out.query_ms = sw.ElapsedSeconds() * 1000.0;
-  for (const Row& r : rows)
-    if (r.Get(0).AsInt64() >= static_cast<int64_t>(kBaseRows))
-      ++out.visible_fresh_rows;
+  for (const ColumnBatch& b : batches)
+    b.ForEachActive([&](size_t i) {
+      if (b.columns[0].GetInt64(i) >= static_cast<int64_t>(kBaseRows))
+        ++out.visible_fresh_rows;
+    });
   out.staging_bytes = delta->MemoryBytes();
   return out;
 }

@@ -199,7 +199,8 @@ void BM_ColumnScanFiltered(benchmark::State& state) {
   table.AppendBatch(std::move(rows), 1);
   const Predicate pred = Predicate::Eq(1, Value(int64_t{42}));
   for (auto _ : state) {
-    auto out = ScanHtap(table, nullptr, kMaxCSN - 1, pred, {0});
+    auto out =
+        ScanHtapBatches(table, nullptr, kMaxCSN - 1, pred, {0}, ExecContext{});
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() * 100000);

@@ -95,12 +95,12 @@ suite_tier1() {
 }
 
 suite_bench() {
-  echo "== bench smoke: parallel join + grace spill + batch-vs-row (1.5x bar) =="
+  echo "== bench smoke: parallel join + grace spill (pair identity checks) =="
   cmake -B build -S . > /dev/null
   cmake --build build -j "$JOBS" --target bench_parallel_join
   if ! ./build/bench/bench_parallel_join smoke | tee build/bench_smoke.log
   then
-    echo "FAIL: parallel join smoke (batch-vs-row 1.5x acceptance bar)" >&2
+    echo "FAIL: parallel join smoke (join pairs differ from expected)" >&2
     FAILED_SUITES+=("bench/parallel-join")
   fi
 

@@ -32,9 +32,7 @@ import sys
 
 # Metric direction; every other numeric field is part of the record key.
 HIGHER_IS_BETTER = {"probe_rows_per_sec", "speedup", "rows_per_sec",
-                    "direct_vs_decode", "row_probe_rows_per_sec",
-                    "batch_probe_rows_per_sec", "batch_vs_row",
-                    "tpmc", "committed",
+                    "direct_vs_decode", "tpmc", "committed",
                     "ops_per_sec", "txns_per_sec", "olc_vs_coarse",
                     "scaling_efficiency"}
 LOWER_IS_BETTER = {"join_ms",

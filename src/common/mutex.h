@@ -41,6 +41,7 @@ namespace htap {
 /// by address or use TryLock). The ranking is derived from the real nesting
 /// chains in the code — see DESIGN.md §11 for the evidence per edge.
 enum class LockRank : uint16_t {
+  kDistEngine = 50,     // DistributedHtapEngine::mu_ (outermost: held across a whole call)
   kSyncDaemon = 100,    // SyncDaemon::tasks_mu_ (outermost: holds across SyncTo)
   kTxnCommit = 200,     // TransactionManager::publish_mu_ (orders sink publication)
   kTxnShard = 210,      // TransactionManager per-shard commit frontier (inflight CSNs)

@@ -25,6 +25,29 @@ LocalPreset LocalPresetFor(ArchitectureKind arch) {
   }
 }
 
+/// The one write-time check of a row against its table: arity, then each
+/// cell's type. An INT64 cell widens into a DOUBLE column; any other
+/// mismatch, and a NULL primary key, is refused here, so every store,
+/// delta and column vector downstream holds cells of its column's type.
+Status CheckRow(const Schema& schema, const Row& row) {
+  if (row.size() != schema.num_columns())
+    return Status::InvalidArgument("row arity mismatch");
+  for (size_t c = 0; c < row.size(); ++c) {
+    const Value& v = row.Get(c);
+    const Type want = schema.column(c).type;
+    if (v.is_null()) {
+      if (static_cast<int>(c) == schema.pk_index())
+        return Status::InvalidArgument("NULL primary key");
+      continue;
+    }
+    if (v.type() == want || (v.is_int64() && want == Type::kDouble)) continue;
+    return Status::InvalidArgument(
+        "column " + schema.column(c).name + " is " + TypeName(want) +
+        ", got " + TypeName(v.type()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Database::Database(DatabaseOptions options) : options_(std::move(options)) {
@@ -114,11 +137,13 @@ DbTxn::~DbTxn() {
 
 Status DbTxn::Insert(const std::string& table, const Row& row) {
   HTAP_ASSIGN_OR_RETURN(const TableInfo* info, db_->Resolve(table));
+  HTAP_RETURN_NOT_OK(CheckRow(info->schema, row));
   return db_->engine_->Insert(ctx_.get(), *info, row);
 }
 
 Status DbTxn::Update(const std::string& table, const Row& row) {
   HTAP_ASSIGN_OR_RETURN(const TableInfo* info, db_->Resolve(table));
+  HTAP_RETURN_NOT_OK(CheckRow(info->schema, row));
   return db_->engine_->Update(ctx_.get(), *info, row);
 }
 

@@ -224,18 +224,12 @@ JoinKeyColumn GatherKeys(const JoinKeyColumn& src,
                          const std::vector<uint32_t>& idx) {
   JoinKeyColumn out;
   out.type = src.type;
-  out.mixed = src.mixed;
   const size_t n = idx.size();
   out.valid.reserve(n);
   out.hashes.reserve(n);
   for (uint32_t i : idx) {
     out.valid.push_back(src.valid[i]);
     out.hashes.push_back(src.hashes[i]);
-  }
-  if (src.mixed) {
-    out.boxed.reserve(n);
-    for (uint32_t i : idx) out.boxed.push_back(src.boxed[i]);
-    return out;
   }
   switch (src.type) {
     case Type::kInt64:

@@ -7,8 +7,7 @@
 // means every position is active, afterwards `sel` is exact. Scans emit
 // compacted batches (all positions active); filters above the scan refine
 // `sel` in place without copying column data. Conversion back to rows
-// (BatchesToRows) visits only active positions, in order, so a batch
-// pipeline's row image is exactly the row-at-a-time operator's output.
+// (BatchesToRows) visits only active positions, in order.
 
 #ifndef HTAP_EXEC_BATCH_H_
 #define HTAP_EXEC_BATCH_H_
@@ -61,8 +60,8 @@ void FilterBatch(ColumnBatch* batch, int col, CmpOp op, const Value& lit);
 /// Sum of active() across batches.
 size_t TotalActiveRows(const std::vector<ColumnBatch>& batches);
 
-/// Flattens batches to rows in batch order, active positions only — the
-/// bridge back to the row-at-a-time operators.
+/// Flattens batches to rows in batch order, active positions only: how a
+/// query result leaves the batch pipeline.
 std::vector<Row> BatchesToRows(const std::vector<ColumnBatch>& batches);
 
 /// Packs rows appended one at a time into compacted batches of at most

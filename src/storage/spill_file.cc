@@ -90,14 +90,6 @@ void SpillRun::Discard() {
 
 namespace {
 
-/// Page payload kinds. Distinct from Type so the boxed fallback has a tag.
-enum PageKind : uint8_t {
-  kPageInt64 = 0,
-  kPageDouble = 1,
-  kPageString = 2,
-  kPageBoxed = 3,
-};
-
 template <typename T>
 void PutRaw(T v, std::string* out) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(T));
@@ -116,30 +108,23 @@ bool GetRaw(const std::string& in, size_t* pos, T* out) {
 void EncodeSpillPage(const SpillPage& page, std::string* out) {
   const auto n = static_cast<uint32_t>(page.idx.size());
   PutRaw(n, out);
-  const PageKind kind = page.boxed  ? kPageBoxed
-                        : page.type == Type::kInt64  ? kPageInt64
-                        : page.type == Type::kDouble ? kPageDouble
-                                                     : kPageString;
-  out->push_back(static_cast<char>(kind));
+  out->push_back(static_cast<char>(page.type));
   out->append(reinterpret_cast<const char*>(page.idx.data()),
               size_t{n} * sizeof(uint32_t));
-  switch (kind) {
-    case kPageInt64:
+  switch (page.type) {
+    case Type::kInt64:
       out->append(reinterpret_cast<const char*>(page.ints.data()),
                   size_t{n} * sizeof(int64_t));
       break;
-    case kPageDouble:
+    case Type::kDouble:
       out->append(reinterpret_cast<const char*>(page.doubles.data()),
                   size_t{n} * sizeof(double));
       break;
-    case kPageString:
+    case Type::kString:
       for (const std::string& s : page.strs) {
         PutRaw(static_cast<uint32_t>(s.size()), out);
         out->append(s);
       }
-      break;
-    case kPageBoxed:
-      for (const Value& v : page.vals) v.EncodeTo(out);
       break;
   }
 }
@@ -149,47 +134,36 @@ bool DecodeSpillPage(const std::string& in, size_t* pos, SpillPage* out) {
   uint32_t n = 0;
   if (!GetRaw(in, pos, &n)) return false;
   if (in.size() - *pos < 1) return false;
-  const auto kind = static_cast<uint8_t>(in[*pos]);
+  const auto type_byte = static_cast<uint8_t>(in[*pos]);
   ++*pos;
-  if (kind > kPageBoxed) return false;
+  if (type_byte > static_cast<uint8_t>(Type::kString)) return false;
+  out->type = static_cast<Type>(type_byte);
   if (in.size() - *pos < size_t{n} * sizeof(uint32_t)) return false;
   out->idx.resize(n);
   std::memcpy(out->idx.data(), in.data() + *pos, size_t{n} * sizeof(uint32_t));
   *pos += size_t{n} * sizeof(uint32_t);
-  switch (static_cast<PageKind>(kind)) {
-    case kPageInt64:
-      out->type = Type::kInt64;
+  switch (out->type) {
+    case Type::kInt64:
       if (in.size() - *pos < size_t{n} * sizeof(int64_t)) return false;
       out->ints.resize(n);
       std::memcpy(out->ints.data(), in.data() + *pos,
                   size_t{n} * sizeof(int64_t));
       *pos += size_t{n} * sizeof(int64_t);
       break;
-    case kPageDouble:
-      out->type = Type::kDouble;
+    case Type::kDouble:
       if (in.size() - *pos < size_t{n} * sizeof(double)) return false;
       out->doubles.resize(n);
       std::memcpy(out->doubles.data(), in.data() + *pos,
                   size_t{n} * sizeof(double));
       *pos += size_t{n} * sizeof(double);
       break;
-    case kPageString:
-      out->type = Type::kString;
+    case Type::kString:
       out->strs.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         uint32_t len = 0;
         if (!GetRaw(in, pos, &len) || in.size() - *pos < len) return false;
         out->strs.emplace_back(in.data() + *pos, len);
         *pos += len;
-      }
-      break;
-    case kPageBoxed:
-      out->boxed = true;
-      out->vals.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        Value v;
-        if (!Value::DecodeFrom(in, pos, &v)) return false;
-        out->vals.push_back(std::move(v));
       }
       break;
   }

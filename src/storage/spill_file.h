@@ -69,30 +69,27 @@ class SpillRun {
 };
 
 /// One column slice of spilled join keys: the rows' original dense input
-/// indices plus the key values, stored as a typed vector (or boxed Values
-/// when the extracted key column mixed value types). NULL keys never join,
-/// so pages carry no null bitmap; hashes are recomputed on rehydration via
-/// the Value::Hash-consistent typed primitives.
+/// indices plus the key values, stored as one typed vector (a key column
+/// has one type). NULL keys never join, so pages carry no null bitmap;
+/// hashes are recomputed on rehydration via the Value::Hash-consistent
+/// typed primitives.
 struct SpillPage {
   std::vector<uint32_t> idx;      // original input indices, page-local order
-  Type type = Type::kInt64;       // payload type when !boxed
-  bool boxed = false;             // mixed-type key column: Value payload
-  std::vector<int64_t> ints;      // type == kInt64, !boxed
-  std::vector<double> doubles;    // type == kDouble, !boxed
-  std::vector<std::string> strs;  // type == kString, !boxed
-  std::vector<Value> vals;        // boxed only
+  Type type = Type::kInt64;       // key type
+  std::vector<int64_t> ints;      // type == kInt64
+  std::vector<double> doubles;    // type == kDouble
+  std::vector<std::string> strs;  // type == kString
 
   size_t rows() const { return idx.size(); }
 };
 
-/// Appends the page's binary image: row count, kind byte, raw little-endian
-/// fixed-width slots for idx/ints/doubles, length-prefixed strings, and
-/// Value::EncodeTo for boxed payloads. Pages are self-delimiting, so a run
-/// holds any number back to back.
+/// Appends the page's binary image: row count, type byte, raw little-endian
+/// fixed-width slots for idx/ints/doubles, and length-prefixed strings.
+/// Pages are self-delimiting, so a run holds any number back to back.
 void EncodeSpillPage(const SpillPage& page, std::string* out);
 
 /// Decodes one page starting at *pos, advancing *pos past it. Returns false
-/// on malformed input (truncated page, unknown kind byte).
+/// on malformed input (truncated page, unknown type byte).
 bool DecodeSpillPage(const std::string& in, size_t* pos, SpillPage* out);
 
 }  // namespace htap

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "core/database.h"
 
@@ -268,6 +270,46 @@ TEST_P(DatabaseTest, CommitStagesChangesOnlyInTheTablesItWrites) {
   EXPECT_EQ(pending("t1"), 3u);
   EXPECT_EQ(pending("t2"), 2u);
   EXPECT_EQ(pending("t3"), 0u);
+}
+
+// Every write passes one check of arity and cell types: a mistyped cell
+// is refused with InvalidArgument (an INT64 widens into a DOUBLE column),
+// so merges and forced-row scans afterwards see only well-typed rows.
+TEST_P(DatabaseTest, MistypedCellsAreRejectedAtWriteTime) {
+  ASSERT_TRUE(db_->InsertRow("orders", Order(1, 5, "west", 9.5)).ok());
+  ASSERT_TRUE(db_->InsertRow("orders", Row{Value(int64_t{2}), Value(int64_t{3}),
+                                           Value("east"), Value(int64_t{7})})
+                  .ok());
+  const std::vector<Row> bad = {
+      Row{Value(int64_t{3}), Value("oops"), Value("x"), Value(1.0)},
+      Row{Value(int64_t{4}), Value(2.5), Value("x"), Value(1.0)},
+      Row{Value(int64_t{5}), Value(int64_t{1}), Value(int64_t{9}), Value(1.0)},
+      Row{Value(int64_t{6}), Value(int64_t{1}), Value("x"), Value("1.0")},
+      Row{Value::Null(), Value(int64_t{1}), Value("x"), Value(1.0)},
+      Row{Value(int64_t{7}), Value(int64_t{1}), Value("x")},
+  };
+  for (const Row& r : bad)
+    EXPECT_TRUE(db_->InsertRow("orders", r).IsInvalidArgument())
+        << r.ToString();
+  EXPECT_TRUE(db_->UpdateRow("orders", Row{Value(int64_t{1}), Value("oops"),
+                                           Value("west"), Value(9.5)})
+                  .IsInvalidArgument());
+  auto txn = db_->Begin();
+  EXPECT_TRUE(txn->Insert("orders", bad[0]).IsInvalidArgument());
+  ASSERT_TRUE(txn->Commit().ok());
+
+  ASSERT_TRUE(db_->ForceSync("orders").ok());
+  const std::vector<Row> want = {Order(1, 5, "west", 9.5),
+                                 Order(2, 3, "east", 7.0)};
+  for (PathHint path : {PathHint::kForceRow, PathHint::kForceColumn}) {
+    QueryPlan plan;
+    plan.table = "orders";
+    plan.path = path;
+    plan.order_by = 0;
+    auto res = db_->Query(plan);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res->rows, want) << "path " << static_cast<int>(path);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -575,6 +617,54 @@ TEST(DiskEngineTest, LoadedColumnMergesAreCounted) {
   // Nothing left to drain: a second sync is not a merge.
   ASSERT_TRUE(db->ForceSyncAll().ok());
   EXPECT_EQ(db->Stats().merges, st.merges);
+}
+
+// (b)'s simulator is single-threaded; the engine serializes its callers,
+// so several client threads may share one Database.
+TEST(DistEngineTest, ConcurrentClientsShareOneDatabase) {
+  DatabaseOptions opts;
+  opts.architecture = ArchitectureKind::kDistributedRowPlusColumnReplica;
+  opts.background_sync = false;
+  opts.dist.num_shards = 2;
+  opts.dist.learner_merge_interval = 0;
+  auto db = std::move(*Database::Open(opts));
+  ASSERT_TRUE(db->CreateTable("orders", OrdersSchema()).ok());
+  constexpr int kThreads = 4;
+  constexpr int kRowsPerThread = 20;
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&db, t] {
+      for (int i = 0; i < kRowsPerThread; ++i) {
+        const Key id = t * 1000 + i;
+        auto txn = db->Begin();
+        EXPECT_TRUE(txn->Insert("orders", Order(id, t, "x", 1.0)).ok());
+        EXPECT_TRUE(txn->Commit().ok());
+        Row out;
+        EXPECT_TRUE(db->GetRow("orders", id, &out).ok());
+        if (i % 5 == 4) {
+          QueryPlan fresh;
+          fresh.table = "orders";
+          fresh.where = Predicate::Eq(1, Value(static_cast<int64_t>(t)));
+          fresh.aggs = {AggSpec::Count("n")};
+          fresh.require_fresh = true;
+          auto res = db->Query(fresh);
+          EXPECT_TRUE(res.ok());
+          if (res.ok()) {
+            EXPECT_EQ(res->rows[0].Get(0).AsInt64(), i + 1);
+          }
+          (void)db->Freshness("orders");
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  ASSERT_TRUE(db->ForceSync("orders").ok());
+  QueryPlan all;
+  all.table = "orders";
+  all.aggs = {AggSpec::Count("n")};
+  auto res = db->Query(all);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->rows[0].Get(0).AsInt64(), kThreads * kRowsPerThread);
 }
 
 TEST(DistEngineTest, StaleColumnScanLagsWithoutSync) {

@@ -1,9 +1,13 @@
 // Execution-layer tests: predicate evaluation and zone-map skipping,
 // row/HTAP scans, hash join, hash aggregation, sort/limit, projection.
+// Scans are checked against a plain-row model (ref::HtapTableModel), joins
+// against the nested-loop reference.
 
 #include <gtest/gtest.h>
 
+#include "batch_join.h"
 #include "exec/executor.h"
+#include "reference_eval.h"
 #include "txn/txn_manager.h"
 
 namespace htap {
@@ -68,7 +72,10 @@ TEST(PredicateTest, ToStringReadable) {
 
 class ScanTest : public ::testing::Test {
  protected:
-  ScanTest() : store_(1, TestSchema(), &mgr_, nullptr), table_(TestSchema()) {
+  ScanTest()
+      : store_(1, TestSchema(), &mgr_, nullptr),
+        table_(TestSchema()),
+        model_(TestSchema()) {
     auto t = mgr_.Begin();
     for (int i = 0; i < 100; ++i) {
       const Row r = TRow(i, i % 10, i % 2 ? "odd" : "even", i * 1.5);
@@ -79,12 +86,29 @@ class ScanTest : public ::testing::Test {
     // Column store gets the same rows in two groups.
     table_.AppendBatch({rows_.begin(), rows_.begin() + 50}, 1);
     table_.AppendBatch({rows_.begin() + 50, rows_.end()}, 2);
+    model_.Append(rows_);
+  }
+
+  void AddDelta(InMemoryDeltaStore* delta, const DeltaEntry& e) {
+    delta->Append(e);
+    model_.AddDelta(e);
+  }
+
+  static std::vector<Row> Scan(const ColumnTable& table,
+                               const DeltaReader* delta, CSN snapshot,
+                               const Predicate& pred,
+                               ScanStats* stats = nullptr) {
+    ExecContext exec;
+    exec.batch_rows = 16;
+    return BatchesToRows(
+        ScanHtapBatches(table, delta, snapshot, pred, {}, exec, stats));
   }
 
   TransactionManager mgr_;
   MvccRowStore store_;
   ColumnTable table_;
   std::vector<Row> rows_;
+  ref::HtapTableModel model_;
 };
 
 TEST_F(ScanTest, RowScanWithPredicateAndProjection) {
@@ -100,7 +124,8 @@ TEST_F(ScanTest, ColumnScanMatchesRowScan) {
                                     Predicate::Eq(2, Value("even"))});
   auto row_out = BatchesToRows(
       ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {}, ExecContext{}));
-  auto col_out = ScanHtap(table_, nullptr, kMaxCSN - 1, pred, {});
+  auto col_out = Scan(table_, nullptr, kMaxCSN - 1, pred);
+  EXPECT_EQ(col_out, model_.Rows(kMaxCSN - 1, pred));
   auto key_of = [](const Row& r) { return r.Get(0).AsInt64(); };
   std::sort(row_out.begin(), row_out.end(),
             [&](const Row& a, const Row& b) { return key_of(a) < key_of(b); });
@@ -112,8 +137,9 @@ TEST_F(ScanTest, ColumnScanMatchesRowScan) {
 TEST_F(ScanTest, ZoneMapSkipsGroups) {
   ScanStats stats;
   // Keys 0..49 in group 0, 50..99 in group 1: id >= 80 skips group 0.
-  const auto out = ScanHtap(table_, nullptr, kMaxCSN - 1,
-                            Predicate::Ge(0, Value(int64_t{80})), {}, &stats);
+  const Predicate pred = Predicate::Ge(0, Value(int64_t{80}));
+  const auto out = Scan(table_, nullptr, kMaxCSN - 1, pred, &stats);
+  EXPECT_EQ(out, model_.Rows(kMaxCSN - 1, pred));
   EXPECT_EQ(out.size(), 20u);
   EXPECT_EQ(stats.groups_total, 2u);
   EXPECT_EQ(stats.groups_skipped, 1u);
@@ -126,22 +152,23 @@ TEST_F(ScanTest, DeltaUnionOverridesMain) {
   upd.key = 10;
   upd.row = TRow(10, 777, "patched", 0.0);
   upd.csn = 50;
-  delta.Append(upd);
+  AddDelta(&delta, upd);
   DeltaEntry del;
   del.op = ChangeOp::kDelete;
   del.key = 11;
   del.csn = 51;
-  delta.Append(del);
+  AddDelta(&delta, del);
   DeltaEntry ins;
   ins.op = ChangeOp::kInsert;
   ins.key = 1000;
   ins.row = TRow(1000, 1, "new", 9.9);
   ins.csn = 52;
-  delta.Append(ins);
+  AddDelta(&delta, ins);
 
   ScanStats stats;
-  const auto out = ScanHtap(table_, &delta, kMaxCSN - 1, Predicate::True(),
-                            {}, &stats);
+  const auto out = Scan(table_, &delta, kMaxCSN - 1, Predicate::True(),
+                        &stats);
+  EXPECT_EQ(out, model_.Rows(kMaxCSN - 1, Predicate::True()));
   EXPECT_EQ(out.size(), 100u);  // 100 - 1 delete + 1 insert
   EXPECT_EQ(stats.delta_rows_emitted, 2u);
   bool saw_patched = false, saw_11 = false;
@@ -162,14 +189,22 @@ TEST_F(ScanTest, DeltaSnapshotCutoff) {
   del.op = ChangeOp::kDelete;
   del.key = 5;
   del.csn = 100;
-  delta.Append(del);
+  AddDelta(&delta, del);
   // Snapshot below the delete's CSN: row 5 still visible.
-  const auto out = ScanHtap(table_, &delta, 99,
-                            Predicate::Eq(0, Value(int64_t{5})), {});
+  const Predicate pred = Predicate::Eq(0, Value(int64_t{5}));
+  const auto out = Scan(table_, &delta, 99, pred);
+  EXPECT_EQ(out, model_.Rows(99, pred));
   EXPECT_EQ(out.size(), 1u);
-  const auto out2 = ScanHtap(table_, &delta, 100,
-                             Predicate::Eq(0, Value(int64_t{5})), {});
+  const auto out2 = Scan(table_, &delta, 100, pred);
   EXPECT_EQ(out2.size(), 0u);
+}
+
+Schema LeftSchema() {
+  return Schema({{"k", Type::kInt64}, {"s", Type::kString}});
+}
+
+Schema RightSchema() {
+  return Schema({{"k", Type::kInt64}, {"d", Type::kDouble}});
 }
 
 TEST(HashJoinTest, InnerEquiJoin) {
@@ -178,7 +213,10 @@ TEST(HashJoinTest, InnerEquiJoin) {
                            Row{Value(int64_t{2}), Value("b2")}};
   std::vector<Row> right = {Row{Value(int64_t{2}), Value(10.0)},
                             Row{Value(int64_t{3}), Value(30.0)}};
-  const auto out = HashJoin(left, right, 0, 0);
+  const auto out =
+      test::JoinBatches(test::Batches(left, LeftSchema()),
+                        test::Batches(right, RightSchema()), 0, 0, {});
+  EXPECT_EQ(out, ref::NestedLoopJoin(left, right, 0, 0));
   ASSERT_EQ(out.size(), 2u);
   for (const Row& r : out) {
     EXPECT_EQ(r.size(), 4u);
@@ -190,7 +228,9 @@ TEST(HashJoinTest, InnerEquiJoin) {
 TEST(HashJoinTest, NullKeysNeverMatch) {
   std::vector<Row> left = {Row{Value::Null(), Value("a")}};
   std::vector<Row> right = {Row{Value::Null(), Value(1.0)}};
-  EXPECT_TRUE(HashJoin(left, right, 0, 0).empty());
+  EXPECT_TRUE(test::JoinBatches(test::Batches(left, LeftSchema()),
+                                test::Batches(right, RightSchema()), 0, 0, {})
+                  .empty());
 }
 
 TEST(HashAggregateTest, GlobalAggregates) {

@@ -2,8 +2,9 @@
 // below the build-side footprint the join must write partition runs to
 // disk, join them partition-at-a-time — recursing on skewed partitions —
 // and still produce output byte-identical to the nested-loop reference at
-// every thread count. Also covers the planner layer riding on the pair
-// API: build-side selection (swap fixup) and greedy join-order selection
+// every thread count. The join runs on batch keys, as the query runner
+// runs it. Also covers the planner layer riding on the pair API:
+// build-side selection (swap fixup) and greedy join-order selection
 // (hidden-index fixup), plus spill-file cleanup. Runs under
 // ThreadSanitizer via ./ci.sh.
 
@@ -12,58 +13,72 @@
 #include <filesystem>
 #include <thread>
 
+#include "batch_join.h"
 #include "core/database.h"
 #include "exec/executor.h"
 #include "opt/join_planner.h"
+#include "reference_eval.h"
 #include "storage/spill_file.h"
 
 namespace htap {
 namespace {
 
-/// Ground truth with the join's documented output order: left rows in input
-/// order, and for each left row its matches in right (build) input order.
-std::vector<Row> NestedLoopJoin(const std::vector<Row>& left,
-                                const std::vector<Row>& right, int left_col,
-                                int right_col) {
-  std::vector<Row> out;
-  for (const Row& l : left) {
-    const Value& k = l.Get(static_cast<size_t>(left_col));
-    if (k.is_null()) continue;
-    for (const Row& r : right) {
-      const Value& rk = r.Get(static_cast<size_t>(right_col));
-      if (rk.is_null() || rk != k) continue;
-      Row joined = l;
-      for (const Value& v : r.values()) joined.Append(v);
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
+using ref::NestedLoopJoin;
+
+Schema ProbeSchema() {
+  return Schema({{"id", Type::kInt64}, {"fk", Type::kInt64},
+                 {"amount", Type::kDouble}});
+}
+
+/// A DOUBLE join key, so the INT64 probe keys compare across types — on
+/// the resident path and after both sides' keys round-trip through spill
+/// pages of different types.
+Schema BuildSchema() {
+  return Schema({{"key", Type::kDouble}, {"payload", Type::kString},
+                 {"weight", Type::kDouble}});
 }
 
 struct Dataset {
   std::vector<Row> left;
   std::vector<Row> right;
+  std::vector<ColumnBatch> left_batches;
+  std::vector<ColumnBatch> right_batches;
 };
 
-/// Duplicate keys, NULLs, cross-type numeric keys, and a fat string payload
-/// on the build side so the footprint dwarfs a kilobyte-scale budget.
-Dataset SpillDataset(int64_t build_rows = 2000, int64_t key_mod = 97) {
+Dataset MakeDataset(std::vector<Row> left, std::vector<Row> right) {
   Dataset d;
+  d.left_batches = test::Batches(left, ProbeSchema());
+  d.right_batches = test::Batches(right, BuildSchema());
+  d.left = std::move(left);
+  d.right = std::move(right);
+  return d;
+}
+
+/// Duplicate keys, NULLs, cross-type numeric keys (every 13th build key is
+/// off by a half and matches nothing), and a fat string payload on the
+/// build side so the footprint dwarfs a kilobyte-scale budget.
+Dataset SpillDataset(int64_t build_rows = 2000, int64_t key_mod = 97) {
+  std::vector<Row> left, right;
   for (int64_t i = 0; i < 3000; ++i) {
     Row r{Value(i), Value(i % key_mod), Value(i * 0.25)};
     if (i % 31 == 0) r.Set(1, Value::Null());
-    if (i % 13 == 0)
-      r.Set(1, Value(static_cast<double>(i % key_mod)));  // cross-type
-    d.left.push_back(std::move(r));
+    left.push_back(std::move(r));
   }
   const std::string pad(96, 'x');
   for (int64_t i = 0; i < build_rows; ++i) {
-    Row r{Value(i % key_mod), Value(pad + std::to_string(i)),
-          Value(i * 1.5)};
+    double key = static_cast<double>(i % key_mod);
+    if (i % 13 == 0) key += 0.5;
+    Row r{Value(key), Value(pad + std::to_string(i)), Value(i * 1.5)};
     if (i % 41 == 0) r.Set(0, Value::Null());
-    d.right.push_back(std::move(r));
+    right.push_back(std::move(r));
   }
-  return d;
+  return MakeDataset(std::move(left), std::move(right));
+}
+
+/// The dataset's probe.fk = build.key join under `exec`.
+std::vector<Row> Join(const Dataset& d, const ExecContext& exec,
+                      JoinStats* stats = nullptr) {
+  return test::JoinBatches(d.left_batches, d.right_batches, 1, 0, exec, stats);
 }
 
 class GraceJoinTest : public ::testing::Test {
@@ -103,14 +118,13 @@ TEST_F(GraceJoinTest, ForcedSpillMatchesNestedLoopAcrossThreadCounts) {
   const Dataset d = SpillDataset();
   const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
   ASSERT_FALSE(reference.empty());
-  const size_t build_bytes = EstimateRowsBytes(d.right);
+  const size_t build_bytes = test::BuildBytes(d.right_batches);
   const size_t budget = build_bytes / 16;
   ASSERT_GT(budget, 0u);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     JoinStats stats;
-    const auto out =
-        HashJoin(d.left, d.right, 1, 0, Spill(budget, threads), &stats);
+    const auto out = Join(d, Spill(budget, threads), &stats);
     EXPECT_EQ(reference, out) << threads << " threads";
     EXPECT_EQ(stats.parallel, threads > 1);
     EXPECT_GT(stats.partitions, 1u);
@@ -125,10 +139,10 @@ TEST_F(GraceJoinTest, ForcedSpillMatchesNestedLoopAcrossThreadCounts) {
 
 TEST_F(GraceJoinTest, BudgetAboveBuildSizeNeverSpills) {
   const Dataset d = SpillDataset();
-  const auto reference = HashJoin(d.left, d.right, 1, 0);
+  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
   JoinStats stats;
-  const auto out = HashJoin(d.left, d.right, 1, 0,
-                            Spill(EstimateRowsBytes(d.right) + 1, 4), &stats);
+  const auto out =
+      Join(d, Spill(test::BuildBytes(d.right_batches) + 1, 4), &stats);
   EXPECT_EQ(reference, out);
   EXPECT_EQ(stats.partitions_spilled, 0u);
   EXPECT_EQ(stats.spill_rows_written, 0u);
@@ -142,11 +156,10 @@ TEST_F(GraceJoinTest, MaskedHashesForceRecursiveRepartition) {
   // budget.
   const Dataset d = SpillDataset();
   const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  const size_t budget = EstimateRowsBytes(d.right) / 8;
+  const size_t budget = test::BuildBytes(d.right_batches) / 8;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     JoinStats stats;
-    const auto out = HashJoin(d.left, d.right, 1, 0,
-                              Spill(budget, threads, ~0xFFull), &stats);
+    const auto out = Join(d, Spill(budget, threads, ~0xFFull), &stats);
     EXPECT_EQ(reference, out) << threads << " threads";
     EXPECT_EQ(stats.partitions_spilled, 1u);
     EXPECT_GE(stats.spill_max_recursion, 1u) << threads << " threads";
@@ -158,18 +171,19 @@ TEST_F(GraceJoinTest, SingleHotKeyBottomsOutAtRecursionCap) {
   // Every build row carries the same key: no amount of re-partitioning
   // shrinks the partition, so recursion must hit its bound and build the
   // oversized partition anyway.
-  Dataset d;
+  std::vector<Row> left, right;
   const std::string pad(200, 'y');
   for (int64_t i = 0; i < 120; ++i)
-    d.left.push_back(Row{Value(i), Value(int64_t{7}), Value(i * 0.5)});
+    left.push_back(Row{Value(i), Value(int64_t{7}), Value(i * 0.5)});
   for (int64_t i = 0; i < 300; ++i)
-    d.right.push_back(Row{Value(int64_t{7}), Value(pad), Value(i * 1.0)});
+    right.push_back(Row{Value(7.0), Value(pad), Value(i * 1.0)});
+  const Dataset d = MakeDataset(std::move(left), std::move(right));
   const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
   ASSERT_EQ(reference.size(), d.left.size() * d.right.size());
 
   JoinStats stats;
-  const auto out = HashJoin(d.left, d.right, 1, 0,
-                            Spill(EstimateRowsBytes(d.right) / 8, 4), &stats);
+  const auto out =
+      Join(d, Spill(test::BuildBytes(d.right_batches) / 8, 4), &stats);
   EXPECT_EQ(reference, out);
   EXPECT_GE(stats.spill_max_recursion, 2u);
   EXPECT_EQ(SpillFilesInDir(), 0u);
@@ -178,14 +192,13 @@ TEST_F(GraceJoinTest, SingleHotKeyBottomsOutAtRecursionCap) {
 TEST_F(GraceJoinTest, ConcurrentGraceJoinsShareTheSpillDir) {
   const Dataset d = SpillDataset(1200);
   const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  const size_t budget = EstimateRowsBytes(d.right) / 8;
+  const size_t budget = test::BuildBytes(d.right_batches) / 8;
   std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&] {
       for (int iter = 0; iter < 3; ++iter) {
         JoinStats stats;
-        const auto out =
-            HashJoin(d.left, d.right, 1, 0, Spill(budget, 4), &stats);
+        const auto out = Join(d, Spill(budget, 4), &stats);
         EXPECT_EQ(reference, out);
         EXPECT_GT(stats.partitions_spilled, 0u);
       }
@@ -225,14 +238,22 @@ TEST(JoinPlannerTest, TiesBreakTowardPlanOrder) {
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
 }
 
-TEST(JoinPlannerTest, CountDistinctKeysIgnoresNullsAndUnifiesNumerics) {
-  std::vector<Row> rows;
-  rows.push_back(Row{Value(int64_t{1})});
-  rows.push_back(Row{Value(1.0)});  // numerically equal to int64 1
-  rows.push_back(Row{Value(int64_t{2})});
-  rows.push_back(Row{Value::Null()});
-  rows.push_back(Row{Value("a")});
-  EXPECT_EQ(CountDistinctKeys(ExtractJoinKeys(rows, 0)), 3u);
+TEST(JoinPlannerTest, CountDistinctKeysIgnoresNulls) {
+  const auto count = [](Type type, const std::vector<Value>& keys) {
+    std::vector<Row> rows;
+    for (const Value& k : keys) rows.push_back(Row{k});
+    return CountDistinctKeys(ExtractJoinKeys(
+        test::Batches(rows, Schema({{"k", type}}), /*batch_rows=*/2), 0));
+  };
+  EXPECT_EQ(count(Type::kInt64, {Value(int64_t{1}), Value(int64_t{1}),
+                                 Value(int64_t{2}), Value::Null()}),
+            2u);
+  EXPECT_EQ(count(Type::kDouble,
+                  {Value(1.0), Value(2.5), Value(1.0), Value::Null()}),
+            2u);
+  EXPECT_EQ(count(Type::kString, {Value("a"), Value::Null(), Value("a")}),
+            1u);
+  EXPECT_EQ(count(Type::kInt64, {Value::Null(), Value::Null()}), 0u);
 }
 
 // --------------------------------------------------------------------------

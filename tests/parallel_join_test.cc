@@ -1,9 +1,9 @@
-// Radix-partitioned parallel hash join tests: the parallel join must be
-// byte-identical to the serial join — which itself equals a nested-loop
-// reference — across thread counts and key pathologies (duplicate keys,
-// null keys, cross-type numeric keys, forced hash collisions, empty build
-// side), and must stay correct while writers churn the scanned tables.
-// Runs under ThreadSanitizer via ./ci.sh.
+// Radix-partitioned parallel hash join tests: the join over batch keys
+// must equal a nested-loop reference, row order included, at every thread
+// count and across key pathologies (duplicate keys, null keys, an int64
+// key column joined to a double key column, forced hash collisions, empty
+// build side), and must stay correct while writers churn the scanned
+// tables. Runs under ThreadSanitizer via ./ci.sh.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,10 @@
 #include <atomic>
 #include <thread>
 
+#include "batch_join.h"
 #include "core/database.h"
 #include "exec/executor.h"
+#include "reference_eval.h"
 
 namespace htap {
 namespace {
@@ -27,47 +29,43 @@ Schema DimSchema() {
                  {"weight", Type::kDouble}});
 }
 
-/// Ground truth with the join's documented output order: left rows in input
-/// order, and for each left row its matches in right (build) input order.
-std::vector<Row> NestedLoopJoin(const std::vector<Row>& left,
-                                const std::vector<Row>& right, int left_col,
-                                int right_col) {
-  std::vector<Row> out;
-  for (const Row& l : left) {
-    const Value& k = l.Get(static_cast<size_t>(left_col));
-    if (k.is_null()) continue;
-    for (const Row& r : right) {
-      const Value& rk = r.Get(static_cast<size_t>(right_col));
-      if (rk.is_null() || rk != k) continue;
-      Row joined = l;
-      for (const Value& v : r.values()) joined.Append(v);
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
+using ref::NestedLoopJoin;
+
+/// The pathological build side's schema: a DOUBLE join key, so joining it
+/// to FactSchema's INT64 `fk` runs the cross-type numeric comparison.
+Schema DoubleKeyDimSchema() {
+  return Schema({{"key", Type::kDouble}, {"name", Type::kString},
+                 {"weight", Type::kDouble}});
 }
 
 struct Dataset {
   std::vector<Row> left;
   std::vector<Row> right;
+  std::vector<ColumnBatch> left_batches;
+  std::vector<ColumnBatch> right_batches;
 };
 
 /// Duplicate keys on both sides, nulls sprinkled on both sides, and
-/// cross-type numeric keys (int64 fact keys joining double dimension keys).
+/// cross-type numeric keys: int64 fact keys join double dimension keys,
+/// some of which are fractional and so equal no int64.
 Dataset PathologicalDataset() {
   Dataset d;
   for (int64_t i = 0; i < 3000; ++i) {
     Row r{Value(i), Value(i % 97), Value(i * 0.25)};
     if (i % 31 == 0) r.Set(1, Value::Null());
-    if (i % 13 == 0) r.Set(1, Value(static_cast<double>(i % 97)));  // cross-type
     d.left.push_back(std::move(r));
   }
   for (int64_t i = 0; i < 2000; ++i) {
-    // Keys 0..96 each appear ~20 times; every 41st key is NULL.
-    Row r{Value(i % 97), Value("dim_" + std::to_string(i)), Value(i * 1.5)};
+    // Keys 0..96 each appear ~20 times; every 41st key is NULL and every
+    // 13th is off by a half.
+    double key = static_cast<double>(i % 97);
+    if (i % 13 == 0) key += 0.5;
+    Row r{Value(key), Value("dim_" + std::to_string(i)), Value(i * 1.5)};
     if (i % 41 == 0) r.Set(0, Value::Null());
     d.right.push_back(std::move(r));
   }
+  d.left_batches = test::Batches(d.left, FactSchema());
+  d.right_batches = test::Batches(d.right, DoubleKeyDimSchema());
   return d;
 }
 
@@ -83,6 +81,13 @@ class ParallelJoinTest : public ::testing::Test {
     return exec;
   }
 
+  /// The dataset's fact ⋈ dim join (fact.fk = dim.key) under `exec`.
+  static std::vector<Row> Join(const Dataset& d, const ExecContext& exec,
+                               JoinStats* stats = nullptr) {
+    return test::JoinBatches(d.left_batches, d.right_batches, 1, 0, exec,
+                             stats);
+  }
+
   ThreadPool pool_;
 };
 
@@ -91,12 +96,11 @@ TEST_F(ParallelJoinTest, MatchesNestedLoopReferenceAcrossThreadCounts) {
   const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
   ASSERT_FALSE(reference.empty());
 
-  const auto serial = HashJoin(d.left, d.right, 1, 0);
-  EXPECT_EQ(reference, serial);
+  EXPECT_EQ(reference, Join(d, ExecContext{}));
 
   for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     JoinStats stats;
-    const auto par = HashJoin(d.left, d.right, 1, 0, Par(threads), &stats);
+    const auto par = Join(d, Par(threads), &stats);
     // Exact equality including row order: probe morsels concatenate in
     // morsel order and per-key chains preserve build input order.
     EXPECT_EQ(reference, par) << threads << " threads";
@@ -117,10 +121,9 @@ TEST_F(ParallelJoinTest, ForcedHashCollisionsStillConfirmKeys) {
   for (uint64_t mask : {uint64_t{0xF}, uint64_t{0x1}, uint64_t{0}}) {
     ExecContext serial_masked;
     serial_masked.join_hash_mask = mask;
-    EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, serial_masked))
-        << "serial, mask " << mask;
+    EXPECT_EQ(reference, Join(d, serial_masked)) << "serial, mask " << mask;
     for (size_t threads : {size_t{2}, size_t{4}}) {
-      EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, Par(threads, mask)))
+      EXPECT_EQ(reference, Join(d, Par(threads, mask)))
           << threads << " threads, mask " << mask;
     }
   }
@@ -129,14 +132,16 @@ TEST_F(ParallelJoinTest, ForcedHashCollisionsStillConfirmKeys) {
 TEST_F(ParallelJoinTest, EmptySidesAndNoMatches) {
   const Dataset d = PathologicalDataset();
   // Empty build side.
-  EXPECT_TRUE(HashJoin(d.left, {}, 1, 0, Par(4)).empty());
+  EXPECT_TRUE(test::JoinBatches(d.left_batches, {}, 1, 0, Par(4)).empty());
   // Empty probe side.
-  EXPECT_TRUE(HashJoin({}, d.right, 1, 0, Par(4)).empty());
+  EXPECT_TRUE(test::JoinBatches({}, d.right_batches, 1, 0, Par(4)).empty());
   // Disjoint key domains.
   std::vector<Row> far;
   for (int64_t i = 0; i < 100; ++i)
     far.push_back(Row{Value(i + 100000), Value("far"), Value(0.0)});
-  EXPECT_TRUE(HashJoin(d.left, far, 1, 0, Par(4)).empty());
+  EXPECT_TRUE(test::JoinBatches(d.left_batches,
+                                test::Batches(far, DimSchema()), 1, 0, Par(4))
+                  .empty());
 }
 
 TEST_F(ParallelJoinTest, SmallBuildFallsBackToSerial) {
@@ -144,10 +149,10 @@ TEST_F(ParallelJoinTest, SmallBuildFallsBackToSerial) {
   ExecContext exec{&pool_, 4};  // default min_parallel_join_build = 4096
   ASSERT_LT(d.right.size(), exec.min_parallel_join_build);
   JoinStats stats;
-  const auto out = HashJoin(d.left, d.right, 1, 0, exec, &stats);
+  const auto out = Join(d, exec, &stats);
   EXPECT_FALSE(stats.parallel);
   EXPECT_EQ(stats.partitions, 1u);
-  EXPECT_EQ(out, HashJoin(d.left, d.right, 1, 0));
+  EXPECT_EQ(out, NestedLoopJoin(d.left, d.right, 1, 0));
 }
 
 TEST_F(ParallelJoinTest, QuotaThrottledPoolStaysCorrect) {
@@ -156,11 +161,11 @@ TEST_F(ParallelJoinTest, QuotaThrottledPoolStaysCorrect) {
   const Dataset d = PathologicalDataset();
   const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
   pool_.SetConcurrencyQuota(1);
-  EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, Par(8)));
+  EXPECT_EQ(reference, Join(d, Par(8)));
   pool_.SetConcurrencyQuota(0);
 }
 
-// Reader/writer stress: parallel joins over ScanHtap snapshots while a
+// Reader/writer stress: parallel joins over ScanHtapBatches snapshots while a
 // writer churns the fact table with AppendBatch/DeleteKey/Compact. Every
 // fact row carries fk = id % kDimRows and the dimension is static with
 // unique keys, so each scanned fact row must join to exactly one dimension
@@ -199,14 +204,16 @@ TEST_F(ParallelJoinTest, ConcurrentJoinsAgainstChurningFactTable) {
     ExecContext exec{&pool_, 4};
     exec.min_parallel_join_build = 1;
     do {
-      const auto facts = ScanHtap(fact, nullptr, kMaxCSN - 1,
-                                  Predicate::True(), {}, exec, nullptr);
-      const auto dims = ScanHtap(dim, nullptr, kMaxCSN - 1, Predicate::True(),
-                                 {}, exec, nullptr);
-      ASSERT_EQ(dims.size(), static_cast<size_t>(kDimRows));
-      const auto joined = HashJoin(facts, dims, 1, 0, exec);
+      const auto facts = ScanHtapBatches(fact, nullptr, kMaxCSN - 1,
+                                         Predicate::True(), {}, exec);
+      const auto dims = ScanHtapBatches(dim, nullptr, kMaxCSN - 1,
+                                        Predicate::True(), {}, exec);
+      ASSERT_EQ(TotalActiveRows(dims), static_cast<size_t>(kDimRows));
+      const auto joined = test::JoinBatches(facts, dims, 1, 0, exec);
       // Unique dimension keys: every fact row matches exactly once.
-      EXPECT_EQ(joined.size(), facts.size());
+      EXPECT_EQ(joined, NestedLoopJoin(BatchesToRows(facts),
+                                       BatchesToRows(dims), 1, 0));
+      EXPECT_EQ(joined.size(), TotalActiveRows(facts));
       for (const Row& r : joined) {
         const int64_t fk = r.Get(1).AsInt64();
         EXPECT_EQ(r.Get(3).AsInt64(), fk);  // dim id == fact fk

@@ -1,7 +1,9 @@
-// Morsel-driven parallel execution tests: parallel ScanHtap / ScanRowStore /
-// HashAggregate must agree with their serial counterparts, the typed filter
-// fast paths must match generic evaluation, and parallel readers must stay
-// correct while a sync-pipeline writer appends/deletes/compacts concurrently.
+// Morsel-driven parallel execution tests: parallel ScanHtapBatches /
+// ScanRowStore / HashAggregate must agree with their serial counterparts
+// (the HTAP scan also with a plain-row model, ref::HtapTableModel), the
+// typed filter fast paths must match generic evaluation, and parallel
+// readers must stay correct while a sync-pipeline writer
+// appends/deletes/compacts concurrently.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "core/database.h"
 #include "exec/executor.h"
+#include "reference_eval.h"
 #include "txn/txn_manager.h"
 
 namespace htap {
@@ -28,18 +31,23 @@ Row TRow(Key id, int64_t v, const std::string& cat, double price) {
 
 class ParallelScanTest : public ::testing::Test {
  protected:
-  ParallelScanTest() : table_(TestSchema()), pool_(4, "test-ap") {
+  ParallelScanTest()
+      : table_(TestSchema()), model_(TestSchema()), pool_(4, "test-ap") {
     // Eight row groups of 64 rows each.
     std::vector<Row> batch;
     for (Key id = 0; id < 512; ++id) {
       batch.push_back(TRow(id, id % 13, id % 2 ? "odd" : "even", id * 0.25));
       if (batch.size() == 64) {
         table_.AppendBatch(batch, 1);
+        model_.Append(batch);
         batch.clear();
       }
     }
     // Positional deletes sprinkled across groups.
-    for (Key id = 7; id < 512; id += 31) table_.DeleteKey(id, 2);
+    for (Key id = 7; id < 512; id += 31) {
+      table_.DeleteKey(id, 2);
+      model_.Delete(id);
+    }
     // Delta overrides: updates, a delete, and fresh inserts.
     for (Key id = 3; id < 512; id += 97) {
       DeltaEntry e;
@@ -47,26 +55,42 @@ class ParallelScanTest : public ::testing::Test {
       e.key = id;
       e.row = TRow(id, 7777, "patched", 1.5);
       e.csn = 10;
-      delta_.Append(e);
+      AddDelta(e);
     }
     DeltaEntry del;
     del.op = ChangeOp::kDelete;
     del.key = 20;
     del.csn = 11;
-    delta_.Append(del);
+    AddDelta(del);
     for (Key id = 9000; id < 9008; ++id) {
       DeltaEntry ins;
       ins.op = ChangeOp::kInsert;
       ins.key = id;
       ins.row = TRow(id, 1, "new", 2.0);
       ins.csn = 12;
-      delta_.Append(ins);
+      AddDelta(ins);
     }
+  }
+
+  void AddDelta(const DeltaEntry& e) {
+    delta_.Append(e);
+    model_.AddDelta(e);
   }
 
   ExecContext Par() { return ExecContext{&pool_, 4}; }
 
+  /// The HTAP scan of `table` flattened to rows.
+  static std::vector<Row> Scan(const ColumnTable& table,
+                               const DeltaReader* delta, const Predicate& pred,
+                               const std::vector<int>& proj,
+                               const ExecContext& exec,
+                               ScanStats* stats = nullptr) {
+    return BatchesToRows(
+        ScanHtapBatches(table, delta, kMaxCSN - 1, pred, proj, exec, stats));
+  }
+
   ColumnTable table_;
+  ref::HtapTableModel model_;
   InMemoryDeltaStore delta_;
   ThreadPool pool_;
 };
@@ -84,12 +108,16 @@ TEST_F(ParallelScanTest, MatchesSerialExactlyIncludingOrder) {
          {std::vector<int>{}, std::vector<int>{0, 3}}) {
       ScanStats serial_st, par_st;
       const auto serial =
-          ScanHtap(table_, &delta_, kMaxCSN - 1, pred, proj, &serial_st);
-      const auto par = ScanHtap(table_, &delta_, kMaxCSN - 1, pred, proj,
-                                Par(), &par_st);
+          Scan(table_, &delta_, pred, proj, ExecContext{}, &serial_st);
+      const auto par = Scan(table_, &delta_, pred, proj, Par(), &par_st);
       // Exact equality, including row order: per-group partials are merged
       // in group index order and the delta partition comes last either way.
-      EXPECT_EQ(serial, par);
+      const auto model = model_.Scan(kMaxCSN - 1, pred, proj);
+      EXPECT_EQ(serial, model.rows);
+      EXPECT_EQ(par, model.rows);
+      EXPECT_EQ(serial_st.main_rows_emitted, model.main_rows);
+      EXPECT_EQ(serial_st.delta_rows_emitted, model.delta_rows);
+      EXPECT_EQ(serial_st.groups_total, 8u);
       EXPECT_EQ(serial_st.groups_total, par_st.groups_total);
       EXPECT_EQ(serial_st.groups_skipped, par_st.groups_skipped);
       EXPECT_EQ(serial_st.main_rows_emitted, par_st.main_rows_emitted);
@@ -100,17 +128,13 @@ TEST_F(ParallelScanTest, MatchesSerialExactlyIncludingOrder) {
 }
 
 TEST_F(ParallelScanTest, MoreWorkersThanGroupsIsFine) {
+  const std::vector<Row> rows = {TRow(1, 1, "a", 1.0), TRow(2, 2, "b", 2.0)};
   ColumnTable one(TestSchema());
-  one.AppendBatch({TRow(1, 1, "a", 1.0), TRow(2, 2, "b", 2.0)}, 1);
-  const auto serial = ScanHtap(one, nullptr, kMaxCSN - 1, Predicate::True(), {});
-  const auto par = ScanHtap(one, nullptr, kMaxCSN - 1, Predicate::True(), {},
-                            Par(), nullptr);
-  EXPECT_EQ(serial, par);
+  one.AppendBatch(rows, 1);
+  EXPECT_EQ(Scan(one, nullptr, Predicate::True(), {}, Par()), rows);
   // Empty table, parallel context.
   ColumnTable empty(TestSchema());
-  EXPECT_TRUE(ScanHtap(empty, nullptr, kMaxCSN - 1, Predicate::True(), {},
-                       Par(), nullptr)
-                  .empty());
+  EXPECT_TRUE(Scan(empty, nullptr, Predicate::True(), {}, Par()).empty());
 }
 
 TEST_F(ParallelScanTest, DoubleFastPathMatchesGenericEval) {
@@ -122,13 +146,12 @@ TEST_F(ParallelScanTest, DoubleFastPathMatchesGenericEval) {
       Predicate::Gt(3, Value(int64_t{100})),  // int literal vs double column
       Predicate::Le(3, Value(int64_t{2})),
   };
-  const auto all =
-      ScanHtap(table_, &delta_, kMaxCSN - 1, Predicate::True(), {});
+  const auto all = model_.Rows(kMaxCSN - 1, Predicate::True());
   for (const Predicate& pred : preds) {
     std::vector<Row> expect;
     for (const Row& r : all)
       if (pred.Eval(r)) expect.push_back(r);
-    const auto got = ScanHtap(table_, &delta_, kMaxCSN - 1, pred, {});
+    const auto got = Scan(table_, &delta_, pred, {}, ExecContext{});
     EXPECT_EQ(expect, got) << pred.ToString(nullptr);
   }
 }
@@ -144,7 +167,7 @@ TEST_F(ParallelScanTest, NullableDoubleColumnFallsBackCorrectly) {
   t.AppendBatch(rows, 1);
   // Nulls never satisfy comparisons.
   const auto out =
-      ScanHtap(t, nullptr, kMaxCSN - 1, Predicate::Ge(3, Value(0.0)), {});
+      Scan(t, nullptr, Predicate::Ge(3, Value(0.0)), {}, ExecContext{});
   EXPECT_EQ(out.size(), 32u - 7u);
   for (const Row& r : out) EXPECT_NE(r.Get(0).AsInt64() % 5, 0);
 }
@@ -222,17 +245,73 @@ TEST_F(ParallelScanTest, ParallelAggregateMatchesSerial) {
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
 }
 
-TEST_F(ParallelScanTest, BatchScanMatchesSerialAtAnyThreadCount) {
-  // The vectorized scan joins the serial≡parallel suite: batches flattened
-  // back to rows must equal the serial row scan bit for bit.
+// HashAggregate's determinism contract (exec/executor.h): above the
+// 2,048-rows-per-worker threshold the aggregate really fans out, and still
+// integer aggregates equal the reference at every worker count, while a
+// double SUM/AVG repeats bit for bit at a fixed worker count and batch
+// sequence. Group order is unspecified, so grouped output is sorted.
+TEST(HashAggregateDeterminismTest, IntegerExactAtAnyWorkerCountDoubleRepeats) {
+  const Schema schema({{"g", Type::kInt64}, {"v", Type::kInt64},
+                       {"d", Type::kDouble}});
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 40000; ++i) {
+    Row r{Value(i % 17), Value((i * 7919) % 100003 - 50000),
+          Value(static_cast<double>(i) / 3.0 + 0.1)};
+    if (i % 29 == 0) r.Set(1, Value::Null());
+    rows.push_back(std::move(r));
+  }
+  const auto batches = RowsToBatches(rows, schema, {}, 1000);
+  ThreadPool pool(8, "agg-det-ap");
+  const auto on_pool = [&](size_t workers) {
+    ExecContext exec;
+    exec.pool = &pool;
+    exec.max_parallelism = workers;
+    return exec;
+  };
+  const auto by_group = [](std::vector<Row> out) {
+    std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
+      return a.Get(0).Compare(b.Get(0)) < 0;
+    });
+    return out;
+  };
+
+  const std::vector<AggSpec> int_aggs = {AggSpec::Count("n"),
+                                         AggSpec::Sum(1, "s"),
+                                         AggSpec::Min(1, "mn"),
+                                         AggSpec::Max(1, "mx")};
+  const auto grouped = by_group(ref::Aggregate(rows, {0}, int_aggs));
+  const auto global = ref::Aggregate(rows, {}, int_aggs);
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    const ExecContext exec = on_pool(workers);
+    EXPECT_EQ(by_group(HashAggregate(batches, {0}, int_aggs, exec)), grouped)
+        << workers << " workers";
+    EXPECT_EQ(HashAggregate(batches, {}, int_aggs, exec), global)
+        << workers << " workers";
+  }
+
+  const std::vector<AggSpec> double_aggs = {AggSpec::Sum(2, "s"),
+                                            AggSpec::Avg(2, "avg")};
+  const ExecContext four = on_pool(4);
+  const auto first = HashAggregate(batches, {}, double_aggs, four);
+  const auto first_grouped =
+      by_group(HashAggregate(batches, {0}, double_aggs, four));
+  for (int rep = 0; rep < 5; ++rep) {
+    EXPECT_EQ(HashAggregate(batches, {}, double_aggs, four), first);
+    EXPECT_EQ(by_group(HashAggregate(batches, {0}, double_aggs, four)),
+              first_grouped);
+  }
+}
+
+TEST_F(ParallelScanTest, SmallBatchesMatchModelAtAnyThreadCount) {
+  // Several batches per row group, serial and parallel: flattened back to
+  // rows they must equal the model bit for bit.
   const Predicate pred = Predicate::And(
       {Predicate::Ge(1, Value(int64_t{3})), Predicate::Eq(2, Value("odd"))});
-  const auto serial = ScanHtap(table_, &delta_, kMaxCSN - 1, pred, {});
-  ExecContext exec = Par();
-  exec.batch_rows = 48;  // force several batches per row group
-  const auto batches =
-      ScanHtapBatches(table_, &delta_, kMaxCSN - 1, pred, {}, exec, nullptr);
-  EXPECT_EQ(BatchesToRows(batches), serial);
+  for (ExecContext exec : {ExecContext{}, Par()}) {
+    exec.batch_rows = 48;
+    EXPECT_EQ(Scan(table_, &delta_, pred, {}, exec),
+              model_.Rows(kMaxCSN - 1, pred));
+  }
 }
 
 // Batch-scan variant of the reader/writer race: parallel vectorized readers
@@ -362,8 +441,7 @@ TEST_F(ParallelScanTest, ConcurrentReadersWithAppendDeleteCompactWriter) {
 
   auto reader = [&] {
     do {
-      const auto out = ScanHtap(t, &delta, kMaxCSN - 1, Predicate::True(), {},
-                                ExecContext{&pool_, 4}, nullptr);
+      const auto out = Scan(t, &delta, Predicate::True(), {}, Par());
       std::set<Key> keys;
       int64_t patched = 0, fresh = 0;
       for (const Row& r : out) {

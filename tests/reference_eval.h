@@ -16,6 +16,10 @@
 // Value::Hash, filled in input order. A parallel aggregate merges partial
 // tables and may order groups differently, so exact comparisons of grouped
 // output without a total ORDER BY hold for serial aggregates only.
+//
+// The operator tests use its parts directly: NestedLoopJoin/NestedLoopPairs
+// for joins, Aggregate for HashAggregate, and HtapTableModel, a plain-row
+// model of one column table plus its delta, for the HTAP scan.
 
 #ifndef HTAP_TESTS_REFERENCE_EVAL_H_
 #define HTAP_TESTS_REFERENCE_EVAL_H_
@@ -25,10 +29,12 @@
 #include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/database.h"
 #include "core/plan.h"
+#include "delta/delta.h"
 #include "types/row.h"
 
 namespace htap {
@@ -62,6 +68,23 @@ inline std::vector<Row> NestedLoopJoin(const std::vector<Row>& left,
     for (const Row& r : right) {
       const Value& rk = r.Get(static_cast<size_t>(rc));
       if (!rk.is_null() && lk == rk) out.push_back(Concat(l, r));
+    }
+  }
+  return out;
+}
+
+/// The (left index, right index) pairs of NestedLoopJoin, in its order.
+inline std::vector<std::pair<uint32_t, uint32_t>> NestedLoopPairs(
+    const std::vector<Row>& left, const std::vector<Row>& right, int lc,
+    int rc) {
+  std::vector<std::pair<uint32_t, uint32_t>> out;
+  for (size_t i = 0; i < left.size(); ++i) {
+    const Value& lk = left[i].Get(static_cast<size_t>(lc));
+    if (lk.is_null()) continue;
+    for (size_t j = 0; j < right.size(); ++j) {
+      const Value& rk = right[j].Get(static_cast<size_t>(rc));
+      if (!rk.is_null() && lk == rk)
+        out.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(j));
     }
   }
   return out;
@@ -201,6 +224,86 @@ inline std::vector<Row> Eval(const QueryPlan& plan, const Tables& tables) {
   }
   return rows;
 }
+
+/// A plain-row model of one column table plus the delta staged for it,
+/// for checking the HTAP scan (ScanHtapBatches) row for row. Tests feed it
+/// the same appends, deletes and delta entries they give the engine.
+///
+/// Scan order follows the operator's contract: the table's live rows in
+/// append order (an append of an existing key kills the older row; the
+/// new one goes to the end), minus every key the delta overrides at the
+/// snapshot; then the delta's latest row per key, skipping deletes. The
+/// delta part comes out in the iteration order of an unordered_map keyed
+/// by Key and filled in delta order — the order the operator documents —
+/// so comparisons can be exact.
+class HtapTableModel {
+ public:
+  explicit HtapTableModel(Schema schema) : schema_(std::move(schema)) {}
+
+  /// As ColumnTable::AppendBatch.
+  void Append(const std::vector<Row>& rows) {
+    for (const Row& r : rows) {
+      Delete(r.GetKey(schema_));
+      main_.push_back(Slot{r, true});
+    }
+  }
+
+  /// As ColumnTable::DeleteKey.
+  void Delete(Key key) {
+    for (Slot& s : main_)
+      if (s.live && s.row.GetKey(schema_) == key) s.live = false;
+  }
+
+  /// As DeltaStore::Append; entries arrive in commit (CSN) order.
+  void AddDelta(const DeltaEntry& e) { delta_.push_back(e); }
+
+  struct ScanResult {
+    std::vector<Row> rows;
+    size_t main_rows = 0;   // of `rows`, those from the table
+    size_t delta_rows = 0;  // of `rows`, those from the delta
+  };
+
+  ScanResult Scan(CSN snapshot, const Predicate& pred,
+                  const std::vector<int>& projection) const {
+    std::unordered_map<Key, const DeltaEntry*> latest;
+    for (const DeltaEntry& e : delta_)
+      if (e.csn <= snapshot) latest[e.key] = &e;
+    const auto project = [&](const Row& r) {
+      if (projection.empty()) return r;
+      Row out;
+      for (int c : projection) out.Append(r.Get(static_cast<size_t>(c)));
+      return out;
+    };
+    ScanResult out;
+    for (const Slot& s : main_) {
+      if (!s.live || latest.count(s.row.GetKey(schema_)) != 0) continue;
+      if (!pred.Eval(s.row)) continue;
+      out.rows.push_back(project(s.row));
+      ++out.main_rows;
+    }
+    for (const auto& [key, e] : latest) {
+      if (e->op == ChangeOp::kDelete || !pred.Eval(e->row)) continue;
+      out.rows.push_back(project(e->row));
+      ++out.delta_rows;
+    }
+    return out;
+  }
+
+  /// Scan(...).rows.
+  std::vector<Row> Rows(CSN snapshot, const Predicate& pred,
+                        const std::vector<int>& projection = {}) const {
+    return Scan(snapshot, pred, projection).rows;
+  }
+
+ private:
+  struct Slot {
+    Row row;
+    bool live;
+  };
+  Schema schema_;
+  std::vector<Slot> main_;
+  std::vector<DeltaEntry> delta_;
+};
 
 }  // namespace ref
 }  // namespace htap

@@ -37,7 +37,8 @@ struct DeltaRouter : ChangeSink {
 std::map<Key, int64_t> HtapState(const ColumnTable& table,
                                  const DeltaReader* delta, CSN snap) {
   std::map<Key, int64_t> out;
-  for (const Row& r : ScanHtap(table, delta, snap, Predicate::True(), {}))
+  for (const Row& r : BatchesToRows(ScanHtapBatches(
+           table, delta, snap, Predicate::True(), {}, ExecContext{})))
     out[r.Get(0).AsInt64()] = r.Get(1).AsInt64();
   return out;
 }

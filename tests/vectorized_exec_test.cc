@@ -2,8 +2,9 @@
 // evaluation must make exactly the scalar Value::Compare decisions on every
 // encoding, gather must materialize selections losslessly, and the batch
 // pipeline (ScanHtapBatches -> FilterBatch / batch HashAggregate / extracted
-// join keys) must be byte-identical to the row-at-a-time operators — serial
-// and parallel — plus the compression advisor's size-based encoding picks.
+// join keys) must equal plain-row references — a model of the table and
+// delta, the reference aggregate, nested-loop join pairs — serial and
+// parallel, plus the compression advisor's size-based encoding picks.
 
 #include <gtest/gtest.h>
 
@@ -203,37 +204,47 @@ TEST(BatchTest, FilterBatchMatchesPredicateEval) {
 // carrying updates, a delete, and inserts — the full HTAP union shape.
 class VectorizedScanTest : public ::testing::Test {
  protected:
-  VectorizedScanTest() : table_(TestSchema()), pool_(4, "vec-ap") {
+  VectorizedScanTest()
+      : table_(TestSchema()), model_(TestSchema()), pool_(4, "vec-ap") {
     std::vector<Row> batch;
     for (Key id = 0; id < 512; ++id) {
       batch.push_back(TRow(id, id % 13, id % 2 ? "odd" : "even", id * 0.25));
       if (batch.size() == 64) {
         table_.AppendBatch(batch, 1);
+        model_.Append(batch);
         batch.clear();
       }
     }
-    for (Key id = 7; id < 512; id += 31) table_.DeleteKey(id, 2);
+    for (Key id = 7; id < 512; id += 31) {
+      table_.DeleteKey(id, 2);
+      model_.Delete(id);
+    }
     for (Key id = 3; id < 512; id += 97) {
       DeltaEntry e;
       e.op = ChangeOp::kUpdate;
       e.key = id;
       e.row = TRow(id, 7777, "patched", 1.5);
       e.csn = 10;
-      delta_.Append(e);
+      AddDelta(e);
     }
     DeltaEntry del;
     del.op = ChangeOp::kDelete;
     del.key = 20;
     del.csn = 11;
-    delta_.Append(del);
+    AddDelta(del);
     for (Key id = 9000; id < 9008; ++id) {
       DeltaEntry ins;
       ins.op = ChangeOp::kInsert;
       ins.key = id;
       ins.row = TRow(id, 1, "new", 2.0);
       ins.csn = 12;
-      delta_.Append(ins);
+      AddDelta(ins);
     }
+  }
+
+  void AddDelta(const DeltaEntry& e) {
+    delta_.Append(e);
+    model_.AddDelta(e);
   }
 
   ExecContext Serial(size_t batch_rows = 4096) {
@@ -248,11 +259,12 @@ class VectorizedScanTest : public ::testing::Test {
   }
 
   ColumnTable table_;
+  ref::HtapTableModel model_;
   InMemoryDeltaStore delta_;
   ThreadPool pool_;
 };
 
-TEST_F(VectorizedScanTest, BatchesMatchRowScanByteForByte) {
+TEST_F(VectorizedScanTest, BatchesMatchModelByteForByte) {
   const std::vector<Predicate> preds = {
       Predicate::True(),
       Predicate::Ge(0, Value(int64_t{100})),
@@ -265,9 +277,10 @@ TEST_F(VectorizedScanTest, BatchesMatchRowScanByteForByte) {
   for (const Predicate& pred : preds) {
     for (const std::vector<int>& proj :
          {std::vector<int>{}, std::vector<int>{0, 3}, std::vector<int>{2}}) {
-      ScanStats row_st;
-      const auto rows =
-          ScanHtap(table_, &delta_, kMaxCSN - 1, pred, proj, &row_st);
+      const auto model = model_.Scan(kMaxCSN - 1, pred, proj);
+      const auto& rows = model.rows;
+      ScanStats first_st;
+      bool first = true;
       for (size_t batch_rows : {size_t{4096}, size_t{7}, size_t{0}}) {
         for (bool parallel : {false, true}) {
           SCOPED_TRACE(pred.ToString(nullptr) + " batch_rows=" +
@@ -279,10 +292,13 @@ TEST_F(VectorizedScanTest, BatchesMatchRowScanByteForByte) {
               parallel ? Par(batch_rows) : Serial(batch_rows), &st);
           EXPECT_EQ(BatchesToRows(batches), rows);
           EXPECT_EQ(TotalActiveRows(batches), rows.size());
-          EXPECT_EQ(st.groups_total, row_st.groups_total);
-          EXPECT_EQ(st.groups_skipped, row_st.groups_skipped);
-          EXPECT_EQ(st.main_rows_emitted, row_st.main_rows_emitted);
-          EXPECT_EQ(st.delta_rows_emitted, row_st.delta_rows_emitted);
+          EXPECT_EQ(st.main_rows_emitted, model.main_rows);
+          EXPECT_EQ(st.delta_rows_emitted, model.delta_rows);
+          EXPECT_EQ(st.groups_total, 8u);
+          // Zone-map skips do not depend on batch size or thread count.
+          if (first) first_st = st;
+          first = false;
+          EXPECT_EQ(st.groups_skipped, first_st.groups_skipped);
           if (batch_rows != 0) {
             for (const ColumnBatch& b : batches)
               EXPECT_LE(b.rows(), batch_rows);
@@ -304,14 +320,11 @@ TEST_F(VectorizedScanTest, Int64AndStringFastPathsMatchGenericEval) {
       Predicate::Eq(2, Value("odd")), Predicate::Ne(2, Value("even")),
       Predicate::Lt(2, Value("f")),  Predicate::Ge(2, Value("odd")),
   };
-  const auto all =
-      ScanHtap(table_, &delta_, kMaxCSN - 1, Predicate::True(), {});
+  const auto all = model_.Rows(kMaxCSN - 1, Predicate::True());
   for (const Predicate& pred : preds) {
     std::vector<Row> expect;
     for (const Row& r : all)
       if (pred.Eval(r)) expect.push_back(r);
-    EXPECT_EQ(ScanHtap(table_, &delta_, kMaxCSN - 1, pred, {}), expect)
-        << pred.ToString(nullptr);
     EXPECT_EQ(BatchesToRows(ScanHtapBatches(table_, &delta_, kMaxCSN - 1,
                                             pred, {}, Serial())),
               expect)
@@ -359,7 +372,7 @@ TEST_F(VectorizedScanTest, BatchAggregateMatchesReference) {
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
 }
 
-TEST_F(VectorizedScanTest, ExtractedJoinKeysMatchRowJoin) {
+TEST_F(VectorizedScanTest, ExtractedJoinKeysMatchNestedLoopPairs) {
   std::vector<Row> probe, build;
   for (Key id = 0; id < 700; ++id) {
     Row r = TRow(id, id % 43, id % 2 ? "odd" : "even", id * 0.5);
@@ -371,11 +384,12 @@ TEST_F(VectorizedScanTest, ExtractedJoinKeysMatchRowJoin) {
     if (id % 23 == 3) r.Set(1, Value::Null());
     build.push_back(std::move(r));
   }
+  const auto pbatches = RowsToBatches(probe, TestSchema(), {}, 64);
+  const auto bbatches = RowsToBatches(build, TestSchema(), {}, 64);
   for (int key_col : {1, 2}) {  // int keys and string keys
-    const auto expect = HashJoinPairs(probe, build, key_col, key_col,
-                                      ExecContext{});
-    const JoinKeyColumn pk = ExtractJoinKeys(probe, key_col);
-    const JoinKeyColumn bk = ExtractJoinKeys(build, key_col);
+    const auto expect = ref::NestedLoopPairs(probe, build, key_col, key_col);
+    const JoinKeyColumn pk = ExtractJoinKeys(pbatches, key_col);
+    const JoinKeyColumn bk = ExtractJoinKeys(bbatches, key_col);
     for (bool parallel : {false, true}) {
       ExecContext exec = parallel ? Par() : Serial();
       exec.min_parallel_join_build = 1;
@@ -390,45 +404,47 @@ TEST_F(VectorizedScanTest, ExtractedJoinKeysMatchRowJoin) {
     masked.join_hash_mask = 0x7;
     EXPECT_EQ(HashJoinPairsKeys(pk, bk, masked, nullptr), expect);
   }
-  // Keys extracted from scan batches equal keys extracted from the rows.
+  // Keys extracted from HTAP scan batches (delta rows included) join as
+  // the plain rows do.
   const auto batches = ScanHtapBatches(table_, &delta_, kMaxCSN - 1,
                                        Predicate::True(), {}, Serial(64));
   const auto scan_rows = BatchesToRows(batches);
-  const JoinKeyColumn from_batches = ExtractJoinKeys(batches, 2);
-  const JoinKeyColumn from_rows = ExtractJoinKeys(scan_rows, 2);
-  ASSERT_EQ(from_batches.size(), from_rows.size());
-  EXPECT_EQ(
-      HashJoinPairsKeys(from_batches, ExtractJoinKeys(build, 2), Serial()),
-      HashJoinPairsKeys(from_rows, ExtractJoinKeys(build, 2), Serial()));
+  EXPECT_EQ(HashJoinPairsKeys(ExtractJoinKeys(batches, 2),
+                              ExtractJoinKeys(bbatches, 2), Serial()),
+            ref::NestedLoopPairs(scan_rows, build, 2, 2));
 }
 
-TEST(JoinKeyColumnTest, MixedTypeKeysFallBackToBoxedValues) {
-  // One key column mixing ints, doubles, and strings — the typed pass must
-  // detect it and reproduce Value::operator== semantics (cross-type numeric
-  // equality included).
-  std::vector<Row> probe = {
-      Row{Value(int64_t{1}), Value(int64_t{5})},
-      Row{Value(int64_t{2}), Value(5.0)},
-      Row{Value(int64_t{3}), Value("5")},
-      Row{Value(int64_t{4}), Value::Null()},
-      Row{Value(int64_t{5}), Value(2.5)},
+TEST(JoinKeyColumnTest, CrossTypeKeyColumnsFollowValueEquality) {
+  // An INT64 key column joined to a DOUBLE one compares numerically; a
+  // numeric key never equals a STRING key; NULLs never match.
+  const Schema ints({{"k", Type::kInt64}});
+  const Schema doubles({{"k", Type::kDouble}});
+  const Schema strs({{"k", Type::kString}});
+  const std::vector<Row> int_rows = {Row{Value(int64_t{5})},
+                                     Row{Value::Null()},
+                                     Row{Value(int64_t{2})},
+                                     Row{Value(int64_t{5})}};
+  const std::vector<Row> double_rows = {Row{Value(5.0)}, Row{Value(2.5)},
+                                        Row{Value::Null()}, Row{Value(2.0)}};
+  const std::vector<Row> str_rows = {Row{Value("5")}, Row{Value("2")}};
+  const auto keys = [](const std::vector<Row>& rows, const Schema& schema) {
+    return ExtractJoinKeys(RowsToBatches(rows, schema, {}, 2), 0);
   };
-  std::vector<Row> build = {
-      Row{Value(int64_t{10}), Value(5.0)},
-      Row{Value(int64_t{11}), Value(int64_t{5})},
-      Row{Value(int64_t{12}), Value("5")},
-      Row{Value(int64_t{13}), Value::Null()},
-  };
-  const JoinKeyColumn pk = ExtractJoinKeys(probe, 1);
-  const JoinKeyColumn bk = ExtractJoinKeys(build, 1);
-  EXPECT_TRUE(pk.mixed);
-  const auto expect = HashJoinPairs(probe, build, 1, 1, ExecContext{});
-  EXPECT_EQ(HashJoinPairsKeys(pk, bk, ExecContext{}), expect);
-  // NULL keys never matched.
-  for (const auto& [p, b] : expect) {
-    EXPECT_NE(p, 3u);
-    EXPECT_NE(b, 3u);
+  const JoinKeyColumn ik = keys(int_rows, ints);
+  const JoinKeyColumn dk = keys(double_rows, doubles);
+  const JoinKeyColumn sk = keys(str_rows, strs);
+  EXPECT_EQ(ik.type, Type::kInt64);
+  EXPECT_EQ(dk.type, Type::kDouble);
+  for (uint64_t mask : {~uint64_t{0}, uint64_t{0}}) {
+    ExecContext exec;
+    exec.join_hash_mask = mask;
+    EXPECT_EQ(HashJoinPairsKeys(ik, dk, exec),
+              ref::NestedLoopPairs(int_rows, double_rows, 0, 0));
+    EXPECT_EQ(HashJoinPairsKeys(dk, ik, exec),
+              ref::NestedLoopPairs(double_rows, int_rows, 0, 0));
+    EXPECT_TRUE(HashJoinPairsKeys(ik, sk, exec).empty());
   }
+  EXPECT_EQ(ref::NestedLoopPairs(int_rows, double_rows, 0, 0).size(), 3u);
 }
 
 TEST(CompressionAdvisorTest, CollectSegmentStatsCounts) {
@@ -590,9 +606,12 @@ TEST(CompressionAdvisorTest, ColumnTableReencodesSegmentsWhenEnabled) {
             EncodingType::kForBitPack);
   EXPECT_LT(advised_t.group(0)->columns[1].MemoryBytes(),
             plain_t.group(0)->columns[1].MemoryBytes());
-  // Scans read the re-encoded segments identically.
-  EXPECT_EQ(ScanHtap(advised_t, nullptr, kMaxCSN - 1, Predicate::True(), {}),
-            ScanHtap(plain_t, nullptr, kMaxCSN - 1, Predicate::True(), {}));
+  // Scans read the re-encoded segments back as the appended rows.
+  for (const ColumnTable* t : {&plain_t, &advised_t})
+    EXPECT_EQ(BatchesToRows(ScanHtapBatches(*t, nullptr, kMaxCSN - 1,
+                                            Predicate::True(), {},
+                                            ExecContext{})),
+              rows);
 
   // The per-encoding breakdown reflects what was built.
   const EncodingBreakdown bd = advised_t.EncodingStats();

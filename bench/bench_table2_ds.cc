@@ -86,9 +86,7 @@ int main() {
     Harness h;
     h.LoadBase();
     InMemoryDeltaStore delta;
-    DataSynchronizer sync(
-        SyncStrategy::kInMemoryMerge, &h.table,
-        std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
+    DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &h.table, &delta);
     // Base reaches the column store first (as a prior merge would have).
     h.RunBurst([&](const ChangeEvent& ev) {
       DeltaEntry e{ev.op, ev.key, ev.row, ev.csn};
@@ -107,9 +105,7 @@ int main() {
     Harness h;
     h.LoadBase();
     LogDeltaStore delta;
-    DataSynchronizer sync(
-        SyncStrategy::kLogMerge, &h.table,
-        std::make_unique<DeltaSourceAdapter<LogDeltaStore>>(&delta));
+    DataSynchronizer sync(SyncStrategy::kLogMerge, &h.table, &delta);
     std::vector<DeltaEntry> file;
     h.RunBurst([&](const ChangeEvent& ev) {
       file.push_back(DeltaEntry{ev.op, ev.key, ev.row, ev.csn});

@@ -103,7 +103,8 @@ int main() {
       std::system(("rm -rf " + dir).c_str());
     }
     std::printf("    -> loaded-column queries push down; unloaded columns "
-                "fall back to the disk heap (the paper's caveat).\n\n");
+                "fall back to the row store, whose evicted rows come from "
+                "the disk heap (the paper's caveat).\n\n");
     (void)engine;
     (void)info;
   }

@@ -223,7 +223,7 @@ void BM_RowScanFiltered(benchmark::State& state) {
   for (auto _ : state) {
     auto out =
         ScanRowStore(store, mgr.CurrentSnapshot(), pred, {0}, ExecContext{});
-    benchmark::DoNotOptimize(out.size());
+    benchmark::DoNotOptimize(out->size());
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }

@@ -21,9 +21,9 @@
 #            mvcc_test checks each free path) and the query runner's one
 #            batch pipeline (query_runner_test, optimizer_test)
 #   tsan   — TSan over the concurrency tests (zero suppressions), including
-#            the disk heap (TP reads race commits' writes and page-order
-#            scans), (c)'s version cache (readers re-check a chain after
-#            reading its image outside the latch) and the CH queries on
+#            the disk heap (TP reads race commits' writes), (c)'s version
+#            cache (readers re-check a chain after reading its image
+#            outside the latch) and the CH queries on
 #            every preset (the row side's batch source runs key-range
 #            morsels on the AP pool)
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)

@@ -11,7 +11,7 @@ LocalPreset LocalPresetFor(ArchitectureKind arch) {
       return {.wal_name = "diskrow",
               .disk_heap = true,
               .column_scan_desc = "imcs-pushdown",
-              .row_scan_desc = "disk-heap-scan"};
+              .row_scan_desc = "version-cache-scan"};
     case ArchitectureKind::kColumnPlusDeltaRow:
       return {.wal_name = "deltamain",
               .l1l2_delta = true,

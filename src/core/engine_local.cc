@@ -4,11 +4,12 @@
 // changes fan out to the table's delta (and, for (c), write through to its
 // disk heap, whose images the row store then evicts: DESIGN.md §22).
 // Analytical scans pick the row side or the column side by the preset's
-// access-path rule. (a) and (d) keep a merged column table synced by the
-// daemon; (c) keeps only the columns the advisor loaded, merged on scan
-// (and by the daemon once the delta reaches sync_entry_threshold), and
-// falls back to scanning the disk heap (paying buffer-pool I/O) when a
-// query touches a column that is not loaded.
+// access-path rule, and every scan of one query reads at the CSN of the
+// query's one read view. (a) and (d) keep a merged column table synced by
+// the daemon; (c) keeps only the columns the advisor loaded, merged on
+// scan (and by the daemon once the delta reaches sync_entry_threshold),
+// and falls back to the row store (whose evicted rows cost buffer-pool
+// I/O) when a query touches a column that is not loaded.
 
 #include <stdlib.h>
 
@@ -332,8 +333,7 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
                                          std::move(columns));
   if (!preset_.disk_heap) {
     ts->sync = std::make_unique<DataSynchronizer>(
-        SyncStrategy::kInMemoryMerge, ts->columns.get(),
-        std::make_unique<DeltaSourceAdapter<DeltaStore>>(ts->delta.get()));
+        SyncStrategy::kInMemoryMerge, ts->columns.get(), ts->delta.get());
     // Every merge republishes incremental TableStats to the catalog, so join
     // planning can happen at plan time from metadata (DESIGN.md §10).
     ts->sync->EnableStatsMaintenance(
@@ -484,17 +484,13 @@ TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
   const MvccRowStore* store = ts->rows.get();
   std::vector<Row> sample;
   sample.reserve(2048);
-  const auto take = [&](Key, const Row& r) {
-    sample.push_back(r);
-    return sample.size() < 2048;
-  };
-  if (ts->heap != nullptr) {
-    // (c)'s rows live in the heap: sample its first pages, in file order.
-    // A failed read only leaves the sample smaller.
-    ts->heap->Scan(take);
-  } else {
+  {
+    // A failed read (of (c)'s heap) only leaves the sample smaller.
     const ReadView view(&txn_mgr_);
-    store->Scan(view.snapshot(), take);
+    store->Scan(view.snapshot(), [&](Key, const Row& r) {
+      sample.push_back(r);
+      return sample.size() < 2048;
+    });
   }
   ts->stats = TableStats::Compute(ts->info.schema, sample);
   ts->stats.row_count = store->ApproxRowCount();
@@ -526,21 +522,24 @@ Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
     std::sort(sel.columns.begin(), sel.columns.end());
   }
 
-  // Rebuild the column side on the new projection from the durable heap, as
-  // a new generation. merge_mu keeps SyncLoadedColumns out for the whole
-  // drain+rebuild, so no merge can strand drained entries in the superseded
-  // generation; in-flight scans keep their pinned shared_ptr alive until
-  // they finish.
+  // Rebuild the column side on the new projection from the row store at
+  // one snapshot S, as a new generation merged to S; the delta entries
+  // above S stay for the next merge. merge_mu keeps SyncLoadedColumns out
+  // for the whole rebuild+drain, so no merge can strand drained entries in
+  // the superseded generation; in-flight scans keep their pinned
+  // shared_ptr alive until they finish.
   MutexLock merge_lk(&ts->merge_mu);
-  auto columns = std::make_shared<ColumnTable>(tbl.schema.Project(sel.columns));
-  if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
-  ts->delta->DrainUpTo(kMaxCSN);  // heap already reflects these
+  const ReadView view(&txn_mgr_);
+  const Snapshot snap = view.snapshot();
   std::vector<Row> rows;
-  HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& r) {
+  HTAP_RETURN_NOT_OK(ts->rows->Scan(snap, [&](Key, const Row& r) {
     rows.push_back(ProjectRow(sel.columns, r));
     return true;
   }));
-  columns->AppendBatch(std::move(rows), txn_mgr_.LastCommittedCsn());
+  auto columns = std::make_shared<ColumnTable>(tbl.schema.Project(sel.columns));
+  if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
+  columns->AppendBatch(std::move(rows), snap.begin_csn);
+  ts->delta->DrainUpTo(snap.begin_csn);  // the scan above read these
   {
     MutexLock lk(&tables_mu_);
     ts->loaded = sel.columns;
@@ -653,28 +652,20 @@ Result<std::vector<ColumnBatch>> LocalHtapEngine::Scan(
     return ScanHtapBatches(*acc.columns, acc.delta, req.csn, acc.pred,
                            acc.proj, exec, stats);
   }
-  // The row side: each row that passes goes straight into the batches.
-  BatchBuilder out(req.table->schema, req.projection, exec.batch_rows);
+  // The row side reads the MVCC store at the query's CSN; Execute's read
+  // view pins the GC watermark for it.
+  const Snapshot snap{req.csn, 0};
   if (acc.path == AccessPath::kRowIndexLookup) {
     if (path_desc != nullptr) *path_desc = AccessPathName(acc.path);
+    BatchBuilder out(req.table->schema, req.projection, exec.batch_rows);
     Row row;
-    if (Read(*req.table, acc.pk_key, &row).ok() && req.pred->Eval(row))
-      out.Append(row);
+    const Status st = ts->rows->Get(snap, acc.pk_key, &row);
+    if (!st.ok() && !st.IsNotFound()) return st;
+    if (st.ok() && req.pred->Eval(row)) out.Append(row);
     return out.Finish();
   }
   if (path_desc != nullptr) *path_desc = preset_.row_scan_desc;
-  if (ts->heap == nullptr) {
-    // Row paths read MVCC versions, so they pin the GC watermark.
-    const ReadView view(&txn_mgr_);
-    return ScanRowStore(*ts->rows, view.snapshot(), *req.pred,
-                        req.projection, exec);
-  }
-  // Scan the disk heap through the buffer pool.
-  HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& row) {
-    if (req.pred->Eval(row)) out.Append(row);
-    return true;
-  }));
-  return out.Finish();
+  return ScanRowStore(*ts->rows, snap, *req.pred, req.projection, exec);
 }
 
 Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
@@ -683,10 +674,12 @@ Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
                              std::string* desc) {
     return Scan(req, stats, desc);
   };
-  // One committed CSN for the whole query: every scan reads the delta (and
-  // (c) merges on scan) up to it.
+  // One read view for the whole query: every scan reads the row store at
+  // its CSN (the view pins the GC watermark) and the delta up to it ((c)
+  // merges on scan up to it).
+  const ReadView view(&txn_mgr_);
   return RunPlan(plan, *catalog_, scan, info,
-                 ap_.ctx(txn_mgr_.LastCommittedCsn()));
+                 ap_.ctx(view.snapshot().begin_csn));
 }
 
 Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {

@@ -85,8 +85,8 @@ struct LocalPreset {
   /// Access-path rule: the column side serves every scan except a forced
   /// row scan, instead of the cost-based choice.
   bool column_primary = false;
-  /// (c)'s parts: commits write through to a disk heap that serves row
-  /// scans and that the MVCC store caches (DESIGN.md §22), and the column
+  /// (c)'s parts: commits write through to a disk heap that the MVCC store
+  /// caches and reads evicted rows from (DESIGN.md §22), and the column
   /// side holds only the columns the advisor loaded, merged lazily on scan
   /// (the sync daemon merges only at its entry threshold).
   bool disk_heap = false;
@@ -178,8 +178,8 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
 
   TableState* FindTable(uint32_t table_id) const;
   /// The runner's scan: the column side's batches straight off the encoded
-  /// segments, or the row side's rows (the MVCC store, (c)'s disk heap, or
-  /// one PK lookup) appended into batches as they are read.
+  /// segments, or the MVCC store's rows at the request's CSN (a scan or one
+  /// PK lookup) appended into batches as they are read.
   Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
                                         ScanStats* stats,
                                         std::string* path_desc);

@@ -68,9 +68,9 @@ std::vector<Row> BatchesToRows(const std::vector<ColumnBatch>& batches);
 /// `batch_rows` rows each (0 = one batch for everything), typed by `schema`
 /// narrowed to `projection` (empty = all columns). Append takes a full
 /// schema-layout row and copies only the projected cells, so a row source
-/// (the MVCC scan, the disk heap, the delta) converts at the source without
-/// building an intermediate row vector. Cells must match the schema's
-/// column types (a NULL cell is always accepted).
+/// (the MVCC scan, the delta) converts at the source without building an
+/// intermediate row vector. Cells must match the schema's column types (a
+/// NULL cell is always accepted).
 class BatchBuilder {
  public:
   /// `schema` must outlive the builder.

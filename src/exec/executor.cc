@@ -126,39 +126,44 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return s;
 }
 
-std::vector<ColumnBatch> ScanRowStore(const MvccRowStore& store,
-                                      const Snapshot& snap,
-                                      const Predicate& pred,
-                                      const std::vector<int>& projection,
-                                      const ExecContext& exec) {
-  const auto scan = [&](const auto& walk) {
+Result<std::vector<ColumnBatch>> ScanRowStore(
+    const MvccRowStore& store, const Snapshot& snap, const Predicate& pred,
+    const std::vector<int>& projection, const ExecContext& exec) {
+  // The passing rows of keys [lo, hi], appended into batches as they are
+  // read.
+  const auto scan = [&](Key lo, Key hi,
+                        std::vector<ColumnBatch>* out) -> Status {
     BatchBuilder builder(store.schema(), projection, exec.batch_rows);
-    walk([&](Key, const Row& row) {
+    HTAP_RETURN_NOT_OK(store.ScanRange(snap, lo, hi, [&](Key, const Row& row) {
       if (pred.Eval(row)) builder.Append(row);
       return true;
-    });
-    return builder.Finish();
+    }));
+    *out = builder.Finish();
+    return Status::OK();
   };
   const std::vector<std::pair<Key, Key>> ranges =
       exec.parallel() ? store.SplitKeyRanges(exec.max_parallelism)
                       : std::vector<std::pair<Key, Key>>{};
-  if (ranges.size() <= 1)
-    return scan([&](const auto& visit) { store.Scan(snap, visit); });
+  std::vector<ColumnBatch> out;
+  if (ranges.size() <= 1) {
+    HTAP_RETURN_NOT_OK(scan(std::numeric_limits<Key>::min(),
+                            std::numeric_limits<Key>::max(), &out));
+    return out;
+  }
 
   std::vector<std::vector<ColumnBatch>> partial(ranges.size());
+  std::vector<Status> status(ranges.size());
   {
     TaskGroup tg(exec.pool);
-    for (size_t i = 0; i < ranges.size(); ++i) {
+    for (size_t i = 0; i < ranges.size(); ++i)
       tg.Run([&, i] {
-        partial[i] = scan([&](const auto& visit) {
-          store.ScanRange(snap, ranges[i].first, ranges[i].second, visit);
-        });
+        status[i] = scan(ranges[i].first, ranges[i].second, &partial[i]);
       });
-    }
   }
-  std::vector<ColumnBatch> out;
-  for (auto& p : partial)
-    for (ColumnBatch& b : p) out.push_back(std::move(b));
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    HTAP_RETURN_NOT_OK(status[i]);
+    for (ColumnBatch& b : partial[i]) out.push_back(std::move(b));
+  }
   return out;
 }
 

@@ -142,12 +142,12 @@ struct QueryResult {
 /// exec.batch_rows rows, in key order. `projection` lists output columns
 /// (empty = all). With a pool, the key space splits into one range morsel
 /// per worker and the per-range batches concatenate in range order, so
-/// BatchesToRows(result) equals the serial scan exactly.
-std::vector<ColumnBatch> ScanRowStore(const MvccRowStore& store,
-                                      const Snapshot& snap,
-                                      const Predicate& pred,
-                                      const std::vector<int>& projection,
-                                      const ExecContext& exec);
+/// BatchesToRows(result) equals the serial scan exactly. Fails with the
+/// store's error if a read of it fails (a heap-backed store's heap read),
+/// so a failed read never passes for a short answer.
+Result<std::vector<ColumnBatch>> ScanRowStore(
+    const MvccRowStore& store, const Snapshot& snap, const Predicate& pred,
+    const std::vector<int>& projection, const ExecContext& exec);
 
 /// The HTAP scan (DESIGN.md §12): main column store unioned with a delta
 /// store at snapshot CSN `snapshot`. Pass delta == nullptr for a pure

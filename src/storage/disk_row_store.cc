@@ -218,14 +218,6 @@ Status DiskRowStore::AppendRecord(bool tombstone, Key key, const Row& row) {
   std::memcpy(page->data() + tail_used_ + 4, body.data(), body.size());
   const RecordLoc loc{tail_page_id_, static_cast<uint32_t>(tail_used_)};
   tail_used_ += 4 + len;
-
-  if (!scans_.empty()) {
-    // A running scan still owes this key the record it had when the scan
-    // began; remember it before the index moves on.
-    if (const auto old = index_.find(key); old != index_.end())
-      for (ScanState* scan : scans_)
-        if (old->second < scan->end) scan->displaced.emplace(key, old->second);
-  }
   if (tombstone)
     index_.erase(key);
   else
@@ -280,61 +272,6 @@ Status DiskRowStore::Get(Key key, Row* out) {
   Key k;
   HTAP_RETURN_NOT_OK(ReadRecordAt(it->second, &tombstone, &k, out));
   if (tombstone || k != key) return Status::Corruption("index out of sync");
-  return Status::OK();
-}
-
-Status DiskRowStore::Scan(const std::function<bool(Key, const Row&)>& visit) {
-  ScanState scan;
-  {
-    MutexLock lk(&mu_);
-    scan.end = RecordLoc{tail_page_id_, static_cast<uint32_t>(tail_used_)};
-    scans_.push_back(&scan);
-  }
-  const Status st = ScanPages(scan, visit);
-  MutexLock lk(&mu_);
-  std::erase(scans_, &scan);
-  return st;
-}
-
-Status DiskRowStore::ScanPages(
-    const ScanState& scan, const std::function<bool(Key, const Row&)>& visit) {
-  std::string page_copy;
-  std::vector<uint32_t> emit;  // offsets of the records to visit
-  Row row;
-  for (uint32_t p = 0; p <= scan.end.page_id; ++p) {
-    emit.clear();
-    {
-      MutexLock lk(&mu_);
-      std::string* page;
-      HTAP_RETURN_NOT_OK(pool_.Fetch(p, &page));
-      const size_t limit = p == scan.end.page_id ? scan.end.offset
-                                                 : page->size();
-      size_t pos = 0;
-      while (pos < limit) {
-        const RecordLoc loc{p, static_cast<uint32_t>(pos)};
-        bool tombstone;
-        Key key;
-        if (!ParseRecord(*page, &pos, &tombstone, &key, nullptr)) break;
-        if (tombstone) continue;
-        // Emit the key's newest record before the scan's end: the one the
-        // index points at, or the one a write displaced since the start.
-        const auto newest = index_.find(key);
-        const auto moved = scan.displaced.find(key);
-        if ((newest != index_.end() && newest->second == loc) ||
-            (moved != scan.displaced.end() && moved->second == loc))
-          emit.push_back(loc.offset);
-      }
-      if (!emit.empty()) page_copy.assign(*page, 0, pos);
-    }
-    for (const uint32_t offset : emit) {
-      size_t pos = offset;
-      bool tombstone;
-      Key key;
-      if (!ParseRecord(page_copy, &pos, &tombstone, &key, &row))
-        return Status::Corruption("bad record");
-      if (!visit(key, row)) return Status::OK();
-    }
-  }
   return Status::OK();
 }
 

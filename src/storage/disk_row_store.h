@@ -3,11 +3,11 @@
 //
 // Layout: an append-only heap file of fixed-size pages; each record is an
 // upsert or tombstone for a key; an in-memory index maps each key to its
-// newest record. Reads go through the buffer pool, so cold scans pay real
-// page I/O — which is exactly the cost behind the survey's Table 1
-// "Medium" AP rating when queries fall back to the row store. (c)'s MVCC
-// store evicts the versions this heap holds and reads them back with Get
-// (DESIGN.md §22), so TP point reads pay the pool too.
+// newest record. Reads go through the buffer pool, so cold reads pay real
+// page I/O. (c)'s MVCC store evicts the versions this heap holds and reads
+// them back with Get (DESIGN.md §22), so its row scans and TP point reads
+// pay the pool — the cost behind the survey's Table 1 "Medium" AP rating
+// when queries fall back to the row store.
 
 #ifndef HTAP_STORAGE_DISK_ROW_STORE_H_
 #define HTAP_STORAGE_DISK_ROW_STORE_H_
@@ -19,7 +19,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -117,12 +116,6 @@ class DiskRowStore {
   /// Stops at the first failure.
   Status Apply(std::span<const ChangeEvent> events);
 
-  /// Visits the newest record of every live key, in file order, as of the
-  /// call: a key written during the scan is visited once, with the record
-  /// it had when the scan began. The mutex is held one page at a time and
-  /// never while `visit` runs, so point reads and writes interleave.
-  Status Scan(const std::function<bool(Key, const Row&)>& visit);
-
   /// Flushes buffered pages to the file.
   Status Flush();
 
@@ -147,18 +140,6 @@ class DiskRowStore {
   struct RecordLoc {
     uint32_t page_id;
     uint32_t offset;
-    bool operator==(const RecordLoc&) const = default;
-    bool operator<(const RecordLoc& o) const {
-      return page_id != o.page_id ? page_id < o.page_id : offset < o.offset;
-    }
-  };
-
-  /// A running Scan. Records at or past `end` were written after it began;
-  /// `displaced` holds, for each key rewritten since, the record the index
-  /// pointed at before (the first rewrite's, which is the one before `end`).
-  struct ScanState {
-    RecordLoc end;
-    std::unordered_map<Key, RecordLoc> displaced;
   };
 
   Status PutLocked(Key key, const Row& row) REQUIRES(mu_);
@@ -169,9 +150,6 @@ class DiskRowStore {
       REQUIRES(mu_);
   Status ReadRecordAt(RecordLoc loc, bool* tombstone, Key* key, Row* out)
       REQUIRES(mu_);
-  /// Scan's page walk; `scan` is registered in scans_ throughout.
-  Status ScanPages(const ScanState& scan,
-                   const std::function<bool(Key, const Row&)>& visit);
   /// Decodes the record at *pos in place and advances *pos past it. A null
   /// `row` skips the payload.
   static bool ParseRecord(std::string_view page, size_t* pos, bool* tombstone,
@@ -187,7 +165,6 @@ class DiskRowStore {
   uint32_t tail_page_id_ GUARDED_BY(mu_) = 0;
   size_t tail_used_ GUARDED_BY(mu_) = 0;  // bytes used in the tail page
   std::string record_ GUARDED_BY(mu_);  // AppendRecord's reused encode buffer
-  std::vector<ScanState*> scans_ GUARDED_BY(mu_);  // running Scans
 };
 
 }  // namespace htap

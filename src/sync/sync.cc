@@ -33,12 +33,8 @@ Micros FreshnessTracker::TimeLagMicros(CSN visible_csn) const {
 }
 
 DataSynchronizer::DataSynchronizer(SyncStrategy strategy, ColumnTable* table,
-                                   std::unique_ptr<DeltaSource> source,
-                                   const Clock* clock)
-    : strategy_(strategy),
-      table_(table),
-      source_(std::move(source)),
-      clock_(clock) {}
+                                   DeltaStore* source, const Clock* clock)
+    : strategy_(strategy), table_(table), source_(source), clock_(clock) {}
 
 DataSynchronizer::DataSynchronizer(ColumnTable* table,
                                    const MvccRowStore* primary,
@@ -161,45 +157,6 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
   stats_.last_merge_micros = static_cast<uint64_t>(dt);
   stats_.merge_micros_total += static_cast<uint64_t>(dt);
   return Status::OK();
-}
-
-BackgroundSyncer::BackgroundSyncer(DataSynchronizer* sync,
-                                   TransactionManager* txn_mgr,
-                                   Micros interval_micros,
-                                   size_t entry_threshold)
-    : sync_(sync),
-      txn_mgr_(txn_mgr),
-      interval_micros_(interval_micros),
-      entry_threshold_(entry_threshold),
-      thread_([this] { Loop(); }) {}
-
-BackgroundSyncer::~BackgroundSyncer() { Stop(); }
-
-void BackgroundSyncer::Stop() {
-  // order: release pairs with Loop()'s acquire poll; join() below is the
-  // real synchronization, release just keeps the flag conventional.
-  stop_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-Status BackgroundSyncer::ForceSync() {
-  return sync_->SyncTo(txn_mgr_->LastCommittedCsn());
-}
-
-void BackgroundSyncer::Loop() {
-  Micros slept = 0;
-  const Micros tick = 1000;  // re-check stop and threshold every 1ms
-  // order: acquire pairs with Stop()'s release store of the flag.
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(tick));
-    slept += tick;
-    const bool threshold_hit =
-        entry_threshold_ != 0 && sync_->PendingEntries() >= entry_threshold_;
-    if (slept >= interval_micros_ || threshold_hit) {
-      sync_->SyncTo(txn_mgr_->LastCommittedCsn());
-      slept = 0;
-    }
-  }
 }
 
 }  // namespace htap

@@ -14,11 +14,9 @@
 #ifndef HTAP_SYNC_SYNC_H_
 #define HTAP_SYNC_SYNC_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <thread>
 
 #include "columnar/column_table.h"
 #include "common/clock.h"
@@ -27,31 +25,8 @@
 #include "delta/delta.h"
 #include "opt/stats_builder.h"
 #include "storage/mvcc_row_store.h"
-#include "txn/txn_manager.h"
 
 namespace htap {
-
-/// Where a synchronizer pulls staged changes from. The three delta stores
-/// adapt to this via DeltaSourceAdapter.
-class DeltaSource {
- public:
-  virtual ~DeltaSource() = default;
-  virtual std::vector<DeltaEntry> DrainUpTo(CSN csn) = 0;
-  virtual size_t PendingEntries() const = 0;
-};
-
-template <typename DeltaT>
-class DeltaSourceAdapter : public DeltaSource {
- public:
-  explicit DeltaSourceAdapter(DeltaT* delta) : delta_(delta) {}
-  std::vector<DeltaEntry> DrainUpTo(CSN csn) override {
-    return delta_->DrainUpTo(csn);
-  }
-  size_t PendingEntries() const override { return delta_->EntryCount(); }
-
- private:
-  DeltaT* delta_;
-};
 
 /// Tracks commit times so freshness can be reported in wall-clock terms as
 /// well as CSN lag. The engine's change sink records each commit here.
@@ -99,9 +74,10 @@ const char* SyncStrategyName(SyncStrategy s);
 /// Drives one table's column store to a target CSN using one strategy.
 class DataSynchronizer {
  public:
-  /// In-memory / log merge: `source` supplies drained delta entries.
+  /// In-memory / log merge: drains staged entries from `source`, which
+  /// must outlive the synchronizer.
   DataSynchronizer(SyncStrategy strategy, ColumnTable* table,
-                   std::unique_ptr<DeltaSource> source,
+                   DeltaStore* source,
                    const Clock* clock = WallClock::Default());
 
   /// Rebuild strategy: reads the primary row store directly.
@@ -122,7 +98,7 @@ class DataSynchronizer {
     return stats_;
   }
   size_t PendingEntries() const {
-    return source_ != nullptr ? source_->PendingEntries() : 0;
+    return source_ != nullptr ? source_->EntryCount() : 0;
   }
 
   /// Statistics maintenance (DESIGN.md §10): after every merge the
@@ -141,7 +117,7 @@ class DataSynchronizer {
  private:
   const SyncStrategy strategy_;
   ColumnTable* const table_;
-  const std::unique_ptr<DeltaSource> source_;  // never reseated
+  DeltaStore* const source_ = nullptr;  // null for the rebuild strategy
   const MvccRowStore* primary_ = nullptr;
   const Clock* clock_;
   SyncStats stats_ GUARDED_BY(mu_);
@@ -164,29 +140,6 @@ class DataSynchronizer {
 void ApplyEntriesToColumnTableLocked(ColumnTable* table,
                                      std::vector<DeltaEntry> entries,
                                      CSN up_to) REQUIRES(table->latch());
-
-/// Periodic background sync driver: wakes every `interval`, syncs to the
-/// latest committed CSN when the staged-entry threshold or interval hits.
-class BackgroundSyncer {
- public:
-  BackgroundSyncer(DataSynchronizer* sync, TransactionManager* txn_mgr,
-                   Micros interval_micros, size_t entry_threshold);
-  ~BackgroundSyncer();
-
-  void Stop();
-  /// Synchronously forces a merge to "now".
-  Status ForceSync();
-
- private:
-  void Loop();
-
-  DataSynchronizer* const sync_;
-  TransactionManager* const txn_mgr_;
-  const Micros interval_micros_;
-  const size_t entry_threshold_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 }  // namespace htap
 

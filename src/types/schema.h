@@ -17,11 +17,9 @@ namespace htap {
 struct ColumnDef {
   std::string name;
   Type type = Type::kInt64;
-  bool nullable = true;
 
   ColumnDef() = default;
-  ColumnDef(std::string n, Type t, bool null_ok = true)
-      : name(std::move(n)), type(t), nullable(null_ok) {}
+  ColumnDef(std::string n, Type t) : name(std::move(n)), type(t) {}
 };
 
 /// An immutable ordered set of columns plus the primary-key column index.

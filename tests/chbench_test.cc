@@ -100,7 +100,8 @@ TEST_F(ChBenchTest, MixRunsAllProfilesWithoutFailure) {
 }
 
 /// The cross-path check on every preset: each preset's row side (the MVCC
-/// store, (c)'s disk heap, (b)'s learner scan) against its column side.
+/// store, which on (c) reads evicted rows from its disk heap, or (b)'s
+/// learner scan) against its column side.
 class ChBenchPresetTest
     : public ChBenchTest,
       public ::testing::WithParamInterface<ArchitectureKind> {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <thread>
 #include <vector>
@@ -435,20 +437,84 @@ TEST_P(ChangeEventTest, ColumnSideEqualsRowStoreAfterEachTransactionShape) {
   ExpectSynced("lines", lines);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    LocalPresets, ChangeEventTest,
+const auto kLocalPresets =
     ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
                       ArchitectureKind::kDiskRowPlusDistributedColumn,
-                      ArchitectureKind::kColumnPlusDeltaRow),
-    [](const ::testing::TestParamInfo<ArchitectureKind>& info) {
-      switch (info.param) {
-        case ArchitectureKind::kRowPlusInMemoryColumn: return "RowPlusIMC";
-        case ArchitectureKind::kDiskRowPlusDistributedColumn:
-          return "DiskRowIMCS";
-        case ArchitectureKind::kColumnPlusDeltaRow: return "ColPlusDeltaRow";
-        default: return "Unknown";
+                      ArchitectureKind::kColumnPlusDeltaRow);
+
+std::string LocalPresetName(
+    const ::testing::TestParamInfo<ArchitectureKind>& info) {
+  switch (info.param) {
+    case ArchitectureKind::kRowPlusInMemoryColumn: return "RowPlusIMC";
+    case ArchitectureKind::kDiskRowPlusDistributedColumn: return "DiskRowIMCS";
+    case ArchitectureKind::kColumnPlusDeltaRow: return "ColPlusDeltaRow";
+    default: return "Unknown";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LocalPresets, ChangeEventTest, kLocalPresets,
+                         LocalPresetName);
+
+// ---- One snapshot per query on the local presets --------------------------
+
+// Every scan of a query reads at the CSN of the query's one read view. A
+// writer sets the only row of two tables to the same value in each
+// transaction, so a forced-row join of the two always pairs equal values;
+// a join that read its tables at different commits would not.
+class QuerySnapshotTest : public DatabaseTest {};
+
+TEST_P(QuerySnapshotTest, ForcedRowJoinReadsBothTablesAtOneCommit) {
+  const Schema schema({{"id", Type::kInt64}, {"x", Type::kInt64}});
+  const auto row = [](int64_t x) { return Row{Value(int64_t{1}), Value(x)}; };
+  for (const char* t : {"a", "b"}) {
+    ASSERT_TRUE(db_->CreateTable(t, schema).ok());
+    ASSERT_TRUE(db_->InsertRow(t, row(0)).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> writer_failed{false};
+  std::atomic<int64_t> commits{0};
+  std::thread writer([&] {
+    // order: acquire pairs with the release store that ends the test.
+    for (int64_t i = 1; !stop.load(std::memory_order_acquire); ++i) {
+      auto txn = db_->Begin();
+      if (!txn->Update("a", row(i)).ok() || !txn->Update("b", row(i)).ok() ||
+          !txn->Commit().ok()) {
+        ADD_FAILURE() << "writer transaction " << i << " failed";
+        writer_failed.store(true, std::memory_order_relaxed);
+        return;
       }
-    });
+      commits.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  QueryPlan plan;
+  plan.table = "a";
+  plan.has_join = true;
+  plan.join_table = "b";
+  plan.left_col = 0;
+  plan.right_col = 0;
+  plan.path = PathHint::kForceRow;
+  // Join for as long as it takes the writer to commit 2,000 pairs.
+  int queries = 0;
+  int torn = 0;
+  while (!writer_failed.load(std::memory_order_relaxed) &&
+         (queries < 500 || commits.load(std::memory_order_relaxed) < 2000)) {
+    auto res = db_->Query(plan);
+    const bool one_row = res.ok() && res->rows.size() == 1;
+    EXPECT_TRUE(one_row) << res.status().ToString();
+    if (!one_row) break;  // not ASSERT: the writer must be stopped first
+    const Row& r = res->rows[0];  // a.id, a.x, b.id, b.x
+    if (r.Get(1).AsInt64() != r.Get(3).AsInt64()) ++torn;
+    ++queries;
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  EXPECT_EQ(torn, 0) << torn << " of " << queries
+                     << " joins paired rows of different commits";
+}
+
+INSTANTIATE_TEST_SUITE_P(LocalPresets, QuerySnapshotTest, kLocalPresets,
+                         LocalPresetName);
 
 // ---- Architecture-specific behaviors -------------------------------------
 
@@ -545,7 +611,7 @@ TEST(DiskEngineTest, ColumnSelectionGatesPushdown) {
   EXPECT_EQ(loaded, (std::vector<int>{0, 1}));
 
   // A query over loaded columns pushes down; one touching cold columns
-  // falls back to the disk heap.
+  // falls back to the row store.
   QueryExecInfo xi;
   ASSERT_TRUE(db->Query(warm, &xi).ok());
   EXPECT_EQ(xi.access_path, "imcs-pushdown");
@@ -556,7 +622,7 @@ TEST(DiskEngineTest, ColumnSelectionGatesPushdown) {
   QueryExecInfo xi2;
   auto res = db->Query(cold, &xi2);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(xi2.access_path, "disk-heap-scan");
+  EXPECT_EQ(xi2.access_path, "version-cache-scan");
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 500);
   db.reset();
   std::system(("rm -rf " + dir).c_str());
@@ -583,7 +649,7 @@ TEST(DiskEngineTest, EmptyDataDirKeepsHeapsPrivate) {
     plan.aggs = {AggSpec::Count("n")};
     QueryExecInfo info;
     auto res = db->Query(plan, &info);
-    EXPECT_EQ(info.access_path, "disk-heap-scan");
+    EXPECT_EQ(info.access_path, "version-cache-scan");
     return res.ok() ? res->rows[0].Get(0).AsInt64() : -1;
   };
   {
@@ -594,6 +660,40 @@ TEST(DiskEngineTest, EmptyDataDirKeepsHeapsPrivate) {
   }
   auto third = open_with_rows(200, 2);
   EXPECT_EQ(heap_rows(third.get()), 2);
+}
+
+// A failed heap read fails the query: a forced-row scan that cannot read
+// an evicted row must not answer with the rows it could read.
+TEST(DiskEngineTest, FailedHeapReadFailsTheQuery) {
+  char tmpl[] = "/tmp/htap_diskeng_XXXXXX";
+  const std::string dir = mkdtemp(tmpl);
+  DatabaseOptions opts;
+  opts.architecture = ArchitectureKind::kDiskRowPlusDistributedColumn;
+  opts.data_dir = dir;
+  opts.background_sync = false;
+  opts.buffer_pool_pages = 2;
+  auto db = std::move(*Database::Open(opts));
+  ASSERT_TRUE(db->CreateTable("orders", OrdersSchema()).ok());
+  constexpr int kRows = 1000;  // about 20 heap pages
+  for (int i = 0; i < kRows; ++i)
+    ASSERT_TRUE(
+        db->InsertRow("orders", Order(i, 1, std::string(100, 'r'), 1.0)).ok());
+  QueryPlan plan;
+  plan.table = "orders";
+  plan.path = PathHint::kForceRow;
+  plan.aggs = {AggSpec::Count("n")};
+  auto before = db->Query(plan);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->rows[0].Get(0).AsInt64(), kRows);
+
+  // Each insert's commit evicted its row, which now lives only in the
+  // heap. Lose every heap page the pool does not hold.
+  std::filesystem::resize_file(dir + "/orders.heap", 0);
+  auto after = db->Query(plan);
+  EXPECT_FALSE(after.ok()) << "counted " << after->rows[0].Get(0).AsInt64()
+                           << " of " << kRows << " rows";
+  db.reset();
+  std::system(("rm -rf " + dir).c_str());
 }
 
 TEST(DiskEngineTest, LoadedColumnMergesAreCounted) {

@@ -1,8 +1,7 @@
 // Disk row store tests: heap round trips, upsert/tombstone semantics,
 // persistence across reopen, buffer-pool hit/miss/eviction accounting, the
-// heap file format and pool counters pinned for a fixed sequence, the page
-// bound Put enforces, and the file-order scan (one fetch per page, a view
-// as of its start).
+// heap file format and pool counters pinned for a fixed sequence, and the
+// page bound Put enforces.
 
 #include <gtest/gtest.h>
 
@@ -62,25 +61,6 @@ TEST_F(DiskRowStoreTest, UpsertKeepsNewestVersion) {
   EXPECT_EQ(store.live_keys(), 1u);
 }
 
-TEST_F(DiskRowStoreTest, ScanVisitsLiveKeysOnly) {
-  DiskRowStore store(path_, TestSchema(), 16);
-  ASSERT_TRUE(store.Open().ok());
-  for (Key k = 0; k < 50; ++k) store.Put(MakeRow(k, k));
-  for (Key k = 0; k < 50; k += 2) store.Delete(k);
-  size_t count = 0;
-  int64_t sum = 0;
-  ASSERT_TRUE(store.Scan([&](Key, const Row& r) {
-                     ++count;
-                     sum += r.Get(1).AsInt64();
-                     return true;
-                   })
-                  .ok());
-  EXPECT_EQ(count, 25u);
-  EXPECT_EQ(sum, 1 + 3 + 5 + 7 + 9 + 11 + 13 + 15 + 17 + 19 + 21 + 23 + 25 +
-                     27 + 29 + 31 + 33 + 35 + 37 + 39 + 41 + 43 + 45 + 47 +
-                     49);
-}
-
 TEST_F(DiskRowStoreTest, PersistsAcrossReopen) {
   {
     DiskRowStore store(path_, TestSchema(), 16);
@@ -138,15 +118,17 @@ TEST_F(DiskRowStoreTest, BufferPoolEvictsUnderPressure) {
 // evict the tail page while it is still filling, and both the live store
 // and a reopen must see exactly the reference state.
 TEST_F(DiskRowStoreTest, TwoPagePoolKeepsEveryWriteAcrossEvictionsAndReopen) {
+  constexpr Key kKeys = 600;
   std::map<Key, Row> expect;
-  const auto scan = [](DiskRowStore& store) {
+  // Every key's Get: the rows found, and no error but NotFound.
+  const auto read_all = [](DiskRowStore& store) {
     std::map<Key, Row> got;
-    EXPECT_TRUE(store
-                    .Scan([&](Key k, const Row& r) {
-                      got.emplace(k, r);
-                      return true;
-                    })
-                    .ok());
+    Row out;
+    for (Key k = 0; k < kKeys; ++k) {
+      const Status st = store.Get(k, &out);
+      EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+      if (st.ok()) got.emplace(k, out);
+    }
     return got;
   };
   {
@@ -155,7 +137,7 @@ TEST_F(DiskRowStoreTest, TwoPagePoolKeepsEveryWriteAcrossEvictionsAndReopen) {
     Random rng(17);
     Row out;
     for (int i = 0; i < 10000; ++i) {
-      const Key k = static_cast<Key>(rng.Uniform(600));
+      const Key k = static_cast<Key>(rng.Uniform(kKeys));
       if (rng.Bernoulli(0.2)) {
         const auto it = expect.find(k);
         const Status st = store.Get(k, &out);
@@ -174,12 +156,12 @@ TEST_F(DiskRowStoreTest, TwoPagePoolKeepsEveryWriteAcrossEvictionsAndReopen) {
     }
     EXPECT_GT(store.pool_stats().evictions, 100u);
     EXPECT_LE(store.pool_stats().cached_pages, 2u);
-    EXPECT_EQ(scan(store), expect);
+    EXPECT_EQ(read_all(store), expect);
   }
   DiskRowStore reopened(path_, TestSchema(), 2);
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_EQ(reopened.live_keys(), expect.size());
-  EXPECT_EQ(scan(reopened), expect);
+  EXPECT_EQ(read_all(reopened), expect);
 }
 
 // The heap file and the pool counters of a fixed sequence, pinned. The
@@ -253,85 +235,6 @@ TEST_F(DiskRowStoreTest, FitsIsThePutBound) {
   Row out;
   ASSERT_TRUE(store.Get(1, &out).ok());
   EXPECT_EQ(out, largest);
-}
-
-// A scan walks the heap file once, in page order, so a cold scan misses
-// once per page, even when the file's record order is unrelated to the key
-// order an index walk would follow.
-TEST_F(DiskRowStoreTest, ScanFetchesEachPageOnce) {
-  constexpr uint32_t kPinnedPages = 223;
-  // Every page, once: the 4-page pool no longer holds the last pages by
-  // the time the scan reaches them.
-  constexpr uint64_t kPinnedScanMisses = 223;
-  DiskRowStore store(path_, TestSchema(), 4);
-  ASSERT_TRUE(store.Open().ok());
-  for (Key i = 0; i < 1500; ++i) {
-    const Key k = i * 7919 % 1500;  // every key once, scrambled
-    ASSERT_TRUE(store.Put(MakeRow(k, k, std::string(850, 'x'))).ok());
-  }
-  // Rewrite every third row, so some newest records sit at the file's end.
-  for (Key k = 0; k < 1500; k += 3)
-    ASSERT_TRUE(store.Put(MakeRow(k, -k, std::string(850, 'y'))).ok());
-  ASSERT_TRUE(store.Flush().ok());
-  EXPECT_EQ(store.num_pages(), kPinnedPages);
-
-  const uint64_t misses_before = store.pool_stats().misses;
-  std::map<Key, int64_t> seen;
-  ASSERT_TRUE(store
-                  .Scan([&](Key k, const Row& r) {
-                    EXPECT_TRUE(seen.emplace(k, r.Get(1).AsInt64()).second);
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(store.pool_stats().misses - misses_before, kPinnedScanMisses);
-  ASSERT_EQ(seen.size(), 1500u);
-  for (const auto& [k, v] : seen) EXPECT_EQ(v, k % 3 == 0 ? -k : k);
-}
-
-// A scan visits the heap as of its start. `visit` runs with no lock held,
-// so it can write to the store mid-scan: rewrites of keys the scan has not
-// reached yet, a delete, and an insert must not show, and no key may be
-// visited twice.
-TEST_F(DiskRowStoreTest, ScanIsAsOfItsStartAcrossConcurrentWrites) {
-  DiskRowStore store(path_, TestSchema(), 4);
-  ASSERT_TRUE(store.Open().ok());
-  std::map<Key, Row> expect;
-  for (Key k = 0; k < 400; ++k) {
-    Row row = MakeRow(k, k, std::string(300, 'a'));
-    ASSERT_TRUE(store.Put(row).ok());
-    expect[k] = std::move(row);
-  }
-  std::map<Key, Row> got;
-  bool wrote = false;
-  ASSERT_TRUE(store
-                  .Scan([&](Key k, const Row& r) {
-                    EXPECT_TRUE(got.emplace(k, r).second) << "key " << k;
-                    if (!wrote) {
-                      wrote = true;
-                      // Keys behind and ahead of the scan, twice each.
-                      for (int round = 0; round < 2; ++round)
-                        for (Key w = 0; w < 400; w += 7)
-                          EXPECT_TRUE(
-                              store.Put(MakeRow(w, -w - round, "new")).ok());
-                      EXPECT_TRUE(store.Delete(399).ok());
-                      EXPECT_TRUE(store.Put(MakeRow(1000, 1, "late")).ok());
-                    }
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(got, expect);
-  // A scan started now sees the writes.
-  std::map<Key, Row> after;
-  ASSERT_TRUE(store
-                  .Scan([&](Key k, const Row& r) {
-                    after.emplace(k, r);
-                    return true;
-                  })
-                  .ok());
-  EXPECT_EQ(after.size(), 400u);  // 399 deleted, 1000 inserted
-  EXPECT_EQ(after.at(7).Get(1).AsInt64(), -8);
-  EXPECT_EQ(after.count(399), 0u);
-  EXPECT_EQ(after.at(1000).Get(2).AsString(), "late");
 }
 
 }  // namespace

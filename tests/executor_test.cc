@@ -114,7 +114,8 @@ class ScanTest : public ::testing::Test {
 TEST_F(ScanTest, RowScanWithPredicateAndProjection) {
   const auto out = BatchesToRows(
       ScanRowStore(store_, mgr_.CurrentSnapshot(),
-                   Predicate::Eq(1, Value(int64_t{3})), {0, 3}, ExecContext{}));
+                   Predicate::Eq(1, Value(int64_t{3})), {0, 3}, ExecContext{})
+          .ValueOrDie());
   EXPECT_EQ(out.size(), 10u);
   EXPECT_EQ(out[0].size(), 2u);
 }
@@ -123,7 +124,8 @@ TEST_F(ScanTest, ColumnScanMatchesRowScan) {
   const auto pred = Predicate::And({Predicate::Ge(0, Value(int64_t{20})),
                                     Predicate::Eq(2, Value("even"))});
   auto row_out = BatchesToRows(
-      ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {}, ExecContext{}));
+      ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {}, ExecContext{})
+          .ValueOrDie());
   auto col_out = Scan(table_, nullptr, kMaxCSN - 1, pred);
   EXPECT_EQ(col_out, model_.Rows(kMaxCSN - 1, pred));
   auto key_of = [](const Row& r) { return r.Get(0).AsInt64(); };

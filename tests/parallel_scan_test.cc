@@ -186,9 +186,10 @@ TEST_F(ParallelScanTest, ParallelRowScanMatchesSerial) {
   const Snapshot snap = mgr.CurrentSnapshot();
   for (const Predicate& pred :
        {Predicate::True(), Predicate::Eq(1, Value(int64_t{3}))}) {
-    const auto serial =
-        BatchesToRows(ScanRowStore(store, snap, pred, {}, ExecContext{}));
-    const auto par = BatchesToRows(ScanRowStore(store, snap, pred, {}, Par()));
+    const auto serial = BatchesToRows(
+        ScanRowStore(store, snap, pred, {}, ExecContext{}).ValueOrDie());
+    const auto par = BatchesToRows(
+        ScanRowStore(store, snap, pred, {}, Par()).ValueOrDie());
     // Range partitions concatenate in key order — identical to serial.
     EXPECT_EQ(serial, par);
   }

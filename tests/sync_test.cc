@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "exec/executor.h"
 #include "sync/sync.h"
+#include "txn/txn_manager.h"
 
 namespace htap {
 namespace {
@@ -60,9 +61,7 @@ TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
                          &router);
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   ColumnTable table(TestSchema());
-  DataSynchronizer sync(
-      SyncStrategy::kInMemoryMerge, &table,
-      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(delta.get()));
+  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, delta.get());
 
   for (int i = 0; i < 100; ++i) {
     auto t = mgr.Begin();
@@ -84,9 +83,7 @@ TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
 TEST(SyncTest, LogMergeConvergesColumnStore) {
   LogDeltaStore delta;
   ColumnTable table(TestSchema());
-  DataSynchronizer sync(
-      SyncStrategy::kLogMerge, &table,
-      std::make_unique<DeltaSourceAdapter<LogDeltaStore>>(&delta));
+  DataSynchronizer sync(SyncStrategy::kLogMerge, &table, &delta);
 
   std::vector<DeltaEntry> file;
   for (CSN c = 1; c <= 50; ++c) {
@@ -245,9 +242,7 @@ TEST(SyncTest, PropertyFoldMatchesLastWriteWinsModel) {
 TEST(SyncTest, StatsMaintenanceSeesMergedRows) {
   ColumnTable table(TestSchema());
   InMemoryDeltaStore delta;
-  DataSynchronizer sync(
-      SyncStrategy::kInMemoryMerge, &table,
-      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
+  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, &delta);
   TableStats published;
   CSN published_at = 0;
   sync.EnableStatsMaintenance(
@@ -276,9 +271,7 @@ TEST(SyncTest, StatsMaintenanceSeesMergedRows) {
 TEST(SyncTest, SyncToIsIdempotent) {
   ColumnTable table(TestSchema());
   InMemoryDeltaStore delta;
-  DataSynchronizer sync(
-      SyncStrategy::kInMemoryMerge, &table,
-      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
+  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, &delta);
   DeltaEntry e;
   e.op = ChangeOp::kInsert;
   e.key = 1;
@@ -299,9 +292,7 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
                          &router);
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   ColumnTable table(TestSchema());
-  DataSynchronizer sync(
-      SyncStrategy::kInMemoryMerge, &table,
-      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
+  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, &delta);
 
   Random rng(2024);
   std::map<Key, int64_t> live;

@@ -18,10 +18,13 @@
 //    model directly at the shared struct.
 //  - ColumnSelectionRefreshRacesScans:  RefreshColumnSelection destroyed
 //    the IMCS ColumnTable (then a unique_ptr) that a concurrent scan was
-//    reading, and unserialized delta drains could apply out of order.
+//    reading, and unserialized delta drains could apply out of order. A
+//    concurrent writer checks that a rebuild neither loses nor repeats a
+//    commit: at quiescence the column side equals the row store.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -59,9 +62,7 @@ TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
                          &router);
   MvccRowStore rows(1, KvSchema(), &mgr, nullptr);
   ColumnTable table(KvSchema());
-  DataSynchronizer sync(
-      SyncStrategy::kInMemoryMerge, &table,
-      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(delta_ptr));
+  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, delta_ptr);
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -200,15 +201,51 @@ TEST_F(EngineRaceTest, ColumnSelectionRefreshRacesScans) {
   const TableInfo* info = db_->catalog()->Find("kv");
   ASSERT_NE(info, nullptr);
   RaceScansAgainst([&] {
-    // Each iteration replaces the IMCS generation wholesale while the
-    // scanners sync + scan it; generation pinning must keep every scan on
-    // a live ColumnTable and merges in commit order.
+    // A writer keeps committing to keys 128..255 while each iteration
+    // replaces the IMCS generation wholesale and the scanners sync + scan
+    // it; generation pinning must keep every scan on a live ColumnTable
+    // and merges in commit order.
+    std::atomic<bool> stop_writer{false};
+    std::thread writer([&] {
+      // order: acquire pairs with the release store below.
+      for (int j = 0; !stop_writer.load(std::memory_order_acquire); ++j) {
+        // A main-thread commit still in flight holds the snapshot of the
+        // writer's next transaction below its own last write of a key, and
+        // first-updater-wins then refuses the update.
+        const Status st =
+            db_->UpdateRow("kv", MakeRow(128 + j % 128, 2000 + j));
+        ASSERT_TRUE(st.ok() || st.IsConflict()) << st.ToString();
+      }
+    });
     for (int i = 0; i < 50; ++i) {
-      ASSERT_TRUE(db_->UpdateRow("kv", MakeRow(i % 256, 1000 + i)).ok());
-      ASSERT_TRUE(disk->RefreshColumnSelection(*info).ok());
-      ASSERT_TRUE(db_->ForceSync("kv").ok());
+      const bool ok =
+          db_->UpdateRow("kv", MakeRow(i % 128, 1000 + i)).ok() &&
+          disk->RefreshColumnSelection(*info).ok() &&
+          db_->ForceSync("kv").ok();
+      EXPECT_TRUE(ok) << "iteration " << i;
+      if (!ok) break;  // not ASSERT: the writer must be stopped first
     }
+    stop_writer.store(true, std::memory_order_release);
+    writer.join();
   });
+  // Quiesced: the rebuilt column side plus its merges equal the row store.
+  ASSERT_TRUE(db_->ForceSync("kv").ok());
+  const auto rows = [&](PathHint path) {
+    QueryPlan plan;
+    plan.table = "kv";
+    plan.path = path;
+    auto res = db_->Query(plan);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    std::vector<Row> out;
+    if (res.ok()) out = std::move(res->rows);
+    std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
+      return a.Get(0).AsInt64() < b.Get(0).AsInt64();
+    });
+    return out;
+  };
+  const std::vector<Row> by_row = rows(PathHint::kForceRow);
+  EXPECT_EQ(by_row.size(), 256u);
+  EXPECT_EQ(rows(PathHint::kForceColumn), by_row);
 }
 
 }  // namespace

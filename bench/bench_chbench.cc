@@ -66,7 +66,7 @@ bool PrintQueryTable(Database* db) {
     std::sort(join_ms.begin(), join_ms.end());
     total_ms += ms[ms.size() / 2];
     total_row_ms += row_ms[row_ms.size() / 2];
-    if (q.plan.has_join)
+    if (!q.plan.joins.empty())
       std::printf(
           "%-6s | %10.2f | %9.2f | %9.2f | %8zu | %7zu | %9zu | %8zu | %s\n",
           q.name.c_str(), ms[ms.size() / 2], row_ms[row_ms.size() / 2],

@@ -3,12 +3,17 @@
 //   log-based delta merge          -> scalable staging, high merge cost
 //   rebuild from primary row store -> small staging memory, high load cost
 //
-// Setup: a populated MVCC row store; a burst of committed updates staged
-// through each DS design; one synchronization brings the column store
-// current. We report merge latency, rows moved, and staging memory held
-// before the merge.
+// Setup: a populated MVCC row store whose column table was rebuilt from it;
+// a burst of committed updates staged through each DS design; one
+// synchronization brings the column store current. We report merge
+// latency, rows moved, and staging memory held before the merge. After
+// each synchronization the column table must equal the row store; the run
+// exits non-zero if it does not.
+
+#include <map>
 
 #include "bench_util.h"
+#include "exec/executor.h"
 #include "sync/sync.h"
 
 namespace htap {
@@ -26,6 +31,7 @@ Row MakeRow(Key id, int64_t v) {
 
 constexpr size_t kBaseRows = 40000;
 constexpr size_t kBurst = 20000;
+const std::vector<int> kAllColumns = {0, 1, 2, 3};
 
 /// Row store + transaction manager whose sink hands each committed change
 /// of the burst to the technique under test.
@@ -34,12 +40,14 @@ struct Harness : ChangeSink {
   TransactionManager mgr{nullptr, TransactionManager::kDefaultCommitShards,
                          this};
   std::unique_ptr<MvccRowStore> rows;
-  ColumnTable table{KvSchema()};
+  std::shared_ptr<ColumnTable> table;
 
   Harness() {
     rows = std::make_unique<MvccRowStore>(1, KvSchema(), &mgr, nullptr);
   }
 
+  /// Loads the base rows and rebuilds the column table from them, as a
+  /// prior synchronization would have left it.
   void LoadBase() {
     for (size_t i = 0; i < kBaseRows; i += 1000) {
       auto t = mgr.Begin();
@@ -47,6 +55,8 @@ struct Harness : ChangeSink {
         rows->Insert(t.get(), MakeRow(static_cast<Key>(j), 1));
       mgr.Commit(t.get());
     }
+    table = RebuildColumnTable(*rows, mgr.CurrentSnapshot(), kAllColumns)
+                .ValueOrDie();
   }
 
   void OnCommit(std::vector<ChangeEvent> events) override {
@@ -66,7 +76,42 @@ struct Harness : ChangeSink {
       mgr.Commit(t.get());
     }
   }
+
+  /// One delta merge: drain and apply under the table's write latch, as
+  /// the engine and the learners do. Returns the entries it drained.
+  size_t Merge(DeltaStore* delta) {
+    const CSN target = mgr.LastCommittedCsn();
+    WriteGuard g(table->latch());
+    std::vector<DeltaEntry> entries = delta->DrainUpTo(target);
+    const size_t n = entries.size();
+    ApplyEntriesToColumnTableLocked(table.get(), std::move(entries), target);
+    return n;
+  }
+
+  /// Whether the column table holds exactly the row store's latest rows.
+  bool ColumnsMatchRows() const {
+    std::map<Key, Row> expect, got;
+    const Status st = rows->Scan(mgr.CurrentSnapshot(), [&](Key k,
+                                                            const Row& r) {
+      expect.emplace(k, r);
+      return true;
+    });
+    if (!st.ok()) return false;
+    for (Row& r : BatchesToRows(
+             ScanHtapBatches(*table, nullptr, table->merged_csn(),
+                             Predicate::True(), {}, ExecContext{})))
+      got.emplace(r.Get(0).AsInt64(), std::move(r));
+    return expect == got;
+  }
 };
+
+/// Reports a technique whose column table diverged from the row store.
+bool Check(const Harness& h, const char* technique) {
+  if (h.ColumnsMatchRows()) return true;
+  std::fprintf(stderr, "%s: column table differs from the row store\n",
+               technique);
+  return false;
+}
 
 }  // namespace
 }  // namespace bench
@@ -81,31 +126,29 @@ int main() {
   std::printf("%-30s | %10s | %10s | %12s | paper's cells\n", "Technique",
               "merge ms", "rows moved", "staging KiB");
   PrintRule(104);
+  bool ok = true;
 
   {  // In-memory delta merge.
     Harness h;
     h.LoadBase();
     InMemoryDeltaStore delta;
-    DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &h.table, &delta);
-    // Base reaches the column store first (as a prior merge would have).
     h.RunBurst([&](const ChangeEvent& ev) {
       DeltaEntry e{ev.op, ev.key, ev.row, ev.csn};
       delta.Append(e);
     });
     const size_t staging = delta.MemoryBytes();
     Stopwatch sw;
-    sync.SyncTo(h.mgr.LastCommittedCsn());
-    std::printf("%-30s | %10.2f | %10llu | %12.1f | high efficiency / low scalability\n",
-                "in-memory delta merge", sw.ElapsedSeconds() * 1000,
-                static_cast<unsigned long long>(sync.stats().entries_merged),
+    const size_t moved = h.Merge(&delta);
+    std::printf("%-30s | %10.2f | %10zu | %12.1f | high efficiency / low scalability\n",
+                "in-memory delta merge", sw.ElapsedSeconds() * 1000, moved,
                 staging / 1024.0);
+    ok &= Check(h, "in-memory delta merge");
   }
 
   {  // Log-based delta merge.
     Harness h;
     h.LoadBase();
     LogDeltaStore delta;
-    DataSynchronizer sync(SyncStrategy::kLogMerge, &h.table, &delta);
     std::vector<DeltaEntry> file;
     h.RunBurst([&](const ChangeEvent& ev) {
       file.push_back(DeltaEntry{ev.op, ev.key, ev.row, ev.csn});
@@ -117,24 +160,25 @@ int main() {
     if (!file.empty()) delta.AppendFile(file);
     const size_t staging = delta.MemoryBytes();
     Stopwatch sw;
-    sync.SyncTo(h.mgr.LastCommittedCsn());
-    std::printf("%-30s | %10.2f | %10llu | %12.1f | scalable staging / high merge cost\n",
-                "log-based delta merge", sw.ElapsedSeconds() * 1000,
-                static_cast<unsigned long long>(sync.stats().entries_merged),
+    const size_t moved = h.Merge(&delta);
+    std::printf("%-30s | %10.2f | %10zu | %12.1f | scalable staging / high merge cost\n",
+                "log-based delta merge", sw.ElapsedSeconds() * 1000, moved,
                 staging / 1024.0);
+    ok &= Check(h, "log-based delta merge");
   }
 
   {  // Rebuild from the primary row store.
     Harness h;
     h.LoadBase();
-    DataSynchronizer sync(&h.table, h.rows.get());
     h.RunBurst([](const ChangeEvent&) {});  // nothing staged at all
     Stopwatch sw;
-    sync.SyncTo(h.mgr.LastCommittedCsn());
-    std::printf("%-30s | %10.2f | %10llu | %12.1f | small memory / high load cost\n",
+    h.table =
+        RebuildColumnTable(*h.rows, h.mgr.CurrentSnapshot(), kAllColumns)
+            .ValueOrDie();
+    std::printf("%-30s | %10.2f | %10zu | %12.1f | small memory / high load cost\n",
                 "rebuild from primary rows", sw.ElapsedSeconds() * 1000,
-                static_cast<unsigned long long>(sync.stats().rows_loaded),
-                0.0);
+                h.table->live_rows(), 0.0);
+    ok &= Check(h, "rebuild from primary rows");
   }
 
   PrintRule(104);
@@ -143,5 +187,7 @@ int main() {
       "log variant paying extra decode); the rebuild re-loads all %zu rows\n"
       "but holds no staging memory between syncs.\n",
       kBurst, kBaseRows);
+  if (!ok) return 1;
+  std::printf("column tables match the row store after every sync\n");
   return 0;
 }

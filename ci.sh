@@ -7,7 +7,8 @@
 #
 # Suites:
 #   tier1  — Release build + full ctest
-#   bench  — bench smokes + regression gate (vs BENCH_baseline.json)
+#   bench  — bench smokes, the Table 2 DS row's column-equals-rows check,
+#            and the regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
 #   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
@@ -144,6 +145,16 @@ suite_bench() {
   if ! ./build/bench/bench_fig1_dataflow > build/bench_fig1.log; then
     echo "FAIL: fig1 dataflow bench" >&2
     FAILED_SUITES+=("bench/fig1-dataflow")
+  fi
+
+  echo "== bench: Table 2 DS row (column table equals the row store) =="
+  # Each technique's column table is compared with the row store after its
+  # sync; the bench exits non-zero on a mismatch.
+  cmake --build build -j "$JOBS" --target bench_table2_ds
+  if ! ./build/bench/bench_table2_ds > build/bench_table2_ds.log; then
+    cat build/bench_table2_ds.log >&2
+    echo "FAIL: table2 DS bench (column table differs from the row store)" >&2
+    FAILED_SUITES+=("bench/table2-ds")
   fi
 
   echo "== bench regression gate (vs BENCH_baseline.json) =="

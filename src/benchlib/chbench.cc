@@ -400,10 +400,8 @@ std::vector<ChQuery> ChQueries() {
     q.name = "Q3";
     q.description = "revenue per district via orderline JOIN orders";
     q.plan.table = "orderline";
-    q.plan.has_join = true;
-    q.plan.join_table = "orders";
-    q.plan.left_col = orderline::kOKey;
-    q.plan.right_col = orders::kKey;
+    q.plan.joins = {
+        {"orders", Predicate::True(), orderline::kOKey, orders::kKey}};
     q.plan.group_by = {static_cast<int>(ol_cols) + orders::kDId};
     q.plan.aggs = {AggSpec::Sum(orderline::kAmount, "revenue")};
     q.plan.order_by = 1;
@@ -432,10 +430,7 @@ std::vector<ChQuery> ChQueries() {
     q.name = "Q5";
     q.description = "stock ytd volume per item category";
     q.plan.table = "stock";
-    q.plan.has_join = true;
-    q.plan.join_table = "item";
-    q.plan.left_col = stock::kIId;
-    q.plan.right_col = item::kId;
+    q.plan.joins = {{"item", Predicate::True(), stock::kIId, item::kId}};
     q.plan.group_by = {static_cast<int>(s_cols) + item::kCategory};
     q.plan.aggs = {AggSpec::Sum(stock::kYtd, "volume")};
     q.plan.order_by = 1;
@@ -464,11 +459,8 @@ std::vector<ChQuery> ChQueries() {
     q.name = "Q14";
     q.description = "revenue by category for premium items";
     q.plan.table = "orderline";
-    q.plan.has_join = true;
-    q.plan.join_table = "item";
-    q.plan.left_col = orderline::kIId;
-    q.plan.right_col = item::kId;
-    q.plan.join_where = Predicate::Gt(item::kPrice, Value(50.0));
+    q.plan.joins = {{"item", Predicate::Gt(item::kPrice, Value(50.0)),
+                     orderline::kIId, item::kId}};
     q.plan.group_by = {static_cast<int>(ol_cols) + item::kCategory};
     q.plan.aggs = {AggSpec::Sum(orderline::kAmount, "revenue")};
     // Full CH shape ties lines back to their order header (3-table chain).
@@ -497,14 +489,11 @@ std::vector<ChQuery> ChQueries() {
     q.name = "Q19";
     q.description = "revenue from quantity band joined to item price band";
     q.plan.table = "orderline";
-    q.plan.has_join = true;
-    q.plan.join_table = "item";
-    q.plan.left_col = orderline::kIId;
-    q.plan.right_col = item::kId;
     q.plan.where = Predicate::Between(orderline::kQuantity, Value(int64_t{3}),
                                       Value(int64_t{7}));
-    q.plan.join_where =
-        Predicate::Between(item::kPrice, Value(20.0), Value(80.0));
+    q.plan.joins = {
+        {"item", Predicate::Between(item::kPrice, Value(20.0), Value(80.0)),
+         orderline::kIId, item::kId}};
     q.plan.aggs = {AggSpec::Sum(orderline::kAmount, "revenue")};
     qs.push_back(std::move(q));
   }

@@ -73,14 +73,6 @@ bool ColumnTable::DeleteKeyLocked(Key key, CSN csn) {
   return found;
 }
 
-void ColumnTable::Clear() {
-  WriteGuard g(latch_);
-  groups_.clear();
-  key_index_.clear();
-  // order: release — the reset store must not reorder before the clears.
-  merged_csn_.store(0, std::memory_order_release);
-}
-
 size_t ColumnTable::Compact() {
   WriteGuard g(latch_);
   size_t before = 0, after = 0;

@@ -66,9 +66,6 @@ class ColumnTable {
   /// DeleteKey for a caller that already holds latch() exclusive.
   bool DeleteKeyLocked(Key key, CSN csn) REQUIRES(latch_);
 
-  /// Drops all data (rebuild-from-primary begins with this).
-  void Clear();
-
   /// Compacts groups: drops deleted rows and rebuilds segments. Returns
   /// bytes reclaimed (approximate).
   size_t Compact();
@@ -76,8 +73,8 @@ class ColumnTable {
   /// Opt into the size-estimating compression advisor: segments built after
   /// this call (appends from the sync pipeline, Compact rebuilds) pick their
   /// encoding via AdviseEncoding instead of the ChooseEncoding heuristics.
-  /// Default off so raw ColumnTable behavior is unchanged; the engines turn
-  /// it on per DatabaseOptions::compression_advisor.
+  /// Default off so raw ColumnTable behavior is unchanged; the engines and
+  /// RebuildColumnTable always turn it on.
   void EnableCompressionAdvisor(bool on);
 
   // ---- Read API -----------------------------------------------------------

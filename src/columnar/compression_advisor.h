@@ -9,9 +9,8 @@
 // wins do not pay dictionary/unpack overhead at scan time.
 //
 // It runs where segments are (re)built: column-table append at sync time
-// and compaction. Opt-in per ColumnTable (EnableCompressionAdvisor), and
-// wired on by default in the engines through
-// DatabaseOptions::compression_advisor.
+// and compaction. Opt-in per ColumnTable (EnableCompressionAdvisor); the
+// local engine turns it on for every column table it builds.
 
 #ifndef HTAP_COLUMNAR_COMPRESSION_ADVISOR_H_
 #define HTAP_COLUMNAR_COMPRESSION_ADVISOR_H_

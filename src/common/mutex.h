@@ -42,14 +42,13 @@ namespace htap {
 /// chains in the code — see DESIGN.md §11 for the evidence per edge.
 enum class LockRank : uint16_t {
   kDistEngine = 50,     // DistributedHtapEngine::mu_ (outermost: held across a whole call)
-  kSyncDaemon = 100,    // SyncDaemon::tasks_mu_ (outermost: holds across SyncTo)
+  kSyncDaemon = 100,    // SyncDaemon::tasks_mu_ (outermost: holds across MergeDelta)
   kTxnCommit = 200,     // TransactionManager::publish_mu_ (orders sink publication)
   kTxnShard = 210,      // TransactionManager per-shard commit frontier (inflight CSNs)
-  kEngineTableSync = 280,  // per-TableState loaded-column merge mutex (local
-                           // engine; held across generation snapshot + drain)
+  kEngineTableSync = 280,  // per-TableState merge mutex (local engine; held
+                           // across generation snapshot + drain + stats)
   kEngineTables = 300,  // LocalHtapEngine::tables_mu_ (table map + state)
   kEngineTableStats = 350,  // per-TableState stats mutex (held across store sampling)
-  kSyncMerge = 400,     // DataSynchronizer::mu_ / per-table IMCS merge mutex
   kDiskHeap = 450,      // DiskRowStore::mu_ (heap file + buffer pool)
   kTableLatch = 500,    // ColumnTable::latch_ (RWLatch over row groups)
   kDeltaStore = 550,    // delta-store mutexes (in-memory, L1/L2, log)

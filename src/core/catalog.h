@@ -19,10 +19,16 @@
 
 namespace htap {
 
+/// Plan-time join ordering (DESIGN.md §10): published statistics more than
+/// this many commits behind the engine's committed CSN are stale, and join
+/// planning falls back to the execution-time sampling path instead of
+/// trusting them.
+inline constexpr uint64_t kStatsStalenessCsns = 65536;
+
 /// A statistics snapshot published for one table. `as_of_csn` is the commit
 /// frontier the snapshot reflects — the planner compares it against the
 /// current committed CSN to decide whether the stats are fresh enough to
-/// plan from (ExecContext::stats_staleness_csns).
+/// plan from (kStatsStalenessCsns).
 struct PublishedTableStats {
   TableStats stats;
   CSN as_of_csn = 0;

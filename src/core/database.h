@@ -41,6 +41,10 @@ class DbTxn {
   /// Snapshot read (sees this transaction's own writes where supported).
   Status Get(const std::string& table, Key key, Row* out);
 
+  /// Commits. The client's next Begin() may not see this commit yet while
+  /// another client's commit with a lower CSN is in flight: its reads can
+  /// miss this commit's writes, and its write to a key only this client
+  /// writes can fail with a Conflict that a retry clears (DESIGN.md §15).
   Status Commit();
   Status Abort();
 

@@ -89,6 +89,9 @@ class HtapEngine {
   /// architecture supports it).
   virtual Status Get(TxnContext* txn, const TableInfo& table, Key key,
                      Row* out) = 0;
+  /// Commits. A transaction begun after this returns may still miss the
+  /// commit (and conflict on its keys, retryably) while a commit with a
+  /// lower CSN is in flight (TransactionManager::Commit, DESIGN.md §15).
   virtual Status Commit(TxnContext* txn) = 0;
   virtual Status Abort(TxnContext* txn) = 0;
 

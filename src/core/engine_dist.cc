@@ -136,7 +136,6 @@ Result<QueryResult> DistributedHtapEngine::Execute(const QueryPlan& plan,
   exec.min_parallel_join_build = options_.parallel_join_min_build_rows;
   exec.join_spill_budget_bytes = options_.join_spill_budget_bytes;
   exec.join_spill_dir = options_.join_spill_dir;
-  exec.stats_staleness_csns = options_.stats_staleness_csns;
   exec.batch_rows = options_.vectorized_batch_rows;
   MutexLock lock(&mu_);
   return RunPlan(plan, *catalog_, scan, info, exec);

@@ -5,11 +5,14 @@
 // disk heap, whose images the row store then evicts: DESIGN.md §22).
 // Analytical scans pick the row side or the column side by the preset's
 // access-path rule, and every scan of one query reads at the CSN of the
-// query's one read view. (a) and (d) keep a merged column table synced by
-// the daemon; (c) keeps only the columns the advisor loaded, merged on
-// scan (and by the daemon once the delta reaches sync_entry_threshold),
-// and falls back to the row store (whose evicted rows cost buffer-pool
-// I/O) when a query touches a column that is not loaded.
+// query's one read view. Every preset moves the delta into its column side
+// through one method, MergeDelta. (a) and (d) keep a merged column table
+// that the daemon merges on its interval, and maintain the catalog's stats
+// from each merge; (c) keeps only the columns the advisor loaded, merges
+// them on scan (and on the daemon once the delta reaches
+// sync_entry_threshold), and falls back to the row store (whose evicted
+// rows cost buffer-pool I/O) when a query touches a column that is not
+// loaded.
 
 #include <stdlib.h>
 
@@ -23,30 +26,26 @@
 
 namespace htap {
 
-/// Background merge driver: one thread syncing every registered table on
+/// Background merge driver: one thread merging every registered table on
 /// interval/threshold triggers.
 class SyncDaemon {
  public:
-  /// One table's merge: the entries waiting for it, and the merge itself.
-  struct Task {
-    std::function<size_t()> pending;
-    std::function<Status(CSN)> sync_to;
-  };
+  using Table = LocalHtapEngine::TableState;
 
   /// Never: an interval for a daemon that only the threshold triggers.
   static constexpr Micros kNoInterval = std::numeric_limits<Micros>::max();
 
-  SyncDaemon(TransactionManager* txn_mgr, Micros interval_micros,
+  SyncDaemon(LocalHtapEngine* engine, Micros interval_micros,
              size_t entry_threshold)
-      : txn_mgr_(txn_mgr),
+      : engine_(engine),
         interval_micros_(interval_micros),
         entry_threshold_(entry_threshold) {}
 
   ~SyncDaemon() { Stop(); }
 
-  void AddTask(Task task) {
+  void AddTable(Table* table) {
     MutexLock lk(&tasks_mu_);
-    tasks_.push_back(std::move(task));
+    tables_.push_back(table);
   }
 
   void Start() {
@@ -65,11 +64,10 @@ class SyncDaemon {
   }
 
  private:
-  Status SyncAllNow() {
-    const CSN target = txn_mgr_->LastCommittedCsn();
+  void SyncAllNow() {
+    const CSN target = engine_->txn_mgr_.LastCommittedCsn();
     MutexLock lk(&tasks_mu_);
-    for (const Task& t : tasks_) HTAP_RETURN_NOT_OK(t.sync_to(target));
-    return Status::OK();
+    for (Table* t : tables_) engine_->MergeDelta(t, target, nullptr, nullptr);
   }
 
   void Loop() {
@@ -82,8 +80,8 @@ class SyncDaemon {
       bool threshold_hit = false;
       if (entry_threshold_ != 0) {
         MutexLock lk(&tasks_mu_);
-        for (const Task& t : tasks_)
-          threshold_hit |= t.pending() >= entry_threshold_;
+        for (const Table* t : tables_)
+          threshold_hit |= t->delta->EntryCount() >= entry_threshold_;
       }
       if (slept >= interval_micros_ || threshold_hit) {
         SyncAllNow();
@@ -92,13 +90,13 @@ class SyncDaemon {
     }
   }
 
-  TransactionManager* const txn_mgr_;
+  LocalHtapEngine* const engine_;
   const Micros interval_micros_;
   const size_t entry_threshold_;
-  // Outermost lock in the system: held across SyncTo(), which reaches the
-  // sync, table-latch, delta, and catalog locks (DESIGN.md §11).
+  // Outermost lock in the system: held across MergeDelta(), which reaches
+  // the merge, table-latch, delta, and catalog locks (DESIGN.md §11).
   Mutex tasks_mu_{LockRank::kSyncDaemon, "sync-daemon-tasks"};
-  std::vector<Task> tasks_ GUARDED_BY(tasks_mu_);
+  std::vector<Table*> tables_ GUARDED_BY(tasks_mu_);
   std::atomic<bool> stop_{false};
   // htap-lint: guarded-by — touched only from Start()/Stop()/dtor, which
   // the owning engine serializes; never from the daemon thread itself.
@@ -119,6 +117,12 @@ struct LocalHtapEngine::ScanAccess {
 };
 
 namespace {
+
+/// Delete drift tolerated by the incremental stats of (a) and (d): once a
+/// table's merges have applied this many deletes since the last full pass,
+/// the merge compacts the column table and recomputes the stats from the
+/// surviving rows.
+constexpr size_t kStatsCompactDeleteThreshold = 8192;
 
 std::unique_ptr<WalWriter> MakeWal(const DatabaseOptions& options,
                                    const char* name) {
@@ -258,14 +262,15 @@ LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
       catalog_(catalog),
       heap_dir_(HeapDir(preset, options)),
       wal_(MakeWal(options, preset.wal_name)),
-      txn_mgr_(wal_.get(), options.commit_shards, /*sink=*/this),
+      txn_mgr_(wal_.get(), TransactionManager::kDefaultCommitShards,
+               /*sink=*/this),
       ap_(options_) {
   // (c) merges on scan, so its daemon only bounds the delta: it runs when
   // sync_entry_threshold entries wait (a bulk load), never on the interval.
   if (options_.background_sync &&
       (!preset_.disk_heap || options_.sync_entry_threshold != 0)) {
     daemon_ = std::make_unique<SyncDaemon>(
-        &txn_mgr_,
+        this,
         preset_.disk_heap ? SyncDaemon::kNoInterval
                           : options_.sync_interval_micros,
         options_.sync_entry_threshold);
@@ -289,12 +294,14 @@ LocalHtapEngine::TableState::TableState(
     const TableInfo& table, std::unique_ptr<MvccRowStore> row_store,
     std::unique_ptr<DeltaStore> staged,
     std::unique_ptr<DiskRowStore> disk_heap,
-    std::shared_ptr<ColumnTable> column_side)
+    std::shared_ptr<ColumnTable> column_side,
+    std::unique_ptr<TableStatsBuilder> merge_stats)
     : info(table),
       rows(std::move(row_store)),
       delta(std::move(staged)),
       heap(std::move(disk_heap)),
-      columns(std::move(column_side)) {
+      columns(std::move(column_side)),
+      merge_stats(std::move(merge_stats)) {
   for (size_t c = 0; c < info.schema.num_columns(); ++c)
     loaded.push_back(static_cast<int>(c));
 }
@@ -327,31 +334,18 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
   else
     delta = std::make_unique<InMemoryDeltaStore>();
   auto columns = std::make_shared<ColumnTable>(info.schema);
-  if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
-  auto ts = std::make_unique<TableState>(info, std::move(rows),
-                                         std::move(delta), std::move(heap),
-                                         std::move(columns));
-  if (!preset_.disk_heap) {
-    ts->sync = std::make_unique<DataSynchronizer>(
-        SyncStrategy::kInMemoryMerge, ts->columns.get(), ts->delta.get());
-    // Every merge republishes incremental TableStats to the catalog, so join
-    // planning can happen at plan time from metadata (DESIGN.md §10).
-    ts->sync->EnableStatsMaintenance(
-        [this, name = info.name](const TableStats& st, CSN as_of) {
-          catalog_->PublishStats(name, st, as_of);
-        },
-        options_.stats_compact_delete_threshold);
-    if (daemon_) {
-      DataSynchronizer* sync = ts->sync.get();
-      daemon_->AddTask({[sync] { return sync->PendingEntries(); },
-                        [sync](CSN target) { return sync->SyncTo(target); }});
-    }
-  } else if (daemon_) {
-    daemon_->AddTask({[t = ts.get()] { return t->delta->EntryCount(); },
-                      [this, t = ts.get()](CSN target) {
-                        return SyncLoadedColumns(t, target, nullptr, nullptr);
-                      }});
-  }
+  columns->EnableCompressionAdvisor(true);
+  // (a) and (d) republish incremental TableStats to the catalog on every
+  // merge, so join planning can happen at plan time from metadata
+  // (DESIGN.md §10).
+  std::unique_ptr<TableStatsBuilder> merge_stats;
+  if (!preset_.disk_heap)
+    merge_stats =
+        std::make_unique<TableStatsBuilder>(info.schema.num_columns());
+  auto ts = std::make_unique<TableState>(
+      info, std::move(rows), std::move(delta), std::move(heap),
+      std::move(columns), std::move(merge_stats));
+  if (daemon_) daemon_->AddTable(ts.get());
   tables_[info.id] = std::move(ts);
   return Status::OK();
 }
@@ -424,9 +418,9 @@ void LocalHtapEngine::OnCommit(std::vector<ChangeEvent> events) {
   });
 }
 
-Status LocalHtapEngine::SyncLoadedColumns(
-    TableState* ts, CSN target, std::shared_ptr<ColumnTable>* columns_out,
-    std::vector<int>* loaded_out) {
+void LocalHtapEngine::MergeDelta(TableState* ts, CSN target,
+                                 std::shared_ptr<ColumnTable>* columns_out,
+                                 std::vector<int>* loaded_out) {
   // merge_mu serializes drain+apply: two unserialized drains could apply
   // delta batches out of commit order, and a drain concurrent with
   // RefreshColumnSelection could lose its entries into a superseded
@@ -440,39 +434,58 @@ Status LocalHtapEngine::SyncLoadedColumns(
     columns = ts->columns;
     loaded = ts->loaded;
   }
+  ColumnTable* table = columns.get();
+  bool advanced = false;
   {
     // Drain and apply as one step under the write latch (rank 500, then the
-    // delta's 550): a scan sees the rows in the delta or in the table.
-    ColumnTable* table = columns.get();
+    // delta's 550): a scan sees the rows in the delta or in the table. A
+    // table already merged past the target (by a later scan's or the
+    // daemon's merge) drains nothing: draining less would move merged_csn
+    // back.
     WriteGuard g(table->latch());
-    if (target <= table->merged_csn()) {
-      // Already merged past the target (a later scan's or the daemon's
-      // merge): draining less would move merged_csn back.
-      if (columns_out != nullptr) *columns_out = std::move(columns);
-      if (loaded_out != nullptr) *loaded_out = std::move(loaded);
-      return Status::OK();
-    }
-    std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
-    if (!entries.empty()) {
-      // order: relaxed — plain counters; Stats() reads a recent value.
-      ts->merges.fetch_add(1, std::memory_order_relaxed);
-      ts->entries_merged.fetch_add(entries.size(), std::memory_order_relaxed);
-    }
-    if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
-      // Reduce each row to the loaded columns by moving the cells it keeps.
-      for (DeltaEntry& e : entries) {
-        if (e.op == ChangeOp::kDelete) continue;
-        Row projected;
-        for (int c : loaded)
-          projected.Append(std::move(e.row.Mutable(static_cast<size_t>(c))));
-        e.row = std::move(projected);
+    if (target > table->merged_csn()) {
+      advanced = true;
+      std::vector<DeltaEntry> entries = ts->delta->DrainUpTo(target);
+      if (!entries.empty()) {
+        // order: relaxed — plain counters; Stats() reads a recent value.
+        ts->merges.fetch_add(1, std::memory_order_relaxed);
+        ts->entries_merged.fetch_add(entries.size(),
+                                     std::memory_order_relaxed);
       }
+      // The stats read the rows before the apply moves them out.
+      if (ts->merge_stats != nullptr) ts->merge_stats->ApplyEntries(entries);
+      if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
+        // Reduce each row to the loaded columns by moving the cells it
+        // keeps.
+        for (DeltaEntry& e : entries) {
+          if (e.op == ChangeOp::kDelete) continue;
+          Row projected;
+          for (int c : loaded)
+            projected.Append(
+                std::move(e.row.Mutable(static_cast<size_t>(c))));
+          e.row = std::move(projected);
+        }
+      }
+      ApplyEntriesToColumnTableLocked(table, std::move(entries), target);
     }
-    ApplyEntriesToColumnTableLocked(table, std::move(entries), target);
+  }
+  if (advanced && ts->merge_stats != nullptr) {
+    if (ts->merge_stats->deletes_since_recompute() >
+        kStatsCompactDeleteThreshold) {
+      // Delete drift: the sketches only widen, so compact away the dead
+      // rows and recompute from what actually survives.
+      table->Compact();
+      ts->merge_stats->RecomputeFromColumnTable(*table);
+    }
+    // Published after every merge that advances merged_csn, an empty one
+    // included, so an unwritten table's stats do not age past the
+    // planner's staleness bound.
+    catalog_->PublishStats(ts->info.name,
+                           ts->merge_stats->Snapshot(table->live_rows()),
+                           target);
   }
   if (columns_out != nullptr) *columns_out = std::move(columns);
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
-  return Status::OK();
 }
 
 TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
@@ -495,10 +508,9 @@ TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
   ts->stats = TableStats::Compute(ts->info.schema, sample);
   ts->stats.row_count = store->ApproxRowCount();
   ts->stats_at_csn = now;
-  // With no sync driver to maintain stats incrementally, the sampling
-  // refresher doubles as the catalog publisher (DESIGN.md §10).
-  if (ts->sync == nullptr)
-    catalog_->PublishStats(ts->info.name, ts->stats, now);
+  // (c)'s merges keep no stats, so the sampling refresher doubles as its
+  // catalog publisher (DESIGN.md §10).
+  if (preset_.disk_heap) catalog_->PublishStats(ts->info.name, ts->stats, now);
   return ts->stats;
 }
 
@@ -524,22 +536,16 @@ Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
 
   // Rebuild the column side on the new projection from the row store at
   // one snapshot S, as a new generation merged to S; the delta entries
-  // above S stay for the next merge. merge_mu keeps SyncLoadedColumns out
-  // for the whole rebuild+drain, so no merge can strand drained entries in
-  // the superseded generation; in-flight scans keep their pinned
-  // shared_ptr alive until they finish.
+  // above S stay for the next merge. merge_mu keeps MergeDelta out for the
+  // whole rebuild+drain, so no merge can strand drained entries in the
+  // superseded generation; in-flight scans keep their pinned shared_ptr
+  // alive until they finish.
   MutexLock merge_lk(&ts->merge_mu);
   const ReadView view(&txn_mgr_);
   const Snapshot snap = view.snapshot();
-  std::vector<Row> rows;
-  HTAP_RETURN_NOT_OK(ts->rows->Scan(snap, [&](Key, const Row& r) {
-    rows.push_back(ProjectRow(sel.columns, r));
-    return true;
-  }));
-  auto columns = std::make_shared<ColumnTable>(tbl.schema.Project(sel.columns));
-  if (options_.compression_advisor) columns->EnableCompressionAdvisor(true);
-  columns->AppendBatch(std::move(rows), snap.begin_csn);
-  ts->delta->DrainUpTo(snap.begin_csn);  // the scan above read these
+  HTAP_ASSIGN_OR_RETURN(std::shared_ptr<ColumnTable> columns,
+                        RebuildColumnTable(*ts->rows, snap, sel.columns));
+  ts->delta->DrainUpTo(snap.begin_csn);  // the rebuild read these
   {
     MutexLock lk(&tables_mu_);
     ts->loaded = sel.columns;
@@ -597,13 +603,14 @@ Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
   }
   if (acc.path != AccessPath::kColumnScan) return acc;
 
-  // Pin the generation to scan. Loaded columns merge on scan first;
-  // SyncLoadedColumns pins the generation it merged into, so a concurrent
-  // RefreshColumnSelection cannot free it under the scan that follows.
+  // Pin the generation to scan. (c) merges on scan first; MergeDelta pins
+  // the generation it merged into, so a concurrent RefreshColumnSelection
+  // cannot free it under the scan that follows. (a) and (d) leave merging
+  // to the daemon: a scan never waits on a merge's compaction or stats.
   std::shared_ptr<ColumnTable> columns;
   std::vector<int> loaded;
-  if (ts->sync == nullptr) {
-    HTAP_RETURN_NOT_OK(SyncLoadedColumns(ts, req.csn, &columns, &loaded));
+  if (preset_.disk_heap) {
+    MergeDelta(ts, req.csn, &columns, &loaded);
   } else {
     MutexLock lk(&tables_mu_);
     columns = ts->columns;
@@ -685,10 +692,8 @@ Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
 Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {
   TableState* ts = FindTable(tbl.id);
   if (ts == nullptr) return Status::NotFound("no such table");
-  const CSN target = txn_mgr_.LastCommittedCsn();
-  if (ts->sync == nullptr)
-    return SyncLoadedColumns(ts, target, nullptr, nullptr);
-  return ts->sync->SyncTo(target);
+  MergeDelta(ts, txn_mgr_.LastCommittedCsn(), nullptr, nullptr);
+  return Status::OK();
 }
 
 FreshnessInfo LocalHtapEngine::Freshness(const TableInfo& tbl) {
@@ -716,15 +721,9 @@ EngineStats LocalHtapEngine::Stats() {
   MutexLock lk(&tables_mu_);
   for (const auto& [tid, ts] : tables_) {
     s.row_store_bytes += ts->rows->MemoryBytes();
-    if (ts->sync != nullptr) {
-      const SyncStats ss = ts->sync->stats();
-      s.merges += ss.merges;
-      s.entries_merged += ss.entries_merged;
-    } else {
-      // order: relaxed — counters only, as SyncLoadedColumns writes them.
-      s.merges += ts->merges.load(std::memory_order_relaxed);
-      s.entries_merged += ts->entries_merged.load(std::memory_order_relaxed);
-    }
+    // order: relaxed — counters only, as MergeDelta writes them.
+    s.merges += ts->merges.load(std::memory_order_relaxed);
+    s.entries_merged += ts->entries_merged.load(std::memory_order_relaxed);
     s.column_store_bytes += ts->columns->MemoryBytes();
     s.delta_bytes += ts->delta->MemoryBytes();
     s.column_encodings.Merge(ts->columns->EncodingStats());

@@ -25,6 +25,7 @@
 #include "core/query_runner.h"
 #include "opt/column_advisor.h"
 #include "opt/optimizer.h"
+#include "opt/stats_builder.h"
 #include "storage/disk_row_store.h"
 #include "storage/mvcc_row_store.h"
 #include "sync/sync.h"
@@ -42,7 +43,6 @@ struct ApScanRuntime {
   size_t min_join_build = 4096;
   size_t spill_budget = 0;
   std::string spill_dir;
-  uint64_t stats_staleness = 65536;
   size_t batch_rows = 4096;  // rows per ColumnBatch (DESIGN.md §12)
 
   explicit ApScanRuntime(const DatabaseOptions& options)
@@ -50,7 +50,6 @@ struct ApScanRuntime {
         min_join_build(options.parallel_join_min_build_rows),
         spill_budget(options.join_spill_budget_bytes),
         spill_dir(options.join_spill_dir),
-        stats_staleness(options.stats_staleness_csns),
         batch_rows(options.vectorized_batch_rows) {
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads, "ap-scan");
   }
@@ -65,7 +64,6 @@ struct ApScanRuntime {
     exec.join_spill_budget_bytes = spill_budget;
     exec.join_spill_dir = spill_dir;
     exec.committed_csn = committed_csn;
-    exec.stats_staleness_csns = stats_staleness;
     exec.batch_rows = batch_rows;
     return exec;
   }
@@ -87,8 +85,10 @@ struct LocalPreset {
   bool column_primary = false;
   /// (c)'s parts: commits write through to a disk heap that the MVCC store
   /// caches and reads evicted rows from (DESIGN.md §22), and the column
-  /// side holds only the columns the advisor loaded, merged lazily on scan
-  /// (the sync daemon merges only at its entry threshold).
+  /// side holds only the columns the advisor loaded. Its merge policy
+  /// differs too: it merges on scan (the sync daemon merges only at its
+  /// entry threshold), and its catalog stats are sampled from the row
+  /// store rather than maintained by the merges.
   bool disk_heap = false;
   /// QueryExecInfo::access_path when the column side / row side serves.
   const char* column_scan_desc = "";
@@ -97,7 +97,8 @@ struct LocalPreset {
 
 /// Architectures (a), (c) and (d): one transaction manager, one WAL and one
 /// MVCC row store per table, plus the per-table delta and column parts the
-/// preset picks.
+/// preset picks. One method, MergeDelta, moves the delta into the column
+/// side on every preset; the daemon, ForceSync and (c)'s scans call it.
 class LocalHtapEngine : public HtapEngine, public ChangeSink {
  public:
   LocalHtapEngine(const LocalPreset& preset, const DatabaseOptions& options,
@@ -134,13 +135,16 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   std::vector<int> LoadedColumns(uint32_t table_id) const;
 
  private:
+  friend class SyncDaemon;  // merges the tables it holds via MergeDelta
+
   struct TableState {
     /// Every column starts loaded; RefreshColumnSelection applies the
     /// advisor + budget once a workload has been observed.
     TableState(const TableInfo& table, std::unique_ptr<MvccRowStore> row_store,
                std::unique_ptr<DeltaStore> staged,
                std::unique_ptr<DiskRowStore> disk_heap,
-               std::shared_ptr<ColumnTable> column_side);
+               std::shared_ptr<ColumnTable> column_side,
+               std::unique_ptr<TableStatsBuilder> merge_stats);
 
     const TableInfo info;
     const std::unique_ptr<MvccRowStore> rows;  // the transactional store
@@ -155,17 +159,18 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
     // (copied out with columns under that lock); not expressible lexically
     // from a nested struct.
     std::vector<int> loaded;  // base column indexes, in the columns' layout
-    // Merges the delta into `columns` on the daemon; null for disk_heap,
-    // whose loaded columns merge on scan and at the daemon's threshold
-    // (SyncLoadedColumns).
-    std::unique_ptr<DataSynchronizer> sync;
-    // Serializes SyncLoadedColumns' "snapshot the current generation + drain
-    // the delta + apply" so concurrent scans cannot apply drained batches
-    // out of commit order (or drain entries into a superseded generation).
+    // Serializes MergeDelta's "pin the current generation + drain the delta
+    // + apply + maintain stats" so concurrent merges cannot apply drained
+    // batches out of commit order (or drain entries into a superseded
+    // generation).
     Mutex merge_mu{LockRank::kEngineTableSync, "local-column-merge"};
-    // SyncLoadedColumns' non-empty drains and the entries they merged:
-    // written under merge_mu, read lock-free by Stats() (which holds
-    // tables_mu_, ranked above merge_mu).
+    // Incremental catalog stats fed by every merge (DESIGN.md §10); null on
+    // disk_heap, whose catalog stats RefreshedStats samples.
+    const std::unique_ptr<TableStatsBuilder> merge_stats
+        PT_GUARDED_BY(merge_mu);
+    // MergeDelta's non-empty drains and the entries they merged: written
+    // under merge_mu, read lock-free by Stats() (which holds tables_mu_,
+    // ranked above merge_mu).
     std::atomic<uint64_t> merges{0};
     std::atomic<uint64_t> entries_merged{0};
     // Plan-time row-store stats: refreshed from a snapshot scan while
@@ -186,13 +191,15 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   /// Scan's access-path decision, plus — when the column side serves — the
   /// pinned generation and the request remapped onto its layout.
   Result<ScanAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
-  /// Drains the delta up to `target` into the current loaded-column
-  /// generation and (optionally) returns that generation to scan. A target
-  /// at or below the generation's merged CSN drains nothing, so merged_csn
-  /// never moves back.
-  Status SyncLoadedColumns(TableState* ts, CSN target,
-                           std::shared_ptr<ColumnTable>* columns_out,
-                           std::vector<int>* loaded_out);
+  /// The one merge: drains the delta up to `target` into the current
+  /// column generation (projected onto its loaded columns), publishes the
+  /// table's incremental stats where it keeps them, and (optionally)
+  /// returns that generation to scan. A target at or below the
+  /// generation's merged CSN drains nothing, so merged_csn never moves
+  /// back.
+  void MergeDelta(TableState* ts, CSN target,
+                  std::shared_ptr<ColumnTable>* columns_out,
+                  std::vector<int>* loaded_out);
   /// Refreshes the sampled row-store stats if stale and returns a copy.
   TableStats RefreshedStats(TableState* ts);
 

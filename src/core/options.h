@@ -57,34 +57,10 @@ struct DatabaseOptions {
   /// How often table statistics are recomputed (in commits).
   uint64_t stats_refresh_interval = 4096;
 
-  /// Commit-path sharding (DESIGN.md §15): the transaction manager's
-  /// in-flight CSN frontier and active-transaction map are partitioned
-  /// across this many mutexes; the published committed CSN is the min of
-  /// the per-shard frontiers. 1 = the old single-mutex behaviour.
-  size_t commit_shards = 8;
-
-  /// Plan-time join ordering (DESIGN.md §10): catalog statistics more than
-  /// this many commits behind the engine's committed CSN are considered
-  /// stale, and join planning falls back to the execution-time sampling
-  /// path instead of trusting them.
-  uint64_t stats_staleness_csns = 65536;
-
-  /// Delete drift tolerated by incremental statistics maintenance: once the
-  /// sync driver has merged this many deletes since the last full pass, it
-  /// compacts the column table and fully recomputes the table's statistics.
-  size_t stats_compact_delete_threshold = 8192;
-
   /// Rows per ColumnBatch every scan emits (DESIGN.md §12; 0 = one batch
   /// per row group, or per row-side scan). Larger batches amortize
   /// dispatch; smaller batches stay cache-resident.
   size_t vectorized_batch_rows = 4096;
-
-  /// Per-segment compression advisor: when segments are (re)built at sync
-  /// or compaction time, re-pick each segment's encoding from observed
-  /// value statistics — the estimated-smallest encoding wins if it beats
-  /// PLAIN by at least 1/8 (see columnar/compression_advisor.h). Off =
-  /// the fixed ChooseEncoding thresholds.
-  bool compression_advisor = true;
 
   /// Intra-query parallelism: size of the engine's AP scan pool. Morsel-
   /// driven scans, aggregations, and hash joins fan out across it; the

@@ -40,16 +40,7 @@ struct QueryPlan {
   std::string table;
   Predicate where;
 
-  // Optional first join (the classic single-join form; kept as plain
-  // fields so existing callers/binders stay source-compatible).
-  bool has_join = false;
-  std::string join_table;
-  Predicate join_where;  // pushed down to the right side (its own layout)
-  int left_col = -1;     // equi-join columns
-  int right_col = -1;    // index within the right table's layout
-
-  /// Further joins, applied after the `has_join` clause (if any). The
-  /// effective join list is the legacy clause followed by these.
+  /// Hash equi-joins, in plan order.
   std::vector<JoinClause> joins;
 
   // Optional aggregation (combined layout).

@@ -17,16 +17,10 @@ struct BoundJoin {
   int right_col = -1;  // the joined table's own layout
 };
 
-/// The effective join list: the legacy single-join fields (if set) followed
-/// by plan.joins.
+/// plan.joins resolved against the catalog, in plan order.
 Result<std::vector<BoundJoin>> BindJoins(const QueryPlan& plan,
                                          const Catalog& catalog) {
   std::vector<BoundJoin> out;
-  if (plan.has_join) {
-    const TableInfo* t = catalog.Find(plan.join_table);
-    if (t == nullptr) return Status::NotFound("no table: " + plan.join_table);
-    out.push_back({t, &plan.join_where, plan.left_col, plan.right_col});
-  }
   for (const JoinClause& jc : plan.joins) {
     const TableInfo* t = catalog.Find(jc.table);
     if (t == nullptr) return Status::NotFound("no table: " + jc.table);
@@ -139,7 +133,7 @@ size_t RoundRows(double est) {
 
 /// Plan-time cardinality estimates from published catalog statistics
 /// (DESIGN.md §10). Succeeds only when the base table and every join table
-/// have published stats no staler than exec.stats_staleness_csns commits
+/// have published stats no staler than kStatsStalenessCsns commits
 /// behind exec.committed_csn (0 = unknown frontier, trusted as fresh). On
 /// success fills the filtered base-table estimate, one JoinRelEstimate per
 /// clause, and the worst stats age observed.
@@ -155,7 +149,7 @@ bool CatalogJoinEstimates(const QueryPlan& plan, const Catalog& catalog,
     const uint64_t age = exec.committed_csn > p->as_of_csn
                              ? exec.committed_csn - p->as_of_csn
                              : 0;
-    if (age > exec.stats_staleness_csns) return false;
+    if (age > kStatsStalenessCsns) return false;
     worst = std::max(worst, age);
     return true;
   };

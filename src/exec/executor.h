@@ -97,14 +97,13 @@ struct ExecContext {
   /// Directory for spill runs (htap-spill-*). Empty = DefaultSpillDir().
   std::string join_spill_dir;
 
-  /// Plan-time statistics inputs (DESIGN.md §10). `committed_csn` is the
-  /// engine's commit frontier at query start; catalog statistics whose
-  /// as_of_csn trails it by more than `stats_staleness_csns` commits are
-  /// considered stale, and the join planner falls back to its
-  /// execution-time sampling path. committed_csn == 0 means "unknown
-  /// frontier" and disables the staleness check (direct RunPlan callers).
+  /// Plan-time statistics input (DESIGN.md §10): the engine's commit
+  /// frontier at query start; catalog statistics whose as_of_csn trails it
+  /// by more than kStatsStalenessCsns commits are considered stale, and the
+  /// join planner falls back to its execution-time sampling path.
+  /// committed_csn == 0 means "unknown frontier" and disables the
+  /// staleness check (direct RunPlan callers).
   CSN committed_csn = 0;
-  uint64_t stats_staleness_csns = 65536;
 
   /// Rows per ColumnBatch emitted by the vectorized scan (DESIGN.md §12).
   /// Mirrors DatabaseOptions::vectorized_batch_rows; 0 = one batch per row

@@ -82,11 +82,6 @@ void TableStatsBuilder::RecomputeFromColumnTable(const ColumnTable& table) {
   }
 }
 
-void TableStatsBuilder::RecomputeFromRows(const std::vector<Row>& rows) {
-  Reset();
-  for (const Row& r : rows) AddRow(r);
-}
-
 TableStats TableStatsBuilder::Snapshot(size_t row_count) const {
   TableStats st;
   st.row_count = row_count;

@@ -1,12 +1,12 @@
 // Incremental table-statistics maintenance (Table 2, QO row; DESIGN.md §10).
 //
-// The sync driver folds every merged delta batch into a TableStatsBuilder
-// and republishes a TableStats snapshot to the catalog, so join planning can
-// happen at plan time from metadata instead of paying an execution-time
-// scan. NDV is tracked with a k-minimum-values sketch (exact below k
-// distinct values); min/max only widen and deletes cannot shrink any
-// estimate, so the builder periodically corrects drift with a full recompute
-// over the compacted column store.
+// The local engine's merge folds every merged delta batch into a
+// TableStatsBuilder and republishes a TableStats snapshot to the catalog,
+// so join planning can happen at plan time from metadata instead of paying
+// an execution-time scan. NDV is tracked with a k-minimum-values sketch
+// (exact below k distinct values); min/max only widen and deletes cannot
+// shrink any estimate, so the builder periodically corrects drift with a
+// full recompute over the compacted column store.
 
 #ifndef HTAP_OPT_STATS_BUILDER_H_
 #define HTAP_OPT_STATS_BUILDER_H_
@@ -50,7 +50,7 @@ class KmvSketch {
 /// alone — so publishers pass the authoritative count (e.g.
 /// ColumnTable::live_rows()) to Snapshot().
 ///
-/// Not thread-safe; callers serialize (the sync driver already holds its
+/// Not thread-safe; callers serialize (the engine's merge already holds its
 /// per-table merge mutex).
 class TableStatsBuilder {
  public:
@@ -67,9 +67,6 @@ class TableStatsBuilder {
   /// Full recompute from the column table's live rows (takes the table's
   /// shared latch). Resets the delete-drift counter.
   void RecomputeFromColumnTable(const ColumnTable& table);
-
-  /// Full recompute from materialized rows (the rebuild-sync path).
-  void RecomputeFromRows(const std::vector<Row>& rows);
 
   /// Deletes applied since the last full recompute — the caller's
   /// compaction / recompute trigger.

@@ -177,8 +177,8 @@ Result<QueryPlan> BindSelect(const sql::SelectStmt& stmt,
   plan.table = stmt.table;
 
   // Combined layout built up clause by clause: base columns, then each
-  // joined table's columns in written order. Chained JOINs bind exclusively
-  // onto QueryPlan::joins (the legacy has_join fields stay unset).
+  // joined table's columns in written order. Chained JOINs bind onto
+  // QueryPlan::joins.
   std::vector<TableLayout> tables;
   tables.push_back({base, 0});
 

@@ -2,20 +2,21 @@
 // stores into the main column store (Table 2, DS row), plus the freshness
 // accounting that the AP scans and the resource scheduler consume.
 //
-// Three strategies from the survey:
-//  * kInMemoryMerge — threshold-based change propagation out of an
-//    in-memory delta (Oracle/SQL Server/DB2 BLU/HANA style).
-//  * kLogMerge      — periodic merge of encoded log-delta files
-//    (TiDB/TiFlash style; higher per-merge cost, scalable staging).
-//  * kRebuild       — drop and rebuild the column store from the primary
-//    row store (Oracle repopulation / SingleStore reload style; cheap
-//    staging memory, expensive load).
+// The survey's three techniques share two functions:
+//  * in-memory delta merge (Oracle/SQL Server/DB2 BLU/HANA style) and
+//    log-based delta merge (TiDB/TiFlash style; encoded log files, higher
+//    per-merge cost, scalable staging) both drain a DeltaStore and fold the
+//    entries into the table with ApplyEntriesToColumnTableLocked;
+//  * rebuild from the primary row store (Oracle repopulation / SingleStore
+//    reload style; no staging memory, expensive load) is
+//    RebuildColumnTable.
+// The local engine drives the merge (LocalHtapEngine::MergeDelta); the sim
+// cluster's learners drive it for (b).
 
 #ifndef HTAP_SYNC_SYNC_H_
 #define HTAP_SYNC_SYNC_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "columnar/column_table.h"
@@ -23,7 +24,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "delta/delta.h"
-#include "opt/stats_builder.h"
 #include "storage/mvcc_row_store.h"
 
 namespace htap {
@@ -54,80 +54,6 @@ class FreshnessTracker {
   std::deque<std::pair<CSN, Micros>> samples_ GUARDED_BY(mu_);  // (csn, time)
 };
 
-/// Statistics from merge activity (bench_table2_ds reads these).
-struct SyncStats {
-  uint64_t merges = 0;
-  uint64_t entries_merged = 0;
-  uint64_t rows_loaded = 0;        // rebuild strategy
-  uint64_t merge_micros_total = 0;
-  uint64_t last_merge_micros = 0;
-};
-
-enum class SyncStrategy : uint8_t {
-  kInMemoryMerge = 0,
-  kLogMerge = 1,
-  kRebuild = 2,
-};
-
-const char* SyncStrategyName(SyncStrategy s);
-
-/// Drives one table's column store to a target CSN using one strategy.
-class DataSynchronizer {
- public:
-  /// In-memory / log merge: drains staged entries from `source`, which
-  /// must outlive the synchronizer.
-  DataSynchronizer(SyncStrategy strategy, ColumnTable* table,
-                   DeltaStore* source,
-                   const Clock* clock = WallClock::Default());
-
-  /// Rebuild strategy: reads the primary row store directly.
-  DataSynchronizer(ColumnTable* table, const MvccRowStore* primary,
-                   const Clock* clock = WallClock::Default());
-
-  SyncStrategy strategy() const { return strategy_; }
-
-  /// Brings the column store up to `target_csn`. For merge strategies this
-  /// drains and applies staged entries; for rebuild it reloads everything
-  /// from the primary store at a snapshot.
-  Status SyncTo(CSN target_csn);
-
-  /// Snapshot of the merge statistics, copied out under the merge mutex —
-  /// a background merge may be mutating them concurrently.
-  SyncStats stats() const {
-    MutexLock lk(&mu_);
-    return stats_;
-  }
-  size_t PendingEntries() const {
-    return source_ != nullptr ? source_->EntryCount() : 0;
-  }
-
-  /// Statistics maintenance (DESIGN.md §10): after every merge the
-  /// synchronizer folds the applied entries into an incremental
-  /// TableStatsBuilder and calls `publish` with a fresh TableStats snapshot
-  /// and the CSN it reflects (engines route this to Catalog::PublishStats).
-  /// Deletes only accumulate drift in the incremental sketches, so once
-  /// more than `compact_delete_threshold` deletes have been merged since
-  /// the last full pass, the column table is compacted and the statistics
-  /// fully recomputed from the surviving rows. The rebuild strategy always
-  /// recomputes from the reloaded rows. Call before the first SyncTo.
-  using StatsPublishFn = std::function<void(const TableStats&, CSN)>;
-  void EnableStatsMaintenance(StatsPublishFn publish,
-                              size_t compact_delete_threshold);
-
- private:
-  const SyncStrategy strategy_;
-  ColumnTable* const table_;
-  DeltaStore* const source_ = nullptr;  // null for the rebuild strategy
-  const MvccRowStore* primary_ = nullptr;
-  const Clock* clock_;
-  SyncStats stats_ GUARDED_BY(mu_);
-  // Stats maintenance state; mutated only under mu_ (SyncTo).
-  std::unique_ptr<TableStatsBuilder> stats_builder_ GUARDED_BY(mu_);
-  StatsPublishFn publish_stats_ GUARDED_BY(mu_);
-  size_t compact_delete_threshold_ GUARDED_BY(mu_) = 0;
-  mutable Mutex mu_{LockRank::kSyncMerge, "sync-merge"};  // one merge at a time
-};
-
 /// Applies a batch of delta entries (commit order) to a column table and
 /// advances merged_csn to `up_to`. Shared by all merge paths, including the
 /// learner replica apply loop. Last write per key wins; the surviving rows
@@ -140,6 +66,14 @@ class DataSynchronizer {
 void ApplyEntriesToColumnTableLocked(ColumnTable* table,
                                      std::vector<DeltaEntry> entries,
                                      CSN up_to) REQUIRES(table->latch());
+
+/// Rebuild from the primary row store: a fresh column table over the base
+/// columns `columns` (in that order), holding `rows` as of `snap` and
+/// merged to snap.begin_csn. Its segments pick their encodings with the
+/// compression advisor. Fails if the row store's scan fails.
+Result<std::shared_ptr<ColumnTable>> RebuildColumnTable(
+    const MvccRowStore& rows, const Snapshot& snap,
+    const std::vector<int>& columns);
 
 }  // namespace htap
 

@@ -73,6 +73,12 @@ class TransactionManager {
   /// Commits: row copy into the change events, WAL commit record + group
   /// sync, CSN assignment, version stamping, ordered change publication.
   /// After return the Transaction object may be destroyed.
+  ///
+  /// Return does not make the commit visible to the caller's next Begin():
+  /// while a commit with a lower CSN is still in flight, the published
+  /// watermark stays below this one's CSN, so that snapshot can miss it,
+  /// and a write to a key only this client writes can fail with a
+  /// Conflict that a retry clears (DESIGN.md §15).
   Status Commit(Transaction* txn);
 
   /// Rolls back all of the transaction's writes.

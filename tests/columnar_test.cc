@@ -266,15 +266,6 @@ TEST(ColumnTableTest, MemoryBytesCountsKeyIndexBucketsAndNodes) {
   EXPECT_GE(t.MemoryBytes(), group_bytes + kRows * (node + bucket));
 }
 
-TEST(ColumnTableTest, ClearResetsEverything) {
-  ColumnTable t(TableSchema());
-  t.AppendBatch({TRow(1, 1)}, 9);
-  t.Clear();
-  EXPECT_EQ(t.num_groups(), 0u);
-  EXPECT_EQ(t.live_rows(), 0u);
-  EXPECT_EQ(t.merged_csn(), 0u);
-}
-
 TEST(ColumnTableTest, SegmentsGetCompressedEncodings) {
   ColumnTable t(TableSchema());
   std::vector<Row> rows;

@@ -341,10 +341,7 @@ TEST(GraceJoinDatabaseTest, BuildSideSwapKeepsNestedLoopOrder) {
 
   QueryPlan plan;
   plan.table = "fact";
-  plan.has_join = true;
-  plan.join_table = "dim_a";
-  plan.left_col = 1;
-  plan.right_col = 1;
+  plan.joins.push_back(JoinClause{"dim_a", Predicate::True(), 1, 1});
   QueryExecInfo info;
   auto res = db->Query(plan, &info);
   ASSERT_TRUE(res.ok());
@@ -369,10 +366,8 @@ TEST(GraceJoinDatabaseTest, GreedyJoinOrderIsInvisibleInResults) {
 
   QueryPlan plan;
   plan.table = "fact";
-  plan.has_join = true;
-  plan.join_table = "dim_a";
-  plan.left_col = 1;   // fact.a_fk
-  plan.right_col = 1;  // dim_a.key
+  // fact.a_fk = dim_a.key.
+  plan.joins.push_back(JoinClause{"dim_a", Predicate::True(), 1, 1});
   plan.joins.push_back(JoinClause{"dim_b", Predicate::True(), 2, 0});
 
   for (auto* db : {serial_db.get(), par_db.get()}) {
@@ -409,10 +404,7 @@ TEST(GraceJoinDatabaseTest, SpillBudgetOptionReachesTheJoin) {
 
   QueryPlan plan;
   plan.table = "fact";
-  plan.has_join = true;
-  plan.join_table = "dim_a";
-  plan.left_col = 1;
-  plan.right_col = 1;
+  plan.joins.push_back(JoinClause{"dim_a", Predicate::True(), 1, 1});
 
   QueryExecInfo plain_info, spill_info;
   auto a = plain_db->Query(plan, &plain_info);

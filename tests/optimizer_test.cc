@@ -243,8 +243,10 @@ TEST(TableStatsBuilderTest, DeletesAccumulateDriftUntilRecompute) {
   EXPECT_EQ(st.columns[0].min.AsInt64(), 0);
   EXPECT_EQ(st.columns[0].max.AsInt64(), 9);
 
-  builder.RecomputeFromRows({Row{Value(int64_t{5}), Value(int64_t{1}),
-                                 Value("y")}});
+  ColumnTable survivors(TestSchema());
+  survivors.AppendBatch({Row{Value(int64_t{5}), Value(int64_t{1}), Value("y")}},
+                        1);
+  builder.RecomputeFromColumnTable(survivors);
   EXPECT_EQ(builder.deletes_since_recompute(), 0u);
   const TableStats st2 = builder.Snapshot(1);
   EXPECT_EQ(st2.columns[0].min.AsInt64(), 5);
@@ -403,7 +405,7 @@ TEST_F(PlanTimeJoinTest, StaleStatsFallBackToExactCounts) {
   PublishLyingStats(/*as_of=*/1);
   QueryExecInfo xi;
   ExecContext exec;
-  exec.committed_csn = 1 + exec.stats_staleness_csns + 1;  // too old
+  exec.committed_csn = 1 + kStatsStalenessCsns + 1;  // too old
   auto res = RunPlan(plan_, catalog_, CountingScan(), &xi, exec);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_EQ(res->rows.size(), 20u);
@@ -440,7 +442,7 @@ TEST_F(PlanTimeJoinTest, StatsAndFallbackOrdersProduceIdenticalRows) {
   fresh.committed_csn = 1;
   auto with_stats = RunPlan(plan_, catalog_, CountingScan(), nullptr, fresh);
   ExecContext stale;
-  stale.committed_csn = 1 + stale.stats_staleness_csns + 1;
+  stale.committed_csn = 1 + kStatsStalenessCsns + 1;
   auto without = RunPlan(plan_, catalog_, CountingScan(), nullptr, stale);
   ASSERT_TRUE(with_stats.ok());
   ASSERT_TRUE(without.ok());

@@ -262,10 +262,7 @@ TEST(ParallelJoinDatabaseTest, ParallelAndSerialEnginesAgreeOnJoins) {
   // Join + group + order.
   QueryPlan grouped;
   grouped.table = "fact";
-  grouped.has_join = true;
-  grouped.join_table = "dim";
-  grouped.left_col = 1;
-  grouped.right_col = 0;
+  grouped.joins.push_back(JoinClause{"dim", Predicate::True(), 1, 0});
   grouped.group_by = {4};  // dim.name in the combined layout
   grouped.aggs = {AggSpec::Count("n"), AggSpec::Sum(2, "amt")};
   grouped.order_by = 0;
@@ -276,11 +273,8 @@ TEST(ParallelJoinDatabaseTest, ParallelAndSerialEnginesAgreeOnJoins) {
   QueryPlan filtered;
   filtered.table = "fact";
   filtered.where = Predicate::Ge(0, Value(int64_t{100}));
-  filtered.has_join = true;
-  filtered.join_table = "dim";
-  filtered.join_where = Predicate::Lt(2, Value(60.0));  // dim.weight
-  filtered.left_col = 1;
-  filtered.right_col = 0;
+  filtered.joins.push_back(JoinClause{
+      "dim", Predicate::Lt(2, Value(60.0)) /* dim.weight */, 1, 0});
 
   for (const QueryPlan& plan : {grouped, filtered}) {
     QueryExecInfo serial_info, par_info;

@@ -134,10 +134,8 @@ TEST_F(QueryRunnerTest, EveryScanOfAJoinReadsTheQueryCsn) {
 TEST_F(QueryRunnerTest, JoinThenAggregateUsesCombinedLayout) {
   QueryPlan plan;
   plan.table = "sales";
-  plan.has_join = true;
-  plan.join_table = "cust";
-  plan.left_col = 1;   // sales.cust
-  plan.right_col = 0;  // cust.c_id
+  // sales.cust = cust.c_id.
+  plan.joins.push_back(JoinClause{"cust", Predicate::True(), 1, 0});
   plan.group_by = {6};  // cust.c_name in combined layout (5 + 1)
   plan.aggs = {AggSpec::Sum(2, "total_qty")};
   plan.order_by = 0;
@@ -151,11 +149,9 @@ TEST_F(QueryRunnerTest, JoinThenAggregateUsesCombinedLayout) {
 TEST_F(QueryRunnerTest, JoinWherePushedToRightSide) {
   QueryPlan plan;
   plan.table = "sales";
-  plan.has_join = true;
-  plan.join_table = "cust";
-  plan.left_col = 1;
-  plan.right_col = 0;
-  plan.join_where = Predicate::Eq(1, Value("bob"));  // right-local layout
+  // The join's predicate is in the right table's own layout.
+  plan.joins.push_back(
+      JoinClause{"cust", Predicate::Eq(1, Value("bob")), 1, 0});
   plan.aggs = {AggSpec::Count("n")};
   auto res = RunPlan(plan, catalog_, MakeScan(), nullptr);
   ASSERT_TRUE(res.ok());
@@ -191,8 +187,7 @@ TEST_F(QueryRunnerTest, UnknownTablesError) {
   EXPECT_TRUE(RunPlan(plan, catalog_, MakeScan(), nullptr).status()
                   .IsNotFound());
   plan.table = "sales";
-  plan.has_join = true;
-  plan.join_table = "nope";
+  plan.joins.push_back(JoinClause{"nope", Predicate::True(), 1, 0});
   EXPECT_TRUE(RunPlan(plan, catalog_, MakeScan(), nullptr).status()
                   .IsNotFound());
 }

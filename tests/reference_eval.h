@@ -164,7 +164,6 @@ inline std::vector<Row> Aggregate(const std::vector<Row>& rows,
 /// evaluator's input in the engine's scan order. Empty on a failed scan.
 inline Tables ScanTables(Database* db, const QueryPlan& plan, PathHint path) {
   std::vector<std::string> names = {plan.table};
-  if (plan.has_join) names.push_back(plan.join_table);
   for (const JoinClause& j : plan.joins) names.push_back(j.table);
   Tables out;
   for (const std::string& name : names) {
@@ -180,15 +179,8 @@ inline Tables ScanTables(Database* db, const QueryPlan& plan, PathHint path) {
 
 /// Evaluates `plan` over `tables` (see the header comment).
 inline std::vector<Row> Eval(const QueryPlan& plan, const Tables& tables) {
-  std::vector<JoinClause> joins;
-  if (plan.has_join)
-    joins.push_back(
-        JoinClause{plan.join_table, plan.join_where, plan.left_col,
-                   plan.right_col});
-  joins.insert(joins.end(), plan.joins.begin(), plan.joins.end());
-
   std::vector<Row> rows = Filter(tables.at(plan.table), plan.where);
-  for (const JoinClause& j : joins)
+  for (const JoinClause& j : plan.joins)
     rows = NestedLoopJoin(rows, Filter(tables.at(j.table), j.where),
                           j.left_col, j.right_col);
 

@@ -1,17 +1,21 @@
-// Data-synchronization tests: the three DS strategies converge the column
-// store to the row-store state; the delta/column-union invariant holds
-// under randomized interleavings of commits, merges, and scans; the merge
-// fold matches a last-write-wins model; the freshness tracker reports lag
-// correctly.
+// Data-synchronization tests: the three DS techniques (in-memory and
+// log-based delta merge, rebuild from the primary row store) converge the
+// column store to the row-store state; the delta/column-union invariant
+// holds under randomized interleavings of commits, merges, and scans; the
+// merge fold matches a last-write-wins model; the local engine's one merge
+// counts its merges and keeps the catalog's stats current; the freshness
+// tracker reports lag correctly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "core/database.h"
 #include "exec/executor.h"
 #include "sync/sync.h"
 #include "txn/txn_manager.h"
@@ -53,37 +57,39 @@ std::map<Key, int64_t> RowState(const MvccRowStore& store, const Snapshot& s) {
   return out;
 }
 
+/// One delta merge as the engine and the learners run it: drain and apply
+/// as one step under the table's write latch.
+void Merge(ColumnTable* table, DeltaStore* delta, CSN target) {
+  WriteGuard g(table->latch());
+  ApplyEntriesToColumnTableLocked(table, delta->DrainUpTo(target), target);
+}
+
 TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
-  auto delta = std::make_unique<InMemoryDeltaStore>();
-  InMemoryDeltaStore* delta_ptr = delta.get();
-  DeltaRouter router(delta_ptr);
+  InMemoryDeltaStore delta;
+  DeltaRouter router(&delta);
   TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
                          &router);
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   ColumnTable table(TestSchema());
-  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, delta.get());
 
   for (int i = 0; i < 100; ++i) {
     auto t = mgr.Begin();
     ASSERT_TRUE(rows.Insert(t.get(), MakeRow(i, i * 2)).ok());
     ASSERT_TRUE(mgr.Commit(t.get()).ok());
   }
-  EXPECT_EQ(delta_ptr->EntryCount(), 100u);
-  ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
-  EXPECT_EQ(delta_ptr->EntryCount(), 0u);
+  EXPECT_EQ(delta.EntryCount(), 100u);
+  Merge(&table, &delta, mgr.LastCommittedCsn());
+  EXPECT_EQ(delta.EntryCount(), 0u);
   EXPECT_EQ(table.live_rows(), 100u);
   EXPECT_EQ(table.merged_csn(), mgr.LastCommittedCsn());
-  EXPECT_EQ(sync.stats().merges, 1u);
-  EXPECT_EQ(sync.stats().entries_merged, 100u);
 
-  EXPECT_EQ(HtapState(table, delta_ptr, kMaxCSN - 1),
+  EXPECT_EQ(HtapState(table, &delta, kMaxCSN - 1),
             RowState(rows, mgr.CurrentSnapshot()));
 }
 
 TEST(SyncTest, LogMergeConvergesColumnStore) {
   LogDeltaStore delta;
   ColumnTable table(TestSchema());
-  DataSynchronizer sync(SyncStrategy::kLogMerge, &table, &delta);
 
   std::vector<DeltaEntry> file;
   for (CSN c = 1; c <= 50; ++c) {
@@ -95,35 +101,41 @@ TEST(SyncTest, LogMergeConvergesColumnStore) {
     file.push_back(e);
   }
   delta.AppendFile(file);
-  ASSERT_TRUE(sync.SyncTo(50).ok());
+  Merge(&table, &delta, 50);
   EXPECT_EQ(table.live_rows(), 50u);
+  EXPECT_EQ(table.merged_csn(), 50u);
   EXPECT_EQ(delta.num_files(), 0u);
 }
 
 TEST(SyncTest, RebuildFromPrimaryMatchesRowStore) {
   TransactionManager mgr;
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
-  ColumnTable table(TestSchema());
-  DataSynchronizer sync(&table, &rows);
-  EXPECT_EQ(sync.strategy(), SyncStrategy::kRebuild);
 
   for (int i = 0; i < 60; ++i) {
     auto t = mgr.Begin();
     rows.Insert(t.get(), MakeRow(i, i));
     mgr.Commit(t.get());
   }
-  ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
-  EXPECT_EQ(table.live_rows(), 60u);
-  EXPECT_EQ(sync.stats().rows_loaded, 60u);
+  auto built = RebuildColumnTable(rows, mgr.CurrentSnapshot(), {0, 1});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ((*built)->live_rows(), 60u);
+  EXPECT_EQ((*built)->merged_csn(), mgr.LastCommittedCsn());
 
   // Mutate, rebuild again: the column store reflects the new state fully.
   auto t = mgr.Begin();
   rows.Delete(t.get(), 0);
   rows.Update(t.get(), MakeRow(1, 999));
   mgr.Commit(t.get());
-  ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
-  EXPECT_EQ(HtapState(table, nullptr, kMaxCSN - 1),
+  built = RebuildColumnTable(rows, mgr.CurrentSnapshot(), {0, 1});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(HtapState(**built, nullptr, kMaxCSN - 1),
             RowState(rows, mgr.CurrentSnapshot()));
+
+  // A rebuild over a subset of the columns holds just those.
+  built = RebuildColumnTable(rows, mgr.CurrentSnapshot(), {0});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ((*built)->schema().num_columns(), 1u);
+  EXPECT_EQ((*built)->live_rows(), 59u);
 }
 
 TEST(SyncTest, ApplyEntriesFoldsBatch) {
@@ -237,52 +249,6 @@ TEST(SyncTest, PropertyFoldMatchesLastWriteWinsModel) {
   }
 }
 
-// Statistics maintenance reads the merged rows, which the merge then moves
-// into the column table: the published stats must still see every row.
-TEST(SyncTest, StatsMaintenanceSeesMergedRows) {
-  ColumnTable table(TestSchema());
-  InMemoryDeltaStore delta;
-  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, &delta);
-  TableStats published;
-  CSN published_at = 0;
-  sync.EnableStatsMaintenance(
-      [&](const TableStats& st, CSN csn) {
-        published = st;
-        published_at = csn;
-      },
-      /*compact_delete_threshold=*/1000);
-  for (Key k = 1; k <= 40; ++k) {
-    DeltaEntry e;
-    e.op = ChangeOp::kInsert;
-    e.key = k;
-    e.row = MakeRow(k, 100 + k);
-    e.csn = static_cast<CSN>(k);
-    delta.Append(e);
-  }
-  ASSERT_TRUE(sync.SyncTo(40).ok());
-  EXPECT_EQ(published_at, 40u);
-  EXPECT_EQ(published.row_count, 40u);
-  ASSERT_EQ(published.columns.size(), 2u);
-  EXPECT_EQ(published.columns[1].min.AsInt64(), 101);
-  EXPECT_EQ(published.columns[1].max.AsInt64(), 140);
-  EXPECT_EQ(published.columns[1].ndv, 40);
-}
-
-TEST(SyncTest, SyncToIsIdempotent) {
-  ColumnTable table(TestSchema());
-  InMemoryDeltaStore delta;
-  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, &delta);
-  DeltaEntry e;
-  e.op = ChangeOp::kInsert;
-  e.key = 1;
-  e.row = MakeRow(1, 1);
-  e.csn = 1;
-  delta.Append(e);
-  ASSERT_TRUE(sync.SyncTo(1).ok());
-  ASSERT_TRUE(sync.SyncTo(1).ok());  // no-op: target already reached
-  EXPECT_EQ(sync.stats().merges, 1u);
-}
-
 // The central HTAP invariant: at every point in a random interleaving of
 // committed writes and merges, scan(main) ⊎ delta == row-store state.
 TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
@@ -292,7 +258,6 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
                          &router);
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
   ColumnTable table(TestSchema());
-  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, &delta);
 
   Random rng(2024);
   std::map<Key, int64_t> live;
@@ -313,8 +278,7 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
     ASSERT_TRUE(st.ok());
     ASSERT_TRUE(mgr.Commit(t.get()).ok());
 
-    if (rng.Bernoulli(0.1))
-      ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
+    if (rng.Bernoulli(0.1)) Merge(&table, &delta, mgr.LastCommittedCsn());
 
     if (step % 37 == 0) {
       ASSERT_EQ(HtapState(table, &delta, mgr.LastCommittedCsn()), live)
@@ -322,9 +286,93 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
     }
   }
   // Final full merge: pure column scan (no delta) must also agree.
-  ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
+  Merge(&table, &delta, mgr.LastCommittedCsn());
   EXPECT_EQ(HtapState(table, nullptr, mgr.LastCommittedCsn()), live);
 }
+
+// The local engine's one merge (LocalHtapEngine::MergeDelta), through the
+// public API on each local preset.
+class EngineMergeTest : public ::testing::TestWithParam<ArchitectureKind> {
+ protected:
+  void SetUp() override {
+    DatabaseOptions opts;
+    opts.architecture = GetParam();
+    opts.background_sync = false;
+    auto db = Database::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(db).ValueOrDie();
+    ASSERT_TRUE(db_->CreateTable("t", TestSchema()).ok());
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+// One merge drains every committed entry; a second merge to the same CSN
+// does nothing.
+TEST_P(EngineMergeTest, ForceSyncMergesOnceAndIsIdempotent) {
+  for (Key k = 0; k < 100; ++k)
+    ASSERT_TRUE(db_->InsertRow("t", MakeRow(k, k * 2)).ok());
+  ASSERT_TRUE(db_->ForceSync("t").ok());
+  EXPECT_EQ(db_->Stats().merges, 1u);
+  EXPECT_EQ(db_->Stats().entries_merged, 100u);
+  const FreshnessInfo f = db_->Freshness("t");
+  EXPECT_EQ(f.visible_csn, f.committed_csn);
+  EXPECT_EQ(f.pending_delta_entries, 0u);
+  ASSERT_TRUE(db_->ForceSync("t").ok());  // no-op: target already reached
+  EXPECT_EQ(db_->Stats().merges, 1u);
+  EXPECT_EQ(db_->Stats().entries_merged, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LocalPresets, EngineMergeTest,
+    ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
+                      ArchitectureKind::kDiskRowPlusDistributedColumn,
+                      ArchitectureKind::kColumnPlusDeltaRow));
+
+// (a) and (d) maintain the catalog's stats from their merges; (c) samples
+// them from the row store instead.
+using MergeStatsTest = EngineMergeTest;
+
+// The merge feeds the stats from the drained rows, which the apply then
+// moves into the column table: the published stats must still see every
+// row.
+TEST_P(MergeStatsTest, PublishedStatsSeeMergedRows) {
+  for (Key k = 1; k <= 40; ++k)
+    ASSERT_TRUE(db_->InsertRow("t", MakeRow(k, 100 + k)).ok());
+  ASSERT_TRUE(db_->ForceSync("t").ok());
+  PublishedTableStats published;
+  ASSERT_TRUE(db_->catalog()->GetStats("t", &published));
+  EXPECT_EQ(published.as_of_csn, db_->Freshness("t").committed_csn);
+  EXPECT_EQ(published.stats.row_count, 40u);
+  ASSERT_EQ(published.stats.columns.size(), 2u);
+  EXPECT_EQ(published.stats.columns[1].min.AsInt64(), 101);
+  EXPECT_EQ(published.stats.columns[1].max.AsInt64(), 140);
+  EXPECT_EQ(published.stats.columns[1].ndv, 40);
+}
+
+// A merge that drains nothing still publishes: a table no commit writes
+// keeps stats as of the commit frontier, not of its last write.
+TEST_P(MergeStatsTest, UnwrittenTablePublishesAtTheMergedCsn) {
+  ASSERT_TRUE(db_->CreateTable("idle", TestSchema()).ok());
+  for (Key k = 0; k < 5; ++k)
+    ASSERT_TRUE(db_->InsertRow("t", MakeRow(k, k)).ok());
+  ASSERT_TRUE(db_->ForceSyncAll().ok());
+  const CSN c = db_->Freshness("t").committed_csn;
+  PublishedTableStats idle;
+  ASSERT_TRUE(db_->catalog()->GetStats("idle", &idle));
+  EXPECT_EQ(idle.as_of_csn, c);
+  EXPECT_EQ(idle.stats.row_count, 0u);
+
+  ASSERT_TRUE(db_->InsertRow("t", MakeRow(5, 5)).ok());
+  ASSERT_TRUE(db_->ForceSyncAll().ok());
+  ASSERT_TRUE(db_->catalog()->GetStats("idle", &idle));
+  EXPECT_EQ(idle.as_of_csn, c + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MergeMaintainedPresets, MergeStatsTest,
+    ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
+                      ArchitectureKind::kColumnPlusDeltaRow));
 
 TEST(FreshnessTrackerTest, LagReflectsUnmergedCommits) {
   VirtualClock clock;

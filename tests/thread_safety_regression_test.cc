@@ -6,8 +6,10 @@
 // going backwards, crashes on a freed IMCS generation) in plain builds.
 //
 // Former bugs, by test:
-//  - SyncStatsReadRacesMerge:       DataSynchronizer::stats() returned a
-//    reference into state mutated under mu_ by SyncTo().
+//  - SyncStatsReadRacesMerge:       the merge counters were once returned
+//    by reference into state a merge mutated under its mutex; now
+//    Database::Stats() reads them while the sync daemon merges, on every
+//    local preset.
 //  - WalSyncCountReadRacesAppend:   WalWriter::sync_count() read the counter
 //    without mu_ while Append()/Sync() wrote it.
 //  - DiskHeapCountersRaceWrites:    DiskRowStore::num_pages() and the
@@ -26,6 +28,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -36,7 +39,6 @@
 #include "core/engines.h"
 #include "storage/disk_row_store.h"
 #include "storage/mvcc_row_store.h"
-#include "sync/sync.h"
 #include "wal/wal.h"
 
 namespace htap {
@@ -49,39 +51,52 @@ Schema KvSchema() {
 Row MakeRow(Key id, int64_t v) { return Row{Value(id), Value(v)}; }
 
 TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
-  auto delta = std::make_unique<InMemoryDeltaStore>();
-  InMemoryDeltaStore* delta_ptr = delta.get();
-  struct Router : ChangeSink {
-    InMemoryDeltaStore* d = nullptr;
-    void OnCommit(std::vector<ChangeEvent> evs) override {
-      d->AppendBatch(evs);
-    }
-  } router;
-  router.d = delta_ptr;
-  TransactionManager mgr(nullptr, TransactionManager::kDefaultCommitShards,
-                         &router);
-  MvccRowStore rows(1, KvSchema(), &mgr, nullptr);
-  ColumnTable table(KvSchema());
-  DataSynchronizer sync(SyncStrategy::kInMemoryMerge, &table, delta_ptr);
+  for (const ArchitectureKind arch :
+       {ArchitectureKind::kRowPlusInMemoryColumn,
+        ArchitectureKind::kDiskRowPlusDistributedColumn,
+        ArchitectureKind::kColumnPlusDeltaRow}) {
+    SCOPED_TRACE(ArchitectureName(arch));
+    DatabaseOptions opts;
+    opts.architecture = arch;
+    // (c)'s daemon merges only at the entry threshold; (a) and (d)'s also
+    // on the interval.
+    opts.sync_interval_micros = 1000;
+    opts.sync_entry_threshold = 8;
+    auto db = std::move(*Database::Open(opts));
+    ASSERT_TRUE(db->CreateTable("kv", KvSchema()).ok());
 
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    uint64_t last_merges = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const SyncStats ss = sync.stats();
-      EXPECT_GE(ss.merges, last_merges);  // snapshot is never torn/backwards
-      last_merges = ss.merges;
+    std::atomic<bool> stop{false};
+    std::thread reader([&] {
+      uint64_t last_merges = 0;
+      uint64_t last_entries = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const EngineStats st = db->Stats();
+        EXPECT_GE(st.merges, last_merges);  // never torn or backwards
+        EXPECT_GE(st.entries_merged, last_entries);
+        last_merges = st.merges;
+        last_entries = st.entries_merged;
+      }
+    });
+    uint64_t merges_before = 0;
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE(db->InsertRow("kv", MakeRow(i, i)).ok());
+      if (i % 50 == 49) {
+        // Let the daemon merge some of these 50 commits before writing on.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (db->Stats().merges == merges_before &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        merges_before = db->Stats().merges;
+      }
     }
-  });
-  for (int i = 0; i < 300; ++i) {
-    auto t = mgr.Begin();
-    ASSERT_TRUE(rows.Insert(t.get(), MakeRow(i, i)).ok());
-    ASSERT_TRUE(mgr.Commit(t.get()).ok());
-    ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
+    EXPECT_TRUE(db->ForceSyncAll().ok());
+    stop.store(true, std::memory_order_release);
+    reader.join();
+    const EngineStats st = db->Stats();
+    EXPECT_GE(st.merges, 6u);  // at least one per 50 commits
+    EXPECT_EQ(st.entries_merged, 300u);
   }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(sync.stats().merges, 300u);
 }
 
 TEST(ThreadSafetyRegressionTest, WalSyncCountReadRacesAppend) {

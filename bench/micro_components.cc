@@ -299,8 +299,32 @@ void BM_MvccGet(benchmark::State& state) {
 }
 BENCHMARK(BM_MvccGet)->Arg(0)->Arg(1);
 
+/// An empty log `stem` in the system temp dir, whose segments are removed
+/// when it goes out of scope.
+class BenchWal {
+ public:
+  explicit BenchWal(const std::string& stem)
+      : dir_(std::filesystem::temp_directory_path().string()),
+        stem_(stem),
+        wal_(WalWriter::Open({.dir = dir_, .stem = stem_}).ValueOrDie()) {}
+  ~BenchWal() {
+    wal_.reset();
+    for (const std::string& path : WalSegmentPaths(dir_, stem_).value_or({}))
+      std::remove(path.c_str());
+  }
+
+  WalWriter& operator*() const { return *wal_; }
+
+ private:
+  const std::string dir_;
+  const std::string stem_;
+  std::unique_ptr<WalWriter> wal_;
+};
+
+// One record per iteration through Append, synced every 256 records.
 void BM_WalAppend(benchmark::State& state) {
-  WalWriter wal({});
+  const BenchWal log("htap-bm-wal-append");
+  WalWriter& wal = *log;
   WalRecord rec;
   rec.type = WalRecordType::kInsert;
   rec.txn_id = 1;
@@ -308,8 +332,10 @@ void BM_WalAppend(benchmark::State& state) {
   rec.key = 7;
   rec.row = Row{Value(int64_t{7}), Value(int64_t{8}), Value("abcdefgh"),
                 Value(3.14)};
+  uint64_t n = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(wal.Append(rec));
+    if (++n % 256 == 0) wal.Sync();
   }
   state.SetItemsProcessed(state.iterations());
   state.SetBytesProcessed(static_cast<int64_t>(wal.TailLsn()));
@@ -324,14 +350,13 @@ Row OrderlineRow(int64_t k) {
              Value(std::string(24, static_cast<char>('a' + k % 26)))};
 }
 
-// One DML record per iteration, as MvccRowStore logs it, into a file-backed
-// log (to /dev/null) synced every 256 records, one commit group. Arg 0 is
-// the record path: copy the row into a WalRecord and Append it. Arg 1 is
-// AppendDml, which encodes the caller's row in place.
+// One DML record per iteration, as MvccRowStore logs it, into a log in the
+// temp dir synced every 256 records, one commit group. Arg 0 is the record
+// path: copy the row into a WalRecord and Append it. Arg 1 is AppendDml,
+// which encodes the caller's row in place.
 void BM_WalAppendDml(benchmark::State& state) {
-  WalWriter::Options options;
-  options.path = "/dev/null";
-  WalWriter wal(options);
+  const BenchWal log("htap-bm-wal-dml");
+  WalWriter& wal = *log;
   const Row row = OrderlineRow(42);
   const bool in_place = state.range(0) == 1;
   uint64_t txn = 1;

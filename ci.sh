@@ -8,7 +8,8 @@
 # Suites:
 #   tier1  — Release build + full ctest
 #   bench  — bench smokes, the Table 2 DS row's column-equals-rows check,
-#            and the regression gate (vs BENCH_baseline.json)
+#            a short oltp_saturate run under a 32 MiB file-size limit, and
+#            the regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
 #   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
@@ -35,7 +36,8 @@
 #            discipline, EBR pin safety, rank-table drift) plus its fixture
 #            selftest — skipped with a notice when python3 is not installed
 #   all    — everything above plus the temp-file leak check (also run after
-#            `bench`)
+#            `bench`): spill runs, bench scratch databases and the engines'
+#            private htap-db-* directories
 #
 # Sanitizer test output is additionally scraped for report markers
 # (ThreadSanitizer:, ERROR: AddressSanitizer, runtime error:) so a report
@@ -80,13 +82,14 @@ run_sanitized() {
   fi
 }
 
-# Grace-join spill runs and the bench harnesses' scratch databases
-# (bench/bench_util.h MakeDb) land in the system temp dir (unless
-# overridden); start from a clean slate so the leak check below is
+# Grace-join spill runs, the bench harnesses' scratch databases
+# (bench/bench_util.h MakeDb) and the private directory of every database
+# opened without a data_dir (htap-db-*) land in the system temp dir
+# (unless overridden); start from a clean slate so the leak check below is
 # meaningful.
 SPILL_DIR="${TMPDIR:-/tmp}"
 rm -f "$SPILL_DIR"/htap-spill-*
-rm -rf "$SPILL_DIR"/htap_bench_*
+rm -rf "$SPILL_DIR"/htap_bench_* "$SPILL_DIR"/htap-db-*
 
 suite_tier1() {
   echo "== tier-1: build + ctest =="
@@ -155,6 +158,24 @@ suite_bench() {
     cat build/bench_table2_ds.log >&2
     echo "FAIL: table2 DS bench (column table differs from the row store)" >&2
     FAILED_SUITES+=("bench/table2-ds")
+  fi
+
+  echo "== bench: oltp_saturate under a 32 MiB file-size limit =="
+  # The load alone writes about 51 MB of WAL. The log is a directory of
+  # segments of at most 16 MiB, so no file reaches the limit; a log kept in
+  # one file is killed by SIGXFSZ here and prints no result line.
+  cmake -B build-htapbench -S htapbench > /dev/null
+  cmake --build build-htapbench -j "$JOBS" --target bench_htap
+  rm -rf build-htapbench/out
+  if (ulimit -f 32768
+      ./build-htapbench/bench_htap --workload oltp_saturate --seconds 2 \
+        --warmup 0.5 --setup-reps 1 --out-dir build-htapbench/out) \
+        > build/bench_fsize.log &&
+     tail -n 1 build/bench_fsize.log | grep -q '"correct": true'; then
+    tail -n 1 build/bench_fsize.log
+  else
+    echo "FAIL: oltp_saturate under ulimit -f 32768 (no result line)" >&2
+    FAILED_SUITES+=("bench/file-size-limit")
   fi
 
   echo "== bench regression gate (vs BENCH_baseline.json) =="
@@ -269,16 +290,16 @@ suite_lint() {
 }
 
 suite_spill_check() {
-  echo "== temp-file leak check (spill runs, bench scratch databases) =="
+  echo "== temp-file leak check (spill runs, scratch and private databases) =="
   local leaks
   leaks=$(find "$SPILL_DIR" -maxdepth 1 \( -name 'htap-spill-*' -o \
-          -name 'htap_bench_*' \) 2>/dev/null || true)
+          -name 'htap_bench_*' -o -name 'htap-db-*' \) 2>/dev/null || true)
   if [[ -n "$leaks" ]]; then
     echo "FAIL: leaked temp files:" >&2
     echo "$leaks" >&2
     FAILED_SUITES+=("spill/leak-check")
   else
-    echo "no leaked htap-spill-* files or htap_bench_* dirs"
+    echo "no leaked htap-spill-* files or htap_bench_* / htap-db-* dirs"
   fi
 }
 

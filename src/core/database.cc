@@ -50,18 +50,19 @@ Status CheckRow(const Schema& schema, const Row& row) {
 
 }  // namespace
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {
-  if (options_.architecture ==
-      ArchitectureKind::kDistributedRowPlusColumnReplica)
-    engine_ = std::make_unique<DistributedHtapEngine>(options_, &catalog_);
-  else
-    engine_ = std::make_unique<LocalHtapEngine>(
-        LocalPresetFor(options_.architecture), options_, &catalog_);
-}
+Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   auto db = std::unique_ptr<Database>(new Database(std::move(options)));
-  if (db->engine_ == nullptr) return Status::Internal("engine init failed");
+  const DatabaseOptions& o = db->options_;
+  if (o.architecture == ArchitectureKind::kDistributedRowPlusColumnReplica) {
+    db->engine_ = std::make_unique<DistributedHtapEngine>(o, &db->catalog_);
+  } else {
+    HTAP_ASSIGN_OR_RETURN(
+        db->engine_,
+        LocalHtapEngine::Open(LocalPresetFor(o.architecture), o,
+                              &db->catalog_));
+  }
   return db;
 }
 

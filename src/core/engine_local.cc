@@ -124,27 +124,6 @@ namespace {
 /// surviving rows.
 constexpr size_t kStatsCompactDeleteThreshold = 8192;
 
-std::unique_ptr<WalWriter> MakeWal(const DatabaseOptions& options,
-                                   const char* name) {
-  if (!options.wal_enabled) return nullptr;
-  WalWriter::Options wo;
-  if (!options.data_dir.empty())
-    wo.path = options.data_dir + "/" + name + ".wal";
-  wo.sync_on_commit = options.sync_on_commit;
-  return std::make_unique<WalWriter>(wo);
-}
-
-/// data_dir, or — for a disk heap with no data_dir — a fresh directory
-/// private to one engine, which removes it on destruction. Empty if none
-/// could be made.
-std::string HeapDir(const LocalPreset& preset, const DatabaseOptions& options) {
-  if (!preset.disk_heap || !options.data_dir.empty()) return options.data_dir;
-  std::error_code ec;
-  std::string dir =
-      (std::filesystem::temp_directory_path(ec) / "htap-heap-XXXXXX").string();
-  return ec || mkdtemp(dir.data()) == nullptr ? std::string() : dir;
-}
-
 /// Distinct columns a scan request touches (for advisor heat + costing).
 std::vector<int> TouchedColumns(const ScanRequest& req) {
   std::vector<int> cols = req.pred->ReferencedColumns();
@@ -254,14 +233,44 @@ class ProjectingDeltaReader : public DeltaReader {
 
 }  // namespace
 
+Result<std::unique_ptr<LocalHtapEngine>> LocalHtapEngine::Open(
+    const LocalPreset& preset, const DatabaseOptions& options,
+    Catalog* catalog) {
+  std::string dir = options.data_dir;
+  if (dir.empty()) {
+    std::error_code ec;
+    dir = (std::filesystem::temp_directory_path(ec) / "htap-db-XXXXXX")
+              .string();
+    if (ec || mkdtemp(dir.data()) == nullptr)
+      return Status::IOError("cannot make a temp directory for the engine");
+  }
+  auto wal = WalWriter::Open({.dir = dir,
+                              .stem = preset.wal_name,
+                              .sync_on_commit = options.sync_on_commit});
+  if (!wal.ok()) {
+    std::error_code ec;
+    if (options.data_dir.empty()) std::filesystem::remove_all(dir, ec);
+    return wal.status();
+  }
+  return std::unique_ptr<LocalHtapEngine>(new LocalHtapEngine(
+      preset, options, catalog, std::move(dir), std::move(*wal)));
+}
+
+LocalHtapEngine::ScratchDir::~ScratchDir() {
+  if (!remove_on_close) return;
+  std::error_code ec;
+  std::filesystem::remove_all(path, ec);
+}
+
 LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
                                  const DatabaseOptions& options,
-                                 Catalog* catalog)
+                                 Catalog* catalog, std::string dir,
+                                 std::unique_ptr<WalWriter> wal)
     : preset_(preset),
       options_(options),
       catalog_(catalog),
-      heap_dir_(HeapDir(preset, options)),
-      wal_(MakeWal(options, preset.wal_name)),
+      dir_(std::move(dir), options.data_dir.empty()),
+      wal_(std::move(wal)),
       txn_mgr_(wal_.get(), TransactionManager::kDefaultCommitShards,
                /*sink=*/this),
       ap_(options_) {
@@ -280,14 +289,6 @@ LocalHtapEngine::LocalHtapEngine(const LocalPreset& preset,
 
 LocalHtapEngine::~LocalHtapEngine() {
   if (daemon_) daemon_->Stop();
-  if (options_.data_dir.empty() && !heap_dir_.empty()) {
-    // No lock: nothing else runs now. Destroying a row store takes the
-    // transaction manager's shard locks (ForgetStore), which rank below
-    // tables_mu_.
-    tables_.clear();  // closes the heap files
-    std::error_code ec;
-    std::filesystem::remove_all(heap_dir_, ec);
-  }
 }
 
 LocalHtapEngine::TableState::TableState(
@@ -317,9 +318,8 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
     return Status::AlreadyExists("table id in use");
   std::unique_ptr<DiskRowStore> heap;
   if (preset_.disk_heap) {
-    if (heap_dir_.empty()) return Status::IOError("no heap directory");
     heap = std::make_unique<DiskRowStore>(
-        heap_dir_ + "/" + info.name + ".heap", info.schema,
+        dir_.path + "/" + info.name + ".heap", info.schema,
         options_.buffer_pool_pages);
     HTAP_RETURN_NOT_OK(heap->Open());
   }

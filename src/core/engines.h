@@ -76,7 +76,7 @@ class SyncDaemon;
 /// keeps the MVCC row store as the transactional and recovery anchor (for
 /// (d) it plays HANA's persisted row images; DESIGN.md §6).
 struct LocalPreset {
-  const char* wal_name = "";  // WAL file stem under DatabaseOptions::data_dir
+  const char* wal_name = "";  // WAL segment stem in the engine's directory
   /// Delta part: HANA's L1 (rows) -> L2 (columnar) delta instead of the
   /// row-wise in-memory delta.
   bool l1l2_delta = false;
@@ -101,8 +101,11 @@ struct LocalPreset {
 /// side on every preset; the daemon, ForceSync and (c)'s scans call it.
 class LocalHtapEngine : public HtapEngine, public ChangeSink {
  public:
-  LocalHtapEngine(const LocalPreset& preset, const DatabaseOptions& options,
-                  Catalog* catalog);
+  /// Opens the engine's directory and an empty WAL in it. IOError if the
+  /// log cannot be created there.
+  static Result<std::unique_ptr<LocalHtapEngine>> Open(
+      const LocalPreset& preset, const DatabaseOptions& options,
+      Catalog* catalog);
   ~LocalHtapEngine() override;
 
   Status CreateTable(const TableInfo& info) override;
@@ -180,6 +183,21 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
     uint64_t stats_at_csn GUARDED_BY(stats_mu) = 0;
   };
   struct ScanAccess;
+  /// A directory path, removed on destruction when `remove_on_close`.
+  struct ScratchDir {
+    ScratchDir(std::string dir, bool remove)
+        : path(std::move(dir)), remove_on_close(remove) {}
+    ~ScratchDir();
+    ScratchDir(const ScratchDir&) = delete;
+    ScratchDir& operator=(const ScratchDir&) = delete;
+
+    const std::string path;
+    const bool remove_on_close;
+  };
+
+  LocalHtapEngine(const LocalPreset& preset, const DatabaseOptions& options,
+                  Catalog* catalog, std::string dir,
+                  std::unique_ptr<WalWriter> wal);
 
   TableState* FindTable(uint32_t table_id) const;
   /// The runner's scan: the column side's batches straight off the encoded
@@ -206,7 +224,10 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   const LocalPreset preset_;
   const DatabaseOptions options_;
   Catalog* catalog_;
-  const std::string heap_dir_;  // where disk_heap presets keep heap files
+  // The WAL segments' and (c)'s heap files' directory: data_dir, or a
+  // private temp directory. Declared before wal_ and tables_, so a private
+  // one is removed after the log and the heaps have closed.
+  const ScratchDir dir_;
   std::unique_ptr<WalWriter> wal_;
   TransactionManager txn_mgr_;
   FreshnessTracker freshness_;

@@ -31,10 +31,10 @@ const char* ArchitectureName(ArchitectureKind k);
 struct DatabaseOptions {
   ArchitectureKind architecture = ArchitectureKind::kRowPlusInMemoryColumn;
 
-  /// Directory for WAL and heap files; empty = in-memory WAL, and (c)'s
-  /// heap files in a private temp directory removed on close.
+  /// Directory for the WAL segments and (c)'s heap files; empty = a
+  /// private temp directory, removed on close. It must exist: Open fails
+  /// with IOError when the WAL cannot be created in it.
   std::string data_dir;
-  bool wal_enabled = true;
   /// fflush the WAL group to the OS at commit. No fsync: the group reaches
   /// the page cache, so a host crash can still lose committed work.
   bool sync_on_commit = false;

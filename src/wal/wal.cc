@@ -1,6 +1,10 @@
 #include "wal/wal.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
+#include <filesystem>
+#include <utility>
 
 #include "common/crc32c.h"
 
@@ -54,15 +58,60 @@ bool WalRecord::DecodeFrom(const std::string& in, size_t* pos,
   return Row::DecodeFrom(in, pos, &out->row);
 }
 
-WalWriter::WalWriter(Options options) : options_(std::move(options)) {
-  if (!options_.path.empty()) {
-    file_ = std::fopen(options_.path.c_str(), "wb");
-  }
+std::string WalSegmentPath(const std::string& dir, const std::string& stem,
+                           uint64_t seq) {
+  return dir + "/" + stem + "." + std::to_string(seq) + ".wal";
 }
+
+Result<std::vector<std::string>> WalSegmentPaths(const std::string& dir,
+                                                 const std::string& stem) {
+  namespace fs = std::filesystem;
+  const std::string prefix = stem + ".";
+  const std::string suffix = ".wal";
+  std::vector<std::pair<uint64_t, std::string>> found;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() <= prefix.size() + suffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(suffix))
+      continue;
+    const char* first = name.data() + prefix.size();
+    const char* last = name.data() + name.size() - suffix.size();
+    uint64_t seq = 0;
+    const auto [parsed_to, err] = std::from_chars(first, last, seq);
+    if (err == std::errc() && parsed_to == last)
+      found.emplace_back(seq, it->path().string());
+  }
+  if (ec)
+    return Status::IOError("cannot list wal directory " + dir + ": " +
+                           ec.message());
+  std::sort(found.begin(), found.end());
+  std::vector<std::string> paths;
+  for (auto& [seq, path] : found) paths.push_back(std::move(path));
+  return paths;
+}
+
+Result<std::unique_ptr<WalWriter>> WalWriter::Open(Options options) {
+  HTAP_ASSIGN_OR_RETURN(const std::vector<std::string> old,
+                        WalSegmentPaths(options.dir, options.stem));
+  for (const std::string& path : old)
+    if (std::remove(path.c_str()) != 0)
+      return Status::IOError("cannot remove wal segment: " + path);
+  const std::string first = WalSegmentPath(options.dir, options.stem, 0);
+  FILE* segment = std::fopen(first.c_str(), "wb");
+  if (segment == nullptr)
+    return Status::IOError("cannot create wal segment: " + first);
+  return std::unique_ptr<WalWriter>(new WalWriter(std::move(options), segment));
+}
+
+WalWriter::WalWriter(Options options, FILE* segment)
+    : options_(std::move(options)), file_(segment) {}
 
 WalWriter::~WalWriter() {
   Sync();
-  if (file_) std::fclose(file_);
+  MutexLock lk(&mu_);
+  std::fclose(file_);
 }
 
 uint64_t WalWriter::Append(const WalRecord& rec) {
@@ -96,27 +145,33 @@ uint64_t WalWriter::AppendPayload(const std::string& payload) {
 Status WalWriter::Sync() {
   MutexLock lk(&mu_);
   if (buffer_.empty()) return Status::OK();
-  if (file_) {
-    const size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
-    if (n != buffer_.size()) return Status::IOError("wal short write");
-    if (options_.sync_on_commit) std::fflush(file_);
-  } else {
-    memory_log_.append(buffer_);
-  }
-  flushed_lsn_ = tail_lsn_;
+  if (segment_bytes_ > 0 && segment_bytes_ + buffer_.size() > kWalSegmentBytes)
+    HTAP_RETURN_NOT_OK(RollSegment());
+  const size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
+  if (n != buffer_.size()) return Status::IOError("wal short write");
+  if (options_.sync_on_commit) std::fflush(file_);
+  segment_bytes_ += buffer_.size();
   buffer_.clear();
   ++sync_count_;
   return Status::OK();
 }
 
+Status WalWriter::RollSegment() {
+  const std::string next_path =
+      WalSegmentPath(options_.dir, options_.stem, segment_seq_ + 1);
+  FILE* next = std::fopen(next_path.c_str(), "wb");
+  if (next == nullptr)
+    return Status::IOError("cannot create wal segment: " + next_path);
+  const bool closed = std::fclose(file_) == 0;
+  file_ = next;
+  ++segment_seq_;
+  segment_bytes_ = 0;
+  return closed ? Status::OK() : Status::IOError("wal segment close failed");
+}
+
 uint64_t WalWriter::TailLsn() const {
   MutexLock lk(&mu_);
   return tail_lsn_;
-}
-
-std::string WalWriter::ContentsForTest() const {
-  MutexLock lk(&mu_);
-  return memory_log_ + buffer_;
 }
 
 std::vector<WalRecord> WalReader::Parse(const std::string& contents) {
@@ -139,14 +194,22 @@ std::vector<WalRecord> WalReader::Parse(const std::string& contents) {
   return out;
 }
 
-Result<std::vector<WalRecord>> WalReader::ReadFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return Status::IOError("cannot open wal file: " + path);
+Result<std::vector<WalRecord>> WalReader::ReadLog(const std::string& dir,
+                                                  const std::string& stem) {
+  HTAP_ASSIGN_OR_RETURN(const std::vector<std::string> paths,
+                        WalSegmentPaths(dir, stem));
+  if (paths.empty())
+    return Status::IOError("no wal segments for " + stem + " in " + dir);
   std::string contents;
   char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-  std::fclose(f);
+  for (const std::string& path : paths) {
+    FILE* f = std::fopen(path.c_str(), "rb");
+    if (!f) return Status::IOError("cannot open wal segment: " + path);
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+      contents.append(buf, n);
+    std::fclose(f);
+  }
   return Parse(contents);
 }
 

@@ -4,11 +4,15 @@
 // (Table 2, TP row) and the source for log-shipped replication. Records are
 // framed [u32 length][u32 checksum][payload]; payload uses the Value codec.
 //
-// The writer supports two backends: a real file (used by the disk
-// architectures and recovery tests) and an in-memory buffer (used by the
-// simulator and by benchmarks that isolate CPU cost from I/O). Nothing here
-// calls fsync: with sync_on_commit a group reaches the OS page cache at
-// commit, not the disk.
+// A log is a directory of segment files, <dir>/<stem>.<seq>.wal, numbered
+// from 0. The writer starts the next segment at a group-commit boundary,
+// before a group would take the current, non-empty segment past
+// kWalSegmentBytes. A record never straddles two files, so the segments
+// read in order are the log's byte stream, and a checkpoint can drop a
+// prefix of the log by deleting whole segments. Only a group larger than a
+// segment makes a file larger than one. Nothing here calls fsync: with
+// sync_on_commit a group reaches the OS page cache at commit, not the
+// disk.
 //
 // The checksum is CRC32C over the payload. The log carries no format
 // version, so a log is read back only by a build with the same checksum.
@@ -18,6 +22,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,19 +58,33 @@ struct WalRecord {
   static bool DecodeFrom(const std::string& in, size_t* pos, WalRecord* out);
 };
 
+/// Size the writer keeps a segment under (PostgreSQL's default).
+inline constexpr uint64_t kWalSegmentBytes = uint64_t{16} << 20;
+
+/// Path of segment `seq` of the log `stem` in `dir`.
+std::string WalSegmentPath(const std::string& dir, const std::string& stem,
+                           uint64_t seq);
+
+/// Paths of the log `stem`'s segments in `dir`, in sequence order.
+Result<std::vector<std::string>> WalSegmentPaths(const std::string& dir,
+                                                 const std::string& stem);
+
 /// Append-only log writer. Thread-safe. Flush policy: DML appends buffer in
-/// memory; Sync() (called at commit) flushes the group to the backend, so
-/// concurrent committers share one flush (group commit).
+/// memory; Sync() (called at commit) writes the group to the current
+/// segment, so concurrent committers share one write (group commit).
 class WalWriter {
  public:
   struct Options {
-    std::string path;        // empty = in-memory only
+    std::string dir;   // directory holding the segments
+    std::string stem;  // segment files are <dir>/<stem>.<seq>.wal
     // fflush each group to the OS at Sync (off: stdio buffering). Not an
     // fsync: a crash of the host can still lose flushed groups.
     bool sync_on_commit = false;
   };
 
-  explicit WalWriter(Options options);
+  /// Opens an empty log: removes the stem's old segments and creates
+  /// segment 0. IOError if `dir` cannot hold it.
+  static Result<std::unique_ptr<WalWriter>> Open(Options options);
   ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;
@@ -82,7 +101,8 @@ class WalWriter {
   uint64_t AppendDml(WalRecordType type, uint64_t txn_id, uint32_t table_id,
                      Key key, const Row& row);
 
-  /// Flushes all buffered records to the backend (group commit point).
+  /// Writes all buffered records to the log (group commit point), first
+  /// starting the next segment if the group would overfill this one.
   Status Sync();
 
   /// Bytes appended so far (buffered + flushed).
@@ -93,36 +113,35 @@ class WalWriter {
     return sync_count_;
   }
 
-  /// Copy of the log contents: the whole log for the in-memory backend;
-  /// only the unflushed group for a file backend, whose log is read back
-  /// with WalReader::ReadFile.
-  std::string ContentsForTest() const;
-
  private:
+  WalWriter(Options options, FILE* segment);
+
   /// Frames `payload` as [len][crc32c][payload] onto the group buffer.
   uint64_t AppendPayload(const std::string& payload);
+  /// Closes the current segment and creates the next one.
+  Status RollSegment() REQUIRES(mu_);
 
   const Options options_;
   mutable Mutex mu_{LockRank::kWal, "wal-writer"};
-  std::string buffer_ GUARDED_BY(mu_);      // unflushed group
-  // The in-memory backend: flushed groups of a writer with no open file.
-  // A file-backed writer keeps no resident copy of what it wrote.
-  std::string memory_log_ GUARDED_BY(mu_);
+  std::string buffer_ GUARDED_BY(mu_);  // unflushed group
   uint64_t tail_lsn_ GUARDED_BY(mu_) = 0;
-  uint64_t flushed_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t sync_count_ GUARDED_BY(mu_) = 0;
-  FILE* file_ GUARDED_BY(mu_) = nullptr;
+  uint64_t segment_seq_ GUARDED_BY(mu_) = 0;
+  uint64_t segment_bytes_ GUARDED_BY(mu_) = 0;  // written to file_
+  FILE* file_ GUARDED_BY(mu_);                   // the current segment
 };
 
-/// Reads a WAL file (or in-memory image) back into records. Tolerates a
-/// truncated tail (torn final record), as crash recovery requires.
+/// Reads a log back into records. Tolerates a truncated tail (torn final
+/// record), as crash recovery requires.
 class WalReader {
  public:
   /// Parses `contents`; stops cleanly at corruption/truncation.
   static std::vector<WalRecord> Parse(const std::string& contents);
 
-  /// Reads and parses a WAL file from disk.
-  static Result<std::vector<WalRecord>> ReadFile(const std::string& path);
+  /// Reads the log `stem`'s segments in `dir`, in order, and parses their
+  /// concatenation. IOError if the log has no segment.
+  static Result<std::vector<WalRecord>> ReadLog(const std::string& dir,
+                                                const std::string& stem);
 };
 
 /// 32-bit checksum used to frame WAL records: CRC32C (common/crc32c.h).

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -511,6 +512,80 @@ TEST_P(QuerySnapshotTest, ForcedRowJoinReadsBothTablesAtOneCommit) {
 INSTANTIATE_TEST_SUITE_P(LocalPresets, QuerySnapshotTest, kLocalPresets,
                          LocalPresetName);
 
+// ---- The WAL on the local presets -----------------------------------------
+
+class LocalLogTest : public ::testing::TestWithParam<ArchitectureKind> {
+ protected:
+  void SetUp() override {
+    std::string tmpl = ::testing::TempDir() + "htap_dblog_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+// Open creates the log in data_dir: a data_dir that does not exist, or
+// that is a regular file, fails Open instead of leaving the log nowhere.
+TEST_P(LocalLogTest, UnopenableDataDirFailsOpen) {
+  const std::string file = dir_ + "/file";
+  std::FILE* f = std::fopen(file.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  for (const std::string& bad : {dir_ + "/missing", file}) {
+    DatabaseOptions opts;
+    opts.architecture = GetParam();
+    opts.data_dir = bad;
+    opts.background_sync = false;
+    auto res = Database::Open(opts);
+    ASSERT_FALSE(res.ok()) << bad;
+    EXPECT_TRUE(res.status().IsIOError()) << res.status().ToString();
+  }
+}
+
+// The log rolls into segments: after more than 40 MiB of commits, no
+// *.wal file in data_dir is larger than a segment. (c)'s heap files are
+// not log segments and are not held to this bound.
+TEST_P(LocalLogTest, LogSegmentsStayWithinTheSegmentSize) {
+  DatabaseOptions opts;
+  opts.architecture = GetParam();
+  opts.data_dir = dir_;
+  {
+    auto db = std::move(*Database::Open(opts));
+    ASSERT_TRUE(db->CreateTable("blobs", Schema({{"id", Type::kInt64},
+                                                 {"body", Type::kString}}))
+                    .ok());
+    constexpr int kKeys = 64;
+    constexpr int kTxns = 170;  // ~265 KB of log each
+    for (int t = 0; t < kTxns; ++t) {
+      const Value body(std::string(4096, static_cast<char>('a' + t % 26)));
+      auto txn = db->Begin();
+      for (Key k = 0; k < kKeys; ++k) {
+        const Row row{Value(k), body};
+        ASSERT_TRUE((t == 0 ? txn->Insert("blobs", row)
+                            : txn->Update("blobs", row))
+                        .ok());
+      }
+      ASSERT_TRUE(txn->Commit().ok());
+    }
+  }
+  uint64_t total = 0;
+  int segments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() != ".wal") continue;
+    const uint64_t size = entry.file_size();
+    EXPECT_LE(size, kWalSegmentBytes) << entry.path();
+    total += size;
+    ++segments;
+  }
+  EXPECT_GT(total, uint64_t{40} << 20);
+  EXPECT_GE(segments, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(LocalPresets, LocalLogTest, kLocalPresets,
+                         LocalPresetName);
+
 // ---- Architecture-specific behaviors -------------------------------------
 
 TEST(InMemoryEngineTest, WriteWriteConflictSurfacesAsConflict) {
@@ -624,9 +699,9 @@ TEST(DiskEngineTest, ColumnSelectionGatesPushdown) {
 }
 
 TEST(DiskEngineTest, EmptyDataDirKeepsHeapsPrivate) {
-  // With no data_dir, (c) keeps its WAL in memory and its heap files in a
-  // directory of its own: databases open together, or one after another,
-  // never see each other's rows.
+  // With no data_dir, (c) keeps its WAL and its heap files in a directory
+  // of its own: databases open together, or one after another, never see
+  // each other's rows.
   DatabaseOptions opts;
   opts.architecture = ArchitectureKind::kDiskRowPlusDistributedColumn;
   opts.background_sync = false;

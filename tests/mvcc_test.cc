@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -613,9 +615,15 @@ TEST_F(MvccTest, ApplyCommittedMatchesTransactionalPath) {
 }
 
 TEST_F(MvccTest, WalRecoveryReproducesCommittedState) {
-  WalWriter wal({});
-  TransactionManager mgr(&wal);
-  MvccRowStore store(1, TestSchema(), &mgr, &wal);
+  std::string tmpl = ::testing::TempDir() + "htap_mvcc_wal_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  auto opened =
+      WalWriter::Open({.dir = dir, .stem = "wal", .sync_on_commit = true});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const std::unique_ptr<WalWriter> wal = std::move(opened).ValueOrDie();
+  TransactionManager mgr(wal.get());
+  MvccRowStore store(1, TestSchema(), &mgr, wal.get());
 
   auto t1 = mgr.Begin();
   store.Insert(t1.get(), MakeRow(1, 10));
@@ -629,9 +637,13 @@ TEST_F(MvccTest, WalRecoveryReproducesCommittedState) {
   store.Insert(t3.get(), MakeRow(9, 99));
   // (no commit)
 
+  ASSERT_TRUE(wal->Sync().ok());  // t3's records reach the log too
+
   TransactionManager mgr2;
   MvccRowStore recovered(1, TestSchema(), &mgr2, nullptr);
-  const auto records = WalReader::Parse(wal.ContentsForTest());
+  auto read = WalReader::ReadLog(dir, "wal");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const std::vector<WalRecord>& records = *read;
   ReplayWal(records, [&](const WalRecord& r, CSN csn) {
     const ChangeOp op = r.type == WalRecordType::kInsert   ? ChangeOp::kInsert
                         : r.type == WalRecordType::kUpdate ? ChangeOp::kUpdate
@@ -645,6 +657,7 @@ TEST_F(MvccTest, WalRecoveryReproducesCommittedState) {
   EXPECT_TRUE(recovered.Get(Snapshot{kMaxCSN - 1, 0}, 2, &out).IsNotFound());
   EXPECT_TRUE(recovered.Get(Snapshot{kMaxCSN - 1, 0}, 9, &out).IsNotFound());
   mgr.Abort(t3.get());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(MvccTest, ConcurrentDisjointWritersAllCommit) {

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -100,8 +101,11 @@ TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
 }
 
 TEST(ThreadSafetyRegressionTest, WalSyncCountReadRacesAppend) {
-  WalWriter::Options wo;  // empty path: in-memory log
-  WalWriter wal(wo);
+  std::string tmpl = ::testing::TempDir() + "htap_tsreg_wal_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  auto opened = WalWriter::Open({.dir = tmpl, .stem = "wal"});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  WalWriter& wal = **opened;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     uint64_t last = 0;
@@ -122,6 +126,7 @@ TEST(ThreadSafetyRegressionTest, WalSyncCountReadRacesAppend) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(wal.sync_count(), 500u);
+  std::filesystem::remove_all(tmpl);
 }
 
 TEST(ThreadSafetyRegressionTest, DiskHeapCountersRaceWrites) {

@@ -1,10 +1,14 @@
 // WAL tests: record codec, the in-place DML encoder, the CRC32C checksum,
-// framing, torn-tail and corruption tolerance, group commit, file round
-// trips, and recovery replay.
+// framing, torn-tail and corruption tolerance, group commit, segment files
+// and their read-back, and recovery replay.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "common/crc32c.h"
 #include "common/random.h"
@@ -13,6 +17,56 @@
 
 namespace htap {
 namespace {
+
+/// A fresh directory for the running test's logs under the test temp dir,
+/// removed with this object.
+class LogDir {
+ public:
+  LogDir() {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = ::testing::TempDir() + "htap_wal_" + test->test_suite_name() +
+            "_" + test->name() + "_" + std::to_string(getpid());
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~LogDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+
+  const std::string& path() const { return path_; }
+
+  /// Opens an empty log `stem` here.
+  std::unique_ptr<WalWriter> Open(const std::string& stem = "log",
+                                  bool sync_on_commit = false) const {
+    auto w = WalWriter::Open(
+        {.dir = path_, .stem = stem, .sync_on_commit = sync_on_commit});
+    EXPECT_TRUE(w.ok()) << w.status().ToString();
+    return w.ok() ? std::move(w).ValueOrDie() : nullptr;
+  }
+
+  /// The segment files of log `stem`, in order.
+  std::vector<std::string> Segments(const std::string& stem = "log") const {
+    auto paths = WalSegmentPaths(path_, stem);
+    EXPECT_TRUE(paths.ok()) << paths.status().ToString();
+    return paths.value_or({});
+  }
+
+  /// Log `stem`'s bytes as written so far: its segments concatenated.
+  std::string Bytes(const std::string& stem = "log") const {
+    std::string out;
+    for (const std::string& seg : Segments(stem)) {
+      std::ifstream in(seg, std::ios::binary);
+      std::ostringstream ss;
+      ss << in.rdbuf();
+      out += ss.str();
+    }
+    return out;
+  }
+
+ private:
+  std::string path_;
+};
 
 WalRecord MakeDml(WalRecordType type, uint64_t txn, uint32_t table, Key key) {
   WalRecord r;
@@ -83,8 +137,9 @@ TEST(WalWriterTest, AppendDmlMatchesWalRecordEncoding) {
       {WalRecordType::kUpdate, -5,
        Row{Value(int64_t{-5}), Value::Null(), Value::Null()}},
   };
-  WalWriter in_place({});
-  WalWriter reference({});
+  const LogDir dir;
+  auto in_place = dir.Open("in_place");
+  auto reference = dir.Open("reference");
   uint64_t txn = 9;
   for (const Dml& d : dmls) {
     WalRecord rec;
@@ -93,12 +148,14 @@ TEST(WalWriterTest, AppendDmlMatchesWalRecordEncoding) {
     rec.table_id = 3;
     rec.key = d.key;
     rec.row = d.row;
-    EXPECT_EQ(in_place.AppendDml(d.type, txn, 3, d.key, d.row),
-              reference.Append(rec));
+    EXPECT_EQ(in_place->AppendDml(d.type, txn, 3, d.key, d.row),
+              reference->Append(rec));
     ++txn;
   }
-  EXPECT_EQ(in_place.ContentsForTest(), reference.ContentsForTest());
-  const auto records = WalReader::Parse(in_place.ContentsForTest());
+  in_place.reset();  // flushes and closes
+  reference.reset();
+  EXPECT_EQ(dir.Bytes("in_place"), dir.Bytes("reference"));
+  const auto records = WalReader::Parse(dir.Bytes("in_place"));
   ASSERT_EQ(records.size(), dmls.size());
   for (size_t i = 0; i < dmls.size(); ++i) {
     EXPECT_EQ(records[i].type, dmls[i].type);
@@ -140,13 +197,14 @@ TEST(Crc32cTest, HardwareAndTablePathsAgree) {
 // A torn or corrupt final record of an in-place-encoded log stops the
 // reader after the intact prefix, wherever the cut or the flipped byte is.
 TEST(WalReaderTest, StopsAtTornOrCorruptDmlTail) {
-  WalWriter w({});
+  const LogDir dir;
+  auto w = dir.Open();
   const Row row{Value(int64_t{4}), Value("tail row"), Value::Null()};
-  w.AppendDml(WalRecordType::kInsert, 1, 1, 2, row);
-  w.AppendDml(WalRecordType::kUpdate, 1, 1, 3, row);
-  const uint64_t last = w.AppendDml(WalRecordType::kInsert, 1, 1, 4, row);
-  ASSERT_TRUE(w.Sync().ok());
-  const std::string full = w.ContentsForTest();
+  w->AppendDml(WalRecordType::kInsert, 1, 1, 2, row);
+  w->AppendDml(WalRecordType::kUpdate, 1, 1, 3, row);
+  const uint64_t last = w->AppendDml(WalRecordType::kInsert, 1, 1, 4, row);
+  w.reset();
+  const std::string full = dir.Bytes();
   ASSERT_EQ(WalReader::Parse(full).size(), 3u);
   for (size_t cut = last; cut < full.size(); ++cut)
     EXPECT_EQ(WalReader::Parse(full.substr(0, cut)).size(), 2u)
@@ -160,42 +218,53 @@ TEST(WalReaderTest, StopsAtTornOrCorruptDmlTail) {
 }
 
 TEST(WalWriterTest, AppendAndParse) {
-  WalWriter w({});
+  const LogDir dir;
+  auto w = dir.Open();
   for (int i = 0; i < 10; ++i)
-    w.Append(MakeDml(WalRecordType::kInsert, 1, 2, i));
-  ASSERT_TRUE(w.Sync().ok());
-  const auto records = WalReader::Parse(w.ContentsForTest());
+    w->Append(MakeDml(WalRecordType::kInsert, 1, 2, i));
+  ASSERT_TRUE(w->Sync().ok());
+  w.reset();
+  const auto records = WalReader::Parse(dir.Bytes());
   ASSERT_EQ(records.size(), 10u);
   EXPECT_EQ(records[3].key, 3);
 }
 
 TEST(WalWriterTest, LsnsAreMonotonic) {
-  WalWriter w({});
+  const LogDir dir;
+  auto w = dir.Open();
   uint64_t prev = 0;
+  WalRecord rec;
   for (int i = 0; i < 5; ++i) {
-    const uint64_t lsn = w.Append(MakeDml(WalRecordType::kInsert, 1, 1, i));
-    if (i > 0) EXPECT_GT(lsn, prev);
+    rec = MakeDml(WalRecordType::kInsert, 1, 1, i);
+    const uint64_t lsn = w->Append(rec);
+    if (i > 0) {
+      EXPECT_GT(lsn, prev);
+    }
     prev = lsn;
   }
-  EXPECT_EQ(w.TailLsn(), prev + (w.TailLsn() - prev));
+  std::string payload;
+  rec.EncodeTo(&payload);
+  EXPECT_EQ(w->TailLsn(), prev + 8 + payload.size());
 }
 
 TEST(WalWriterTest, GroupCommitBatchesFlushes) {
-  WalWriter w({});
+  const LogDir dir;
+  auto w = dir.Open();
   for (int i = 0; i < 100; ++i)
-    w.Append(MakeDml(WalRecordType::kInsert, 1, 1, i));
-  ASSERT_TRUE(w.Sync().ok());  // one flush for the whole group
-  EXPECT_EQ(w.sync_count(), 1u);
-  ASSERT_TRUE(w.Sync().ok());  // nothing buffered: no-op
-  EXPECT_EQ(w.sync_count(), 1u);
+    w->Append(MakeDml(WalRecordType::kInsert, 1, 1, i));
+  ASSERT_TRUE(w->Sync().ok());  // one flush for the whole group
+  EXPECT_EQ(w->sync_count(), 1u);
+  ASSERT_TRUE(w->Sync().ok());  // nothing buffered: no-op
+  EXPECT_EQ(w->sync_count(), 1u);
 }
 
 TEST(WalReaderTest, ToleratesTornTail) {
-  WalWriter w({});
-  w.Append(MakeDml(WalRecordType::kInsert, 1, 1, 1));
-  w.Append(MakeDml(WalRecordType::kInsert, 1, 1, 2));
-  w.Sync();
-  std::string contents = w.ContentsForTest();
+  const LogDir dir;
+  auto w = dir.Open();
+  w->Append(MakeDml(WalRecordType::kInsert, 1, 1, 1));
+  w->Append(MakeDml(WalRecordType::kInsert, 1, 1, 2));
+  w.reset();
+  std::string contents = dir.Bytes();
   contents.resize(contents.size() - 5);  // torn final record
   const auto records = WalReader::Parse(contents);
   ASSERT_EQ(records.size(), 1u);
@@ -203,66 +272,194 @@ TEST(WalReaderTest, ToleratesTornTail) {
 }
 
 TEST(WalReaderTest, StopsAtChecksumCorruption) {
-  WalWriter w({});
-  w.Append(MakeDml(WalRecordType::kInsert, 1, 1, 1));
-  w.Append(MakeDml(WalRecordType::kInsert, 1, 1, 2));
-  w.Sync();
-  std::string contents = w.ContentsForTest();
+  const LogDir dir;
+  auto w = dir.Open();
+  w->Append(MakeDml(WalRecordType::kInsert, 1, 1, 1));
+  w->Append(MakeDml(WalRecordType::kInsert, 1, 1, 2));
+  w.reset();
+  std::string contents = dir.Bytes();
   contents[12] ^= 0x5a;  // flip a byte inside the first record payload
   const auto records = WalReader::Parse(contents);
   EXPECT_EQ(records.size(), 0u);
 }
 
-TEST(WalWriterTest, FileBackendRoundTrip) {
-  const std::string path = "/tmp/htap_wal_test.wal";
-  std::remove(path.c_str());
+TEST(WalWriterTest, ReadLogRoundTrip) {
+  const LogDir dir;
   {
-    WalWriter::Options o;
-    o.path = path;
-    WalWriter w(o);
+    auto w = dir.Open();
     for (int i = 0; i < 20; ++i)
-      w.Append(MakeDml(WalRecordType::kInsert, 5, 3, i * 10));
+      w->Append(MakeDml(WalRecordType::kInsert, 5, 3, i * 10));
     WalRecord commit;
     commit.type = WalRecordType::kCommit;
     commit.txn_id = 5;
-    w.Append(commit);
-    ASSERT_TRUE(w.Sync().ok());
+    w->Append(commit);
+    ASSERT_TRUE(w->Sync().ok());
   }
-  auto res = WalReader::ReadFile(path);
+  auto res = WalReader::ReadLog(dir.path(), "log");
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->size(), 21u);
   EXPECT_EQ((*res)[20].type, WalRecordType::kCommit);
-  std::remove(path.c_str());
 }
 
-// A file-backed writer keeps no resident copy of what it flushed, across
-// many group commits, and the file still round-trips every record.
-TEST(WalWriterTest, FileBackendKeepsNoResidentCopy) {
-  const std::string path = ::testing::TempDir() + "htap_wal_resident.wal";
-  std::remove(path.c_str());
+// Each Sync writes its group to the segment (with sync_on_commit, through
+// to the OS), so the writer holds no copy of what it flushed; the segment
+// round-trips every record across many group commits.
+TEST(WalWriterTest, SyncedGroupsReachTheSegment) {
+  const LogDir dir;
   {
-    WalWriter::Options o;
-    o.path = path;
-    WalWriter w(o);
+    auto w = dir.Open("log", /*sync_on_commit=*/true);
     for (int group = 0; group < 50; ++group) {
       for (int i = 0; i < 10; ++i)
-        w.Append(MakeDml(WalRecordType::kUpdate, group, 3, group * 10 + i));
-      ASSERT_TRUE(w.Sync().ok());
-      EXPECT_TRUE(w.ContentsForTest().empty());
+        w->Append(MakeDml(WalRecordType::kUpdate, group, 3, group * 10 + i));
+      ASSERT_TRUE(w->Sync().ok());
+      EXPECT_EQ(dir.Bytes().size(), w->TailLsn());
     }
-    w.Append(MakeDml(WalRecordType::kInsert, 99, 3, 12345));
-    EXPECT_FALSE(w.ContentsForTest().empty());  // the unflushed group only
+    w->Append(MakeDml(WalRecordType::kInsert, 99, 3, 12345));
+    EXPECT_LT(dir.Bytes().size(), w->TailLsn());  // the unflushed group
   }  // the destructor flushes the last group
-  auto res = WalReader::ReadFile(path);
+  auto res = WalReader::ReadLog(dir.path(), "log");
   ASSERT_TRUE(res.ok());
   ASSERT_EQ(res->size(), 501u);
   for (int k = 0; k < 500; ++k) EXPECT_EQ((*res)[k].key, k);
   EXPECT_EQ((*res)[500].key, 12345);
-  std::remove(path.c_str());
+}
+
+/// Writes `groups` groups of `per_group` DML records, each carrying a
+/// `row_bytes` string, keyed 0, 1, 2, ... in log order. Returns the bytes
+/// one group takes.
+uint64_t WriteGroups(WalWriter* w, int groups, int per_group,
+                     size_t row_bytes) {
+  const uint64_t start = w->TailLsn();
+  Key key = 0;
+  for (int g = 0; g < groups; ++g) {
+    const Value body(std::string(row_bytes, static_cast<char>('a' + g % 26)));
+    for (int i = 0; i < per_group; ++i, ++key)
+      w->AppendDml(WalRecordType::kInsert, static_cast<uint64_t>(g), 1, key,
+                   Row{Value(key), body});
+    EXPECT_TRUE(w->Sync().ok());
+  }
+  return (w->TailLsn() - start) / static_cast<uint64_t>(groups);
+}
+
+// A log of several segments: each stays within kWalSegmentBytes and is
+// rolled only when the next group would not fit, and reading the segments
+// in order gives back every record, in order.
+TEST(WalWriterTest, ManySegmentsReadBackRecordForRecord) {
+  const LogDir dir;
+  constexpr int kGroups = 70;
+  constexpr int kPerGroup = 16;
+  constexpr size_t kRowBytes = 64 << 10;
+  auto w = dir.Open();
+  const uint64_t group_bytes = WriteGroups(w.get(), kGroups, kPerGroup,
+                                           kRowBytes);
+  w.reset();
+  const std::vector<std::string> segments = dir.Segments();
+  ASSERT_GT(segments.size(), 3u);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_EQ(segments[i], WalSegmentPath(dir.path(), "log", i));
+    const uint64_t size = std::filesystem::file_size(segments[i]);
+    EXPECT_LE(size, kWalSegmentBytes) << segments[i];
+    EXPECT_EQ(size % group_bytes, 0u) << "a group straddles " << segments[i];
+    if (i + 1 < segments.size()) {
+      EXPECT_GT(size + group_bytes, kWalSegmentBytes) << "rolled early";
+    }
+  }
+  auto res = WalReader::ReadLog(dir.path(), "log");
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res->size(), static_cast<size_t>(kGroups * kPerGroup));
+  for (size_t k = 0; k < res->size(); ++k) {
+    const WalRecord& r = (*res)[k];
+    ASSERT_EQ(r.key, static_cast<Key>(k));
+    ASSERT_EQ(r.txn_id, k / kPerGroup);
+    ASSERT_EQ(r.row.Get(1).AsString().size(), kRowBytes);
+  }
+}
+
+// A group larger than a segment goes whole into a segment of its own; the
+// next group starts the next segment.
+TEST(WalWriterTest, OversizedGroupTakesASegmentOfItsOwn) {
+  const LogDir dir;
+  auto w = dir.Open();
+  WriteGroups(w.get(), 1, 1, 4 << 10);
+  WriteGroups(w.get(), 1, 17, 1 << 20);  // ~17 MiB in one group
+  WriteGroups(w.get(), 1, 1, 4 << 10);
+  w.reset();
+  const std::vector<std::string> segments = dir.Segments();
+  ASSERT_EQ(segments.size(), 3u);
+  EXPECT_GT(std::filesystem::file_size(segments[1]), kWalSegmentBytes);
+  auto res = WalReader::ReadLog(dir.path(), "log");
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->size(), 19u);
+}
+
+// A torn last segment (a crash mid-write) keeps every record before the
+// torn one, including all of the earlier segments'.
+TEST(WalReaderTest, TornLastSegmentKeepsThePrefix) {
+  const LogDir dir;
+  constexpr int kPerGroup = 16;
+  auto w = dir.Open();
+  const uint64_t group_bytes = WriteGroups(w.get(), 20, kPerGroup, 64 << 10);
+  w.reset();
+  const std::vector<std::string> segments = dir.Segments();
+  ASSERT_EQ(segments.size(), 2u);
+  const uint64_t first = std::filesystem::file_size(segments[0]);
+  const uint64_t last = std::filesystem::file_size(segments[1]);
+  ASSERT_EQ(last % group_bytes, 0u);
+  const uint64_t record_bytes = group_bytes / kPerGroup;
+  // Cut the last record of the last segment in half.
+  std::filesystem::resize_file(segments[1], last - record_bytes / 2);
+  auto res = WalReader::ReadLog(dir.path(), "log");
+  ASSERT_TRUE(res.ok());
+  const size_t intact = (first + last) / record_bytes - 1;
+  ASSERT_EQ(res->size(), intact);
+  for (size_t k = 0; k < intact; ++k)
+    ASSERT_EQ((*res)[k].key, static_cast<Key>(k));
+}
+
+// Opening a stem removes its old segments, whatever their numbers, and
+// leaves other stems' logs alone.
+TEST(WalWriterTest, ReopeningAStemStartsAnEmptyLog) {
+  const LogDir dir;
+  {
+    auto w = dir.Open();
+    auto other = dir.Open("other");
+    WriteGroups(w.get(), 3, 4, 100);
+    WriteGroups(other.get(), 1, 2, 100);
+  }
+  std::ofstream(WalSegmentPath(dir.path(), "log", 7)) << "stale";
+  ASSERT_EQ(dir.Segments().size(), 2u);
+  auto w = dir.Open();
+  EXPECT_EQ(dir.Segments(),
+            std::vector<std::string>{WalSegmentPath(dir.path(), "log", 0)});
+  auto res = WalReader::ReadLog(dir.path(), "log");
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res->empty());
+  auto kept = WalReader::ReadLog(dir.path(), "other");
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->size(), 2u);
+}
+
+// A log cannot be opened in a directory that does not exist or in a
+// regular file, and a stem with no segments has no log to read.
+TEST(WalWriterTest, OpenFailsWithoutADirectory) {
+  const LogDir dir;
+  const std::string missing = dir.path() + "/missing";
+  const std::string file = dir.path() + "/file";
+  std::ofstream(file) << "not a directory";
+  for (const std::string& bad : {missing, file}) {
+    auto w = WalWriter::Open({.dir = bad, .stem = "log"});
+    ASSERT_FALSE(w.ok()) << bad;
+    EXPECT_TRUE(w.status().IsIOError()) << w.status().ToString();
+  }
+  auto res = WalReader::ReadLog(dir.path(), "log");
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsIOError());
 }
 
 TEST(RecoveryTest, ReplaysOnlyCommittedInCommitOrder) {
-  WalWriter w({});
+  const LogDir dir;
+  auto writer = dir.Open("log", /*sync_on_commit=*/true);
+  WalWriter& w = *writer;
   // Txn 1 commits, txn 2 aborts, txn 3 never finishes, txn 4 commits after 1.
   w.Append(MakeDml(WalRecordType::kInsert, 1, 1, 100));
   w.Append(MakeDml(WalRecordType::kInsert, 2, 1, 200));
@@ -283,7 +480,9 @@ TEST(RecoveryTest, ReplaysOnlyCommittedInCommitOrder) {
   w.Sync();
 
   std::vector<std::pair<Key, CSN>> applied;
-  const auto records = WalReader::Parse(w.ContentsForTest());
+  auto read = WalReader::ReadLog(dir.path(), "log");
+  ASSERT_TRUE(read.ok());
+  const std::vector<WalRecord>& records = *read;
   const RecoveryStats stats = ReplayWal(records, [&](const WalRecord& r,
                                                      CSN csn) {
     applied.emplace_back(r.key, csn);

@@ -7,7 +7,9 @@
 // Part 1 sweeps the column advisor's memory budget on architecture (c) and
 // measures query latency for hot-column vs cold-column queries.
 // Part 2 compares forced-row, forced-column, and hybrid (auto) execution
-// for a point query and an analytical query on architecture (a).
+// for a point query and an analytical query on architecture (a); the bench
+// exits 1 unless the hybrid plan picks the row index for the point query
+// and the column scan for the analytical one.
 // Part 3 models the heterogeneous CPU/GPU split: a device executor with
 // kernel-launch latency + high scan bandwidth vs. the task-parallel CPU
 // path, for OLAP and OLTP separately.
@@ -55,6 +57,7 @@ int main() {
   using namespace htap;
   using namespace htap::bench;
   std::printf("Table 2 / QO row — query-optimization techniques\n\n");
+  bool hybrid_ok = false;
 
   // ---- Part 1: workload-driven column selection (architecture (c)) ----
   {
@@ -145,6 +148,12 @@ int main() {
     std::printf("    -> hybrid chose '%s' for the point query and '%s' for "
                 "the analytic one.\n\n",
                 xi1.access_path.c_str(), xi2.access_path.c_str());
+    hybrid_ok = xi1.access_path == "row-index-lookup" &&
+                xi2.access_path == "column-scan";
+    if (!hybrid_ok)
+      std::fprintf(stderr, "FAIL: hybrid plan should pick row-index-lookup "
+                           "for the point query and column-scan for the "
+                           "analytic one\n");
   }
 
   // ---- Part 3: CPU/GPU acceleration (modeled device executor) -----------
@@ -255,5 +264,5 @@ int main() {
     std::printf("    -> uniform data keeps q-error ~1; skew breaks the "
                 "uniformity assumption the estimates rest on.\n");
   }
-  return 0;
+  return hybrid_ok ? 0 : 1;
 }

@@ -166,7 +166,6 @@ void BM_MergeDeltaBatch(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();  // copying the batch and freeing the last table
     table = std::make_unique<ColumnTable>(schema);
-    table->EnableCompressionAdvisor(true);
     std::vector<DeltaEntry> entries = proto;
     state.ResumeTiming();
     WriteGuard g(table->latch());

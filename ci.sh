@@ -8,6 +8,7 @@
 # Suites:
 #   tier1  — Release build + full ctest
 #   bench  — bench smokes, the Table 2 DS row's column-equals-rows check,
+#            the Table 2 QO row's hybrid access-path check,
 #            a short oltp_saturate run under a 32 MiB file-size limit, and
 #            the regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
@@ -158,6 +159,17 @@ suite_bench() {
     cat build/bench_table2_ds.log >&2
     echo "FAIL: table2 DS bench (column table differs from the row store)" >&2
     FAILED_SUITES+=("bench/table2-ds")
+  fi
+
+  echo "== bench: Table 2 QO row (hybrid plan picks index and column paths) =="
+  # The hybrid row/column chooser must pick the row index for the point
+  # query and the column scan for the analytic one; the bench exits
+  # non-zero otherwise.
+  cmake --build build -j "$JOBS" --target bench_table2_qo
+  if ! ./build/bench/bench_table2_qo > build/bench_table2_qo.log; then
+    cat build/bench_table2_qo.log >&2
+    echo "FAIL: table2 QO bench (hybrid plan chose the wrong access path)" >&2
+    FAILED_SUITES+=("bench/table2-qo")
   fi
 
   echo "== bench: oltp_saturate under a 32 MiB file-size limit =="

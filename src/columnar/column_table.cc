@@ -1,13 +1,6 @@
 #include "columnar/column_table.h"
 
-#include "columnar/compression_advisor.h"
-
 namespace htap {
-
-void ColumnTable::EnableCompressionAdvisor(bool on) {
-  WriteGuard g(latch_);
-  advise_encodings_ = on;
-}
 
 void ColumnTable::AppendBatch(std::vector<Row> rows, CSN up_to_csn) {
   WriteGuard g(latch_);
@@ -41,10 +34,7 @@ void ColumnTable::AppendGroupLocked(std::vector<Row> rows) {
     ColumnVector vec(schema_.column(c).type);
     vec.Reserve(rows.size());
     for (const Row& r : rows) vec.AppendValue(r.Get(c));
-    group->columns.push_back(
-        advise_encodings_
-            ? Segment::BuildWithEncoding(vec, AdviseEncoding(vec).chosen)
-            : Segment::Build(vec));
+    group->columns.push_back(Segment::Build(vec));
   }
 
   const uint32_t gidx = static_cast<uint32_t>(groups_.size());

@@ -70,13 +70,6 @@ class ColumnTable {
   /// bytes reclaimed (approximate).
   size_t Compact();
 
-  /// Opt into the size-estimating compression advisor: segments built after
-  /// this call (appends from the sync pipeline, Compact rebuilds) pick their
-  /// encoding via AdviseEncoding instead of the ChooseEncoding heuristics.
-  /// Default off so raw ColumnTable behavior is unchanged; the engines and
-  /// RebuildColumnTable always turn it on.
-  void EnableCompressionAdvisor(bool on);
-
   // ---- Read API -----------------------------------------------------------
 
   size_t num_groups() const;
@@ -129,7 +122,6 @@ class ColumnTable {
   static size_t KeyIndexBytes(size_t entries, size_t buckets);
 
   const Schema schema_;
-  bool advise_encodings_ GUARDED_BY(latch_) = false;
   std::vector<std::unique_ptr<RowGroup>> groups_ GUARDED_BY(latch_);
   KeyIndex key_index_ GUARDED_BY(latch_);
   std::atomic<CSN> merged_csn_{0};

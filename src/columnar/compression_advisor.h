@@ -1,16 +1,15 @@
 // Per-segment compression advisor (the Hyrise-style encoding selector).
 //
-// ChooseEncoding (encoding.h) picks an encoding from coarse heuristics with
-// fixed thresholds. The advisor instead *estimates the encoded size in
-// bytes* of every applicable encoding from observed value statistics (row
-// count, distinct values, run structure, integer range, string payload)
-// and picks the smallest — with a bias requiring a compressed
-// encoding to beat PLAIN by at least 1/8 of PLAIN's footprint, so marginal
-// wins do not pay dictionary/unpack overhead at scan time.
+// The advisor *estimates the encoded size in bytes* of every applicable
+// encoding from observed value statistics (row count, distinct values, run
+// structure, integer range, string payload) and picks the smallest — with
+// a bias requiring a compressed encoding to beat PLAIN by at least 1/8 of
+// PLAIN's footprint, so marginal wins do not pay dictionary/unpack
+// overhead at scan time.
 //
-// It runs where segments are (re)built: column-table append at sync time
-// and compaction. Opt-in per ColumnTable (EnableCompressionAdvisor); the
-// local engine turns it on for every column table it builds.
+// It is the one encoding selector: Segment::Build calls it, so it runs
+// wherever segments are (re)built — every column-table append (the local
+// merges, the sim learners, rebuilds) and compaction.
 
 #ifndef HTAP_COLUMNAR_COMPRESSION_ADVISOR_H_
 #define HTAP_COLUMNAR_COMPRESSION_ADVISOR_H_

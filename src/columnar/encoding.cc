@@ -214,39 +214,4 @@ int64_t ForUnpackAt(const EncodedColumn& col, size_t i) {
   return static_cast<int64_t>(static_cast<uint64_t>(col.ints[0]) + off);
 }
 
-EncodingType ChooseEncoding(const ColumnVector& in) {
-  const size_t n = in.size();
-  if (n < 16) return EncodingType::kPlain;
-
-  // Sample run structure and distinct values.
-  size_t runs = 1;
-  for (size_t i = 1; i < n; ++i) {
-    bool eq = false;
-    switch (in.type()) {
-      case Type::kInt64: eq = in.ints()[i] == in.ints()[i - 1]; break;
-      case Type::kDouble: eq = in.doubles()[i] == in.doubles()[i - 1]; break;
-      case Type::kString: eq = in.strings()[i] == in.strings()[i - 1]; break;
-    }
-    if (!eq) ++runs;
-  }
-  if (n / runs >= 8) return EncodingType::kRle;
-
-  if (in.type() == Type::kString) {
-    std::unordered_map<std::string, int> dict;
-    for (const auto& s : in.strings()) {
-      dict.emplace(s, 0);
-      if (dict.size() > n / 4) return EncodingType::kPlain;
-    }
-    return EncodingType::kDictionary;
-  }
-  if (in.type() == Type::kInt64) {
-    const auto [mn, mx] =
-        std::minmax_element(in.ints().begin(), in.ints().end());
-    const uint64_t range =
-        static_cast<uint64_t>(*mx) - static_cast<uint64_t>(*mn);
-    if (range < (1ULL << 32)) return EncodingType::kForBitPack;
-  }
-  return EncodingType::kPlain;
-}
-
 }  // namespace htap

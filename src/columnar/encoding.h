@@ -74,11 +74,6 @@ EncodedColumn Encode(const ColumnVector& in, EncodingType enc);
 /// Decodes back to a ColumnVector (encode∘decode == identity).
 ColumnVector Decode(const EncodedColumn& col);
 
-/// Picks an encoding from value statistics: RLE when average run length is
-/// high, dictionary when NDV is small, FOR-bit-pack for narrow-range ints,
-/// else plain.
-EncodingType ChooseEncoding(const ColumnVector& in);
-
 /// Random access into an encoded column without full materialization.
 Value EncodedGet(const EncodedColumn& col, size_t i);
 

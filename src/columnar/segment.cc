@@ -1,9 +1,11 @@
 #include "columnar/segment.h"
 
+#include "columnar/compression_advisor.h"
+
 namespace htap {
 
 Segment Segment::Build(const ColumnVector& values) {
-  return BuildWithEncoding(values, ChooseEncoding(values));
+  return BuildWithEncoding(values, AdviseEncoding(values).chosen);
 }
 
 Segment Segment::BuildWithEncoding(const ColumnVector& values,

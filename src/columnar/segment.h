@@ -14,8 +14,8 @@ class Segment {
  public:
   Segment() = default;
 
-  /// Builds a segment from decoded values, choosing the encoding
-  /// automatically (or forcing one for tests/benchmarks).
+  /// Builds a segment from decoded values in the encoding AdviseEncoding
+  /// picks (or one forced for tests/benchmarks).
   static Segment Build(const ColumnVector& values);
   static Segment BuildWithEncoding(const ColumnVector& values,
                                    EncodingType enc);

@@ -48,7 +48,6 @@ enum class LockRank : uint16_t {
   kEngineTableSync = 280,  // per-TableState merge mutex (local engine; held
                            // across generation snapshot + drain + stats)
   kEngineTables = 300,  // LocalHtapEngine::tables_mu_ (table map + state)
-  kEngineTableStats = 350,  // per-TableState stats mutex (held across store sampling)
   kDiskHeap = 450,      // DiskRowStore::mu_ (heap file + buffer pool)
   kTableLatch = 500,    // ColumnTable::latch_ (RWLatch over row groups)
   kDeltaStore = 550,    // delta-store mutexes (in-memory, L1/L2, log)

@@ -91,7 +91,10 @@ class Database {
                                  QueryExecInfo* info = nullptr);
 
   // ---- HTAP control ---------------------------------------------------
-  /// Forces delta -> column-store synchronization for one table.
+  /// Forces delta -> column-store synchronization for one table. On the
+  /// local presets it never merges past an open reader: it merges up to the
+  /// oldest snapshot still in use (every commit when none is open), so a
+  /// transaction or query left open keeps later commits in the delta.
   Status ForceSync(const std::string& table);
   /// Forces it for every table.
   Status ForceSyncAll();

@@ -6,10 +6,11 @@
 // Analytical scans pick the row side or the column side by the preset's
 // access-path rule, and every scan of one query reads at the CSN of the
 // query's one read view. Every preset moves the delta into its column side
-// through one method, MergeDelta. (a) and (d) keep a merged column table
-// that the daemon merges on its interval, and maintain the catalog's stats
-// from each merge; (c) keeps only the columns the advisor loaded, merges
-// them on scan (and on the daemon once the delta reaches
+// through one method, MergeDelta, never past the oldest open snapshot, and
+// every merge maintains the table's one set of catalog stats from the full
+// rows it drains. (a) and (d) keep a merged column table that the daemon
+// merges on its interval; (c) keeps only the columns the advisor loaded,
+// merges them on scan (and on the daemon once the delta reaches
 // sync_entry_threshold), and falls back to the row store (whose evicted
 // rows cost buffer-pool I/O) when a query touches a column that is not
 // loaded.
@@ -65,7 +66,7 @@ class SyncDaemon {
 
  private:
   void SyncAllNow() {
-    const CSN target = engine_->txn_mgr_.LastCommittedCsn();
+    const CSN target = engine_->txn_mgr_.Watermark();
     MutexLock lk(&tasks_mu_);
     for (Table* t : tables_) engine_->MergeDelta(t, target, nullptr, nullptr);
   }
@@ -118,10 +119,10 @@ struct LocalHtapEngine::ScanAccess {
 
 namespace {
 
-/// Delete drift tolerated by the incremental stats of (a) and (d): once a
-/// table's merges have applied this many deletes since the last full pass,
-/// the merge compacts the column table and recomputes the stats from the
-/// surviving rows.
+/// Delete drift tolerated by the incremental stats: once a table's merges
+/// have applied this many deletes since the last full pass, the merge
+/// compacts the column table and recomputes the stats of the columns it
+/// holds from the surviving rows.
 constexpr size_t kStatsCompactDeleteThreshold = 8192;
 
 /// Distinct columns a scan request touches (for advisor heat + costing).
@@ -333,18 +334,12 @@ Status LocalHtapEngine::CreateTable(const TableInfo& info) {
                                              options_.l1_spill_threshold);
   else
     delta = std::make_unique<InMemoryDeltaStore>();
-  auto columns = std::make_shared<ColumnTable>(info.schema);
-  columns->EnableCompressionAdvisor(true);
-  // (a) and (d) republish incremental TableStats to the catalog on every
-  // merge, so join planning can happen at plan time from metadata
-  // (DESIGN.md §10).
-  std::unique_ptr<TableStatsBuilder> merge_stats;
-  if (!preset_.disk_heap)
-    merge_stats =
-        std::make_unique<TableStatsBuilder>(info.schema.num_columns());
+  // Every merge republishes incremental TableStats to the catalog, so join
+  // planning can happen at plan time from metadata (DESIGN.md §10).
   auto ts = std::make_unique<TableState>(
       info, std::move(rows), std::move(delta), std::move(heap),
-      std::move(columns), std::move(merge_stats));
+      std::make_shared<ColumnTable>(info.schema),
+      std::make_unique<TableStatsBuilder>(info.schema.num_columns()));
   if (daemon_) daemon_->AddTable(ts.get());
   tables_[info.id] = std::move(ts);
   return Status::OK();
@@ -452,8 +447,9 @@ void LocalHtapEngine::MergeDelta(TableState* ts, CSN target,
         ts->entries_merged.fetch_add(entries.size(),
                                      std::memory_order_relaxed);
       }
-      // The stats read the rows before the apply moves them out.
-      if (ts->merge_stats != nullptr) ts->merge_stats->ApplyEntries(entries);
+      // The stats read the full rows before the projection and the apply
+      // move them out.
+      ts->merge_stats->ApplyEntries(entries);
       if (!IsBaseLayout(loaded, ts->info.schema.num_columns())) {
         // Reduce each row to the loaded columns by moving the cells it
         // keeps.
@@ -469,13 +465,13 @@ void LocalHtapEngine::MergeDelta(TableState* ts, CSN target,
       ApplyEntriesToColumnTableLocked(table, std::move(entries), target);
     }
   }
-  if (advanced && ts->merge_stats != nullptr) {
+  if (advanced) {
     if (ts->merge_stats->deletes_since_recompute() >
         kStatsCompactDeleteThreshold) {
       // Delete drift: the sketches only widen, so compact away the dead
-      // rows and recompute from what actually survives.
+      // rows and recompute the loaded columns from what actually survives.
       table->Compact();
-      ts->merge_stats->RecomputeFromColumnTable(*table);
+      ts->merge_stats->RecomputeFromColumnTable(*table, loaded);
     }
     // Published after every merge that advances merged_csn, an empty one
     // included, so an unwritten table's stats do not age past the
@@ -488,41 +484,18 @@ void LocalHtapEngine::MergeDelta(TableState* ts, CSN target,
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
 }
 
-TableStats LocalHtapEngine::RefreshedStats(TableState* ts) {
-  const CSN now = txn_mgr_.LastCommittedCsn();
-  MutexLock lk(&ts->stats_mu);
-  if (ts->stats.row_count != 0 &&
-      now < ts->stats_at_csn + options_.stats_refresh_interval)
-    return ts->stats;
-  const MvccRowStore* store = ts->rows.get();
-  std::vector<Row> sample;
-  sample.reserve(2048);
-  {
-    // A failed read (of (c)'s heap) only leaves the sample smaller.
-    const ReadView view(&txn_mgr_);
-    store->Scan(view.snapshot(), [&](Key, const Row& r) {
-      sample.push_back(r);
-      return sample.size() < 2048;
-    });
-  }
-  ts->stats = TableStats::Compute(ts->info.schema, sample);
-  ts->stats.row_count = store->ApproxRowCount();
-  ts->stats_at_csn = now;
-  // (c)'s merges keep no stats, so the sampling refresher doubles as its
-  // catalog publisher (DESIGN.md §10).
-  if (preset_.disk_heap) catalog_->PublishStats(ts->info.name, ts->stats, now);
-  return ts->stats;
-}
-
 Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
     const TableInfo& tbl) {
   if (!preset_.disk_heap)
     return Status::NotSupported("the preset loads every column");
   TableState* ts = FindTable(tbl.id);
   if (ts == nullptr) return Status::NotFound("no such table");
-  const TableStats table_stats = RefreshedStats(ts);
-  const std::vector<size_t> col_bytes =
-      EstimateColumnBytes(tbl.schema, table_stats);
+  // merge_mu keeps MergeDelta out for the whole selection, rebuild and
+  // drain: the stats the advisor sizes columns from cannot move under it,
+  // and no merge can strand drained entries in the superseded generation.
+  MutexLock merge_lk(&ts->merge_mu);
+  const std::vector<size_t> col_bytes = EstimateColumnBytes(
+      tbl.schema, ts->merge_stats->Snapshot(ts->rows->ApproxRowCount()));
   ColumnAdvisor::Selection sel =
       advisor_.Advise(tbl.name, col_bytes, options_.column_memory_budget_bytes);
 
@@ -536,16 +509,14 @@ Result<ColumnAdvisor::Selection> LocalHtapEngine::RefreshColumnSelection(
 
   // Rebuild the column side on the new projection from the row store at
   // one snapshot S, as a new generation merged to S; the delta entries
-  // above S stay for the next merge. merge_mu keeps MergeDelta out for the
-  // whole rebuild+drain, so no merge can strand drained entries in the
-  // superseded generation; in-flight scans keep their pinned shared_ptr
-  // alive until they finish.
-  MutexLock merge_lk(&ts->merge_mu);
+  // above S stay for the next merge. In-flight scans keep their pinned
+  // shared_ptr alive until they finish.
   const ReadView view(&txn_mgr_);
   const Snapshot snap = view.snapshot();
   HTAP_ASSIGN_OR_RETURN(std::shared_ptr<ColumnTable> columns,
                         RebuildColumnTable(*ts->rows, snap, sel.columns));
-  ts->delta->DrainUpTo(snap.begin_csn);  // the rebuild read these
+  // The rebuild read these; the stats still need their full rows.
+  ts->merge_stats->ApplyEntries(ts->delta->DrainUpTo(snap.begin_csn));
   {
     MutexLock lk(&tables_mu_);
     ts->loaded = sel.columns;
@@ -575,7 +546,6 @@ Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
       loaded = ts->loaded;
     }
     const bool column_capable = Serves(loaded, touched, req);
-    const TableStats table_stats = RefreshedStats(ts);
     const bool pk_point =
         ExtractPkPoint(*req.pred, req.table->schema.pk_index(), &acc.pk_key);
     switch (req.path) {
@@ -589,28 +559,29 @@ Result<LocalHtapEngine::ScanAccess> LocalHtapEngine::ResolveAccess(
         break;
       case PathHint::kAuto: {
         AccessQuery q;
-        q.stats = &table_stats;
-        q.pred = req.pred;
+        q.row_count = ts->rows->ApproxRowCount();
         q.columns_needed = touched.size();
         q.total_columns = req.table->schema.num_columns();
         q.delta_entries = ts->delta->EntryCount();
         q.pk_point_lookup = pk_point;
         q.column_store_available = column_capable;
-        acc.path = ChooseAccessPath(CostModel{}, q).path;
+        acc.path = ChooseAccessPath(q).path;
         break;
       }
     }
   }
   if (acc.path != AccessPath::kColumnScan) return acc;
 
-  // Pin the generation to scan. (c) merges on scan first; MergeDelta pins
-  // the generation it merged into, so a concurrent RefreshColumnSelection
+  // Pin the generation to scan. (c) merges on scan first, up to the query's
+  // CSN but never past an older open snapshot; MergeDelta pins the
+  // generation it merged into, so a concurrent RefreshColumnSelection
   // cannot free it under the scan that follows. (a) and (d) leave merging
   // to the daemon: a scan never waits on a merge's compaction or stats.
   std::shared_ptr<ColumnTable> columns;
   std::vector<int> loaded;
   if (preset_.disk_heap) {
-    MergeDelta(ts, req.csn, &columns, &loaded);
+    MergeDelta(ts, std::min(req.csn, txn_mgr_.Watermark()), &columns,
+               &loaded);
   } else {
     MutexLock lk(&tables_mu_);
     columns = ts->columns;
@@ -683,8 +654,11 @@ Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
   };
   // One read view for the whole query: every scan reads the row store at
   // its CSN (the view pins the GC watermark) and the delta up to it ((c)
-  // merges on scan up to it).
+  // merges on scan up to it). The view can cover commits whose events are
+  // still queued for the deltas; deliver them, or a fresh column scan would
+  // miss them in one table and not in the next.
   const ReadView view(&txn_mgr_);
+  txn_mgr_.DrainPublishQueue();
   return RunPlan(plan, *catalog_, scan, info,
                  ap_.ctx(view.snapshot().begin_csn));
 }
@@ -692,7 +666,9 @@ Result<QueryResult> LocalHtapEngine::Execute(const QueryPlan& plan,
 Status LocalHtapEngine::ForceSync(const TableInfo& tbl) {
   TableState* ts = FindTable(tbl.id);
   if (ts == nullptr) return Status::NotFound("no such table");
-  MergeDelta(ts, txn_mgr_.LastCommittedCsn(), nullptr, nullptr);
+  // Never past an open reader: a fresh scan at C reads the column side at
+  // merged_csn <= C plus the delta in (merged_csn, C] (DESIGN.md §19).
+  MergeDelta(ts, txn_mgr_.Watermark(), nullptr, nullptr);
   return Status::OK();
 }
 

@@ -87,8 +87,7 @@ struct LocalPreset {
   /// caches and reads evicted rows from (DESIGN.md §22), and the column
   /// side holds only the columns the advisor loaded. Its merge policy
   /// differs too: it merges on scan (the sync daemon merges only at its
-  /// entry threshold), and its catalog stats are sampled from the row
-  /// store rather than maintained by the merges.
+  /// entry threshold).
   bool disk_heap = false;
   /// QueryExecInfo::access_path when the column side / row side serves.
   const char* column_scan_desc = "";
@@ -167,8 +166,9 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
     // batches out of commit order (or drain entries into a superseded
     // generation).
     Mutex merge_mu{LockRank::kEngineTableSync, "local-column-merge"};
-    // Incremental catalog stats fed by every merge (DESIGN.md §10); null on
-    // disk_heap, whose catalog stats RefreshedStats samples.
+    // The table's one statistics source (DESIGN.md §10): fed the full rows
+    // of every merge and of RefreshColumnSelection's drain, whatever
+    // columns the column side holds.
     const std::unique_ptr<TableStatsBuilder> merge_stats
         PT_GUARDED_BY(merge_mu);
     // MergeDelta's non-empty drains and the entries they merged: written
@@ -176,11 +176,6 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
     // ranked above merge_mu).
     std::atomic<uint64_t> merges{0};
     std::atomic<uint64_t> entries_merged{0};
-    // Plan-time row-store stats: refreshed from a snapshot scan while
-    // concurrent queries copy them out, so they carry their own mutex.
-    Mutex stats_mu{LockRank::kEngineTableStats, "local-table-stats"};
-    TableStats stats GUARDED_BY(stats_mu);
-    uint64_t stats_at_csn GUARDED_BY(stats_mu) = 0;
   };
   struct ScanAccess;
   /// A directory path, removed on destruction when `remove_on_close`.
@@ -211,15 +206,14 @@ class LocalHtapEngine : public HtapEngine, public ChangeSink {
   Result<ScanAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
   /// The one merge: drains the delta up to `target` into the current
   /// column generation (projected onto its loaded columns), publishes the
-  /// table's incremental stats where it keeps them, and (optionally)
-  /// returns that generation to scan. A target at or below the
-  /// generation's merged CSN drains nothing, so merged_csn never moves
-  /// back.
+  /// table's incremental stats, and (optionally) returns that generation
+  /// to scan. A target at or below the generation's merged CSN drains
+  /// nothing, so merged_csn never moves back. Callers pass at most the
+  /// transaction manager's Watermark(), so no open reader's snapshot is
+  /// below merged_csn (DESIGN.md §19).
   void MergeDelta(TableState* ts, CSN target,
                   std::shared_ptr<ColumnTable>* columns_out,
                   std::vector<int>* loaded_out);
-  /// Refreshes the sampled row-store stats if stale and returns a copy.
-  TableStats RefreshedStats(TableState* ts);
 
   const LocalPreset preset_;
   const DatabaseOptions options_;

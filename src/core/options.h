@@ -54,9 +54,6 @@ struct DatabaseOptions {
   size_t column_memory_budget_bytes = 256u << 20;
   size_t buffer_pool_pages = 256;
 
-  /// How often table statistics are recomputed (in commits).
-  uint64_t stats_refresh_interval = 4096;
-
   /// Rows per ColumnBatch every scan emits (DESIGN.md §12; 0 = one batch
   /// per row group, or per row-side scan). Larger batches amortize
   /// dispatch; smaller batches stay cache-resident.

@@ -96,9 +96,6 @@ struct QueryExecInfo {
   /// bench_table2_qo plots the q-error between these under skew.
   std::vector<double> join_est_rows;
   std::vector<size_t> join_actual_rows;
-
-  double cost_estimate = 0;
-  double est_selectivity = 1;
 };
 
 }  // namespace htap

@@ -176,6 +176,13 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
   ScanStats local;
   ScanStats* st = stats != nullptr ? stats : &local;
 
+  // Hold the table's scan latch for the whole pass, delta read included
+  // (rank 500, then the delta's 550): Compact() cannot invalidate group
+  // pointers mid-scan, and no merge lands between the delta read and the
+  // table read, so the scan sees the table at one merged_csn plus the delta
+  // above it.
+  ReadGuard table_guard(table.latch());
+
   // 1. Delta override set: the latest visible entry per key.
   std::unordered_map<Key, const DeltaEntry*> overrides;
   std::vector<DeltaEntry> delta_entries;
@@ -189,9 +196,6 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
 
   const HtapScanShared shared{&pred, &projection, &overrides};
 
-  // Hold the table's scan latch for the whole pass so Compact() cannot
-  // invalidate group pointers mid-scan.
-  ReadGuard table_guard(table.latch());
   const size_t ngroups = table.num_groups_unlocked();
   st->groups_total = ngroups;
 

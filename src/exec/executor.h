@@ -155,7 +155,10 @@ Result<std::vector<ColumnBatch>> ScanRowStore(
 ///
 /// Correctness contract (tested as the delta/column-union invariant): the
 /// result equals scanning a row-store snapshot at `snapshot`, provided
-/// every change with csn <= snapshot is in the column store or the delta.
+/// every change with csn <= snapshot is in the column store or the delta
+/// and the table's merged_csn is at or below `snapshot` (the local engine
+/// never merges past an open reader). The table's read latch is held
+/// across the delta read too, so a merge cannot land between the two.
 ///
 /// Predicates evaluate directly on the encoded segments
 /// (src/exec/segment_filter.h) and survivors gather into compacted

@@ -114,27 +114,26 @@ const char* AccessPathName(AccessPath p) {
   return "?";
 }
 
-PathChoice ChooseAccessPath(const CostModel& model, const AccessQuery& q) {
-  const double n = static_cast<double>(q.stats->row_count);
-  const double sel = EstimateSelectivity(*q.pred, *q.stats);
-  const double out_rows = n * sel;
+namespace {
 
+// Unit costs, calibrated roughly to the in-memory engine.
+constexpr double kRowSeekCost = 16.0;             // B+-tree traversal
+constexpr double kRowScanCostPerRow = 1.0;        // materialization + filter
+constexpr double kColScanCostPerValue = 0.08;     // per row per touched column
+constexpr double kDeltaEntryCost = 1.5;           // per staged entry unioned
+
+}  // namespace
+
+PathChoice ChooseAccessPath(const AccessQuery& q) {
+  const double n = static_cast<double>(q.row_count);
   PathChoice best;
-  best.est_selectivity = sel;
-
   // Row index lookup: only when the predicate pins the primary key.
-  double idx_cost = -1;
-  if (q.pk_point_lookup) {
-    idx_cost = model.row_seek_cost + out_rows * model.output_row_cost;
-  }
-  const double row_cost =
-      n * model.row_scan_cost_per_row + out_rows * model.output_row_cost;
+  const double idx_cost = q.pk_point_lookup ? kRowSeekCost : -1;
+  const double row_cost = n * kRowScanCostPerRow;
   double col_cost = -1;
   if (q.column_store_available) {
-    col_cost = n * static_cast<double>(q.columns_needed) *
-                   model.col_scan_cost_per_value +
-               static_cast<double>(q.delta_entries) * model.delta_entry_cost +
-               out_rows * model.output_row_cost;
+    col_cost = n * static_cast<double>(q.columns_needed) * kColScanCostPerValue +
+               static_cast<double>(q.delta_entries) * kDeltaEntryCost;
   }
 
   best.path = AccessPath::kRowFullScan;

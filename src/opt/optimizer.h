@@ -49,20 +49,12 @@ enum class AccessPath : uint8_t {
 
 const char* AccessPathName(AccessPath p);
 
-/// Tunable unit costs (calibrated roughly to the in-memory engine; the
-/// benchmarks sweep these to show crossovers).
-struct CostModel {
-  double row_seek_cost = 16.0;          // B+-tree traversal
-  double row_scan_cost_per_row = 1.0;   // full row materialization + filter
-  double col_scan_cost_per_value = 0.08;  // per row per referenced column
-  double delta_entry_cost = 1.5;        // per staged delta entry unioned
-  double output_row_cost = 0.4;         // materializing a qualifying row
-};
-
-/// Inputs describing one table access within a query.
+/// Inputs describing one table access within a query. The choice depends
+/// only on the table's size, the columns touched and the staged delta:
+/// every path pays the same per-output-row cost, so selectivity never
+/// changes which path is cheapest.
 struct AccessQuery {
-  const TableStats* stats = nullptr;
-  const Predicate* pred = nullptr;
+  size_t row_count = 0;         // live rows in the table
   size_t columns_needed = 1;    // referenced + projected columns
   size_t total_columns = 1;
   size_t delta_entries = 0;     // staged (unmerged) delta size
@@ -73,12 +65,11 @@ struct AccessQuery {
 struct PathChoice {
   AccessPath path = AccessPath::kRowFullScan;
   double cost = 0;
-  double est_selectivity = 1.0;
   std::string reason;
 };
 
 /// The hybrid row/column access-path decision.
-PathChoice ChooseAccessPath(const CostModel& model, const AccessQuery& q);
+PathChoice ChooseAccessPath(const AccessQuery& q);
 
 }  // namespace htap
 

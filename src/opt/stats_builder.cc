@@ -24,41 +24,28 @@ TableStatsBuilder::TableStatsBuilder(size_t num_columns, size_t kmv_k)
   for (ColumnAcc& c : cols_) c.sketch = KmvSketch(kmv_k_);
 }
 
-void TableStatsBuilder::Reset() {
-  for (ColumnAcc& c : cols_) {
-    c.min = Value();
-    c.max = Value();
-    c.has_bounds = false;
-    c.sketch.Reset();
-    c.values = 0;
-    c.nulls = 0;
-    c.width_sum = 0;
+void TableStatsBuilder::AddValue(ColumnAcc* acc, const Value& v) {
+  if (v.is_null()) {
+    ++acc->nulls;
+    return;
   }
-  deletes_since_recompute_ = 0;
+  acc->sketch.Add(v.Hash());
+  acc->width_sum +=
+      v.is_string() ? static_cast<double>(v.AsString().size()) : 8.0;
+  ++acc->values;
+  if (!acc->has_bounds) {
+    acc->min = v;
+    acc->max = v;
+    acc->has_bounds = true;
+  } else {
+    if (v < acc->min) acc->min = v;
+    if (acc->max < v) acc->max = v;
+  }
 }
 
 void TableStatsBuilder::AddRow(const Row& row) {
   const size_t n = std::min(cols_.size(), row.size());
-  for (size_t c = 0; c < n; ++c) {
-    ColumnAcc& acc = cols_[c];
-    const Value& v = row.Get(c);
-    if (v.is_null()) {
-      ++acc.nulls;
-      continue;
-    }
-    acc.sketch.Add(v.Hash());
-    acc.width_sum +=
-        v.is_string() ? static_cast<double>(v.AsString().size()) : 8.0;
-    ++acc.values;
-    if (!acc.has_bounds) {
-      acc.min = v;
-      acc.max = v;
-      acc.has_bounds = true;
-    } else {
-      if (v < acc.min) acc.min = v;
-      if (acc.max < v) acc.max = v;
-    }
-  }
+  for (size_t c = 0; c < n; ++c) AddValue(&cols_[c], row.Get(c));
 }
 
 void TableStatsBuilder::ApplyEntries(const std::vector<DeltaEntry>& entries) {
@@ -70,14 +57,19 @@ void TableStatsBuilder::ApplyEntries(const std::vector<DeltaEntry>& entries) {
   }
 }
 
-void TableStatsBuilder::RecomputeFromColumnTable(const ColumnTable& table) {
-  Reset();
+void TableStatsBuilder::RecomputeFromColumnTable(
+    const ColumnTable& table, const std::vector<int>& loaded) {
+  for (int base : loaded)
+    cols_[static_cast<size_t>(base)] = ColumnAcc{.sketch = KmvSketch(kmv_k_)};
+  deletes_since_recompute_ = 0;
   ReadGuard rg(table.latch());
   for (size_t g = 0; g < table.num_groups_unlocked(); ++g) {
     const RowGroup* group = table.group_unlocked(g);
     for (size_t i = 0; i < group->num_rows; ++i) {
       if (group->deleted.Test(i)) continue;
-      AddRow(table.MaterializeRow(*group, i));
+      for (size_t j = 0; j < loaded.size(); ++j)
+        AddValue(&cols_[static_cast<size_t>(loaded[j])],
+                 group->columns[j].Get(i));
     }
   }
 }

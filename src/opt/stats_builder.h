@@ -64,9 +64,12 @@ class TableStatsBuilder {
   /// Accumulates one live row.
   void AddRow(const Row& row);
 
-  /// Full recompute from the column table's live rows (takes the table's
-  /// shared latch). Resets the delete-drift counter.
-  void RecomputeFromColumnTable(const ColumnTable& table);
+  /// Recomputes the columns a column table holds from its live rows (takes
+  /// the table's shared latch): its column j is base column `loaded[j]`.
+  /// Base columns it does not hold keep what the builder accumulated.
+  /// Resets the delete-drift counter.
+  void RecomputeFromColumnTable(const ColumnTable& table,
+                                const std::vector<int>& loaded);
 
   /// Deletes applied since the last full recompute — the caller's
   /// compaction / recompute trigger.
@@ -86,7 +89,7 @@ class TableStatsBuilder {
     double width_sum = 0;
   };
 
-  void Reset();
+  static void AddValue(ColumnAcc* acc, const Value& v);
 
   size_t kmv_k_;
   std::vector<ColumnAcc> cols_;

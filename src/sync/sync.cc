@@ -83,7 +83,6 @@ Result<std::shared_ptr<ColumnTable>> RebuildColumnTable(
     return true;
   }));
   auto table = std::make_shared<ColumnTable>(rows.schema().Project(columns));
-  table->EnableCompressionAdvisor(true);
   table->AppendBatch(std::move(image), snap.begin_csn);
   return table;
 }

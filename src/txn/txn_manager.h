@@ -84,6 +84,14 @@ class TransactionManager {
   /// Rolls back all of the transaction's writes.
   Status Abort(Transaction* txn);
 
+  /// Hands every pending change batch whose CSN is covered by committed_
+  /// to the sink, in CSN order, and drops it from the queue. Commit calls it
+  /// after it advances the frontier, so a snapshot can cover a commit whose
+  /// events have not reached the sink yet; a reader that needs the sink's
+  /// side to hold every commit its snapshot covers calls it after taking
+  /// the snapshot.
+  void DrainPublishQueue();
+
   /// Read-only snapshot at "now". Every version with a CSN at or below the
   /// snapshot is guaranteed fully stamped (min-frontier invariant).
   ///
@@ -181,10 +189,6 @@ class TransactionManager {
   /// Recomputes committed_ = min over shards of (min inflight - 1), capped
   /// by allocated_, and publishes it monotonically (CAS-max).
   void RecomputeCommitted();
-
-  /// Hands every pending change batch whose CSN is covered by committed_
-  /// to the sink, in CSN order, and drops it from the queue.
-  void DrainPublishQueue();
 
   void RollbackWrites(Transaction* txn);
 

@@ -85,24 +85,6 @@ TEST(EncodingTest, ForBitPackFallsBackOnWideRange) {
   EXPECT_EQ(EncodedGet(enc, 0).AsInt64(), std::numeric_limits<int64_t>::min());
 }
 
-TEST(EncodingTest, ChooseEncodingHeuristics) {
-  // Long runs -> RLE.
-  ColumnVector runs(Type::kInt64);
-  for (int i = 0; i < 256; ++i) runs.AppendInt64(i / 64);
-  EXPECT_EQ(ChooseEncoding(runs), EncodingType::kRle);
-  // Low-cardinality strings -> dictionary.
-  ColumnVector lowcard(Type::kString);
-  Random rng(3);
-  for (int i = 0; i < 256; ++i)
-    lowcard.AppendString("v" + std::to_string(rng.Uniform(5)));
-  EXPECT_EQ(ChooseEncoding(lowcard), EncodingType::kDictionary);
-  // Narrow-range ints -> FOR bit-pack.
-  ColumnVector narrow(Type::kInt64);
-  for (int i = 0; i < 256; ++i)
-    narrow.AppendInt64(static_cast<int64_t>(rng.Uniform(1000)));
-  EXPECT_EQ(ChooseEncoding(narrow), EncodingType::kForBitPack);
-}
-
 // Property: encode∘decode == identity for every encoding on randomized data
 // (with nulls), parameterized over encoding type.
 class EncodingRoundTripTest

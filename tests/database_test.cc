@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/database.h"
 
 namespace htap {
@@ -456,13 +458,44 @@ INSTANTIATE_TEST_SUITE_P(LocalPresets, ChangeEventTest, kLocalPresets,
 
 // ---- One snapshot per query on the local presets --------------------------
 
-// Every scan of a query reads at the CSN of the query's one read view. A
-// writer sets the only row of two tables to the same value in each
-// transaction, so a forced-row join of the two always pairs equal values;
-// a join that read its tables at different commits would not.
-class QuerySnapshotTest : public DatabaseTest {};
+// Every scan of a query reads at the CSN of the query's one read view, on
+// every path: the row side reads the MVCC store at it, and a fresh column
+// scan reads the column side at its merged CSN (never past an open reader)
+// plus the delta up to the view's CSN. The merge daemon runs every 500 us
+// or every 64 staged entries, so merges race the queries throughout.
+class QuerySnapshotTest : public DatabaseTest {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/htap_dbtest_XXXXXX";
+    dir_ = mkdtemp(tmpl);
+    DatabaseOptions opts;
+    opts.architecture = GetParam();
+    opts.data_dir = dir_;
+    opts.sync_interval_micros = 500;
+    opts.sync_entry_threshold = 64;
+    opts.parallel_scan_threads = 1;
+    auto res = Database::Open(opts);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    db_ = std::move(*res);
+  }
+};
 
-TEST_P(QuerySnapshotTest, ForcedRowJoinReadsBothTablesAtOneCommit) {
+const PathHint kSnapshotHints[] = {PathHint::kForceRow, PathHint::kAuto,
+                                   PathHint::kForceColumn};
+
+const char* HintName(PathHint hint) {
+  switch (hint) {
+    case PathHint::kForceRow: return "forced row";
+    case PathHint::kForceColumn: return "forced column";
+    case PathHint::kAuto: return "auto";
+  }
+  return "?";
+}
+
+// A writer sets the only row of two tables to the same value in each
+// transaction, so a join of the two always pairs equal values; a join that
+// read its tables at different commits would not.
+TEST_P(QuerySnapshotTest, JoinReadsBothTablesAtOneCommit) {
   const Schema schema({{"id", Type::kInt64}, {"x", Type::kInt64}});
   const auto row = [](int64_t x) { return Row{Value(int64_t{1}), Value(x)}; };
   for (const char* t : {"a", "b"}) {
@@ -486,27 +519,106 @@ TEST_P(QuerySnapshotTest, ForcedRowJoinReadsBothTablesAtOneCommit) {
     }
   });
 
-  QueryPlan plan;
-  plan.table = "a";
-  plan.joins.push_back(JoinClause{"b", Predicate::True(), 0, 0});
-  plan.path = PathHint::kForceRow;
-  // Join for as long as it takes the writer to commit 2,000 pairs.
-  int queries = 0;
-  int torn = 0;
-  while (!writer_failed.load(std::memory_order_relaxed) &&
-         (queries < 500 || commits.load(std::memory_order_relaxed) < 2000)) {
-    auto res = db_->Query(plan);
-    const bool one_row = res.ok() && res->rows.size() == 1;
-    EXPECT_TRUE(one_row) << res.status().ToString();
-    if (!one_row) break;  // not ASSERT: the writer must be stopped first
-    const Row& r = res->rows[0];  // a.id, a.x, b.id, b.x
-    if (r.Get(1).AsInt64() != r.Get(3).AsInt64()) ++torn;
-    ++queries;
+  for (PathHint hint : kSnapshotHints) {
+    QueryPlan plan;
+    plan.table = "a";
+    plan.joins.push_back(JoinClause{"b", Predicate::True(), 0, 0});
+    plan.path = hint;
+    // Join for as long as it takes the writer to commit 2,000 more pairs.
+    const int64_t until = commits.load(std::memory_order_relaxed) + 2000;
+    int queries = 0;
+    int torn = 0;
+    while (!writer_failed.load(std::memory_order_relaxed) &&
+           (queries < 500 || commits.load(std::memory_order_relaxed) < until)) {
+      auto res = db_->Query(plan);
+      const bool one_row = res.ok() && res->rows.size() == 1;
+      EXPECT_TRUE(one_row) << HintName(hint) << ": "
+                           << res.status().ToString();
+      if (!one_row) break;  // not ASSERT: the writer must be stopped first
+      const Row& r = res->rows[0];  // a.id, a.x, b.id, b.x
+      if (r.Get(1).AsInt64() != r.Get(3).AsInt64()) ++torn;
+      ++queries;
+    }
+    EXPECT_EQ(torn, 0) << HintName(hint) << ": " << torn << " of " << queries
+                       << " joins paired rows of different commits";
   }
   stop.store(true, std::memory_order_release);
   writer.join();
-  EXPECT_EQ(torn, 0) << torn << " of " << queries
-                     << " joins paired rows of different commits";
+}
+
+// Two writers each move one unit between two of 2,000 accounts per
+// transaction, so every committed state sums to 200,000. A sum that a
+// fresh column scan tore across a merge (the column side past the query's
+// CSN next to a delta override at or below it) would differ.
+TEST_P(QuerySnapshotTest, FreshColumnSumSeesOneCommittedState) {
+  constexpr int64_t kAccounts = 2000;
+  constexpr int64_t kBalance = 100;
+  const Schema schema({{"id", Type::kInt64}, {"bal", Type::kInt64}});
+  ASSERT_TRUE(db_->CreateTable("acct", schema).ok());
+  {
+    auto txn = db_->Begin();
+    for (int64_t id = 0; id < kAccounts; ++id)
+      ASSERT_TRUE(txn->Insert("acct", Row{Value(id), Value(kBalance)}).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<bool> writer_failed{false};
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      Random rng(101 + w);
+      // order: acquire pairs with the release store that ends the test.
+      while (!stop.load(std::memory_order_acquire)) {
+        const Key from = static_cast<Key>(rng.Uniform(kAccounts));
+        const Key to = static_cast<Key>(rng.Uniform(kAccounts));
+        if (from == to) continue;
+        auto txn = db_->Begin();
+        Row a, b;
+        Status st = txn->Get("acct", from, &a);
+        if (st.ok()) st = txn->Get("acct", to, &b);
+        if (st.ok())
+          st = txn->Update("acct", Row{Value(from),
+                                       Value(a.Get(1).AsInt64() - 1)});
+        if (st.ok())
+          st = txn->Update("acct", Row{Value(to),
+                                       Value(b.Get(1).AsInt64() + 1)});
+        if (st.ok()) st = txn->Commit();
+        if (st.IsConflict()) continue;  // the other writer got there first
+        if (!st.ok()) {
+          ADD_FAILURE() << "transfer failed: " << st.ToString();
+          writer_failed.store(true, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+
+  for (PathHint hint : {PathHint::kAuto, PathHint::kForceColumn}) {
+    QueryPlan plan;
+    plan.table = "acct";
+    plan.aggs = {AggSpec::Sum(1, "total")};
+    plan.path = hint;
+    int queries = 0;
+    int wrong = 0;
+    const auto start = std::chrono::steady_clock::now();
+    while (!writer_failed.load(std::memory_order_relaxed) &&
+           (queries < 200 ||
+            std::chrono::steady_clock::now() - start < std::chrono::seconds(1))) {
+      auto res = db_->Query(plan);
+      const bool one_row = res.ok() && res->rows.size() == 1;
+      EXPECT_TRUE(one_row) << HintName(hint) << ": "
+                           << res.status().ToString();
+      if (!one_row) break;  // not ASSERT: the writers must be stopped first
+      if (res->rows[0].Get(0).AsDouble() !=
+          static_cast<double>(kAccounts * kBalance))
+        ++wrong;
+      ++queries;
+    }
+    EXPECT_EQ(wrong, 0) << HintName(hint) << ": " << wrong << " of "
+                        << queries << " sums differ from every committed one";
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : writers) t.join();
 }
 
 INSTANTIATE_TEST_SUITE_P(LocalPresets, QuerySnapshotTest, kLocalPresets,
@@ -764,6 +876,129 @@ TEST(DiskEngineTest, FailedHeapReadFailsTheQuery) {
                            << " of " << kRows << " rows";
   db.reset();
   std::system(("rm -rf " + dir).c_str());
+}
+
+// (c)'s catalog stats come from its merges, which read the full rows
+// before projecting them onto the loaded columns, and from the entries a
+// reselection drains: a column the advisor did not load is still described
+// by every row.
+TEST(DiskEngineTest, MergeOnScanPublishesStatsForUnloadedColumns) {
+  DatabaseOptions opts;
+  opts.architecture = ArchitectureKind::kDiskRowPlusDistributedColumn;
+  opts.background_sync = false;
+  opts.column_memory_budget_bytes = 1 << 20;
+  auto db = std::move(*Database::Open(opts));
+  ASSERT_TRUE(db->CreateTable("orders", OrdersSchema()).ok());
+  // 7 regions in the first 500 rows, 13 in the next 250 (still in the
+  // delta at the reselection) and 11 in the last 250.
+  const auto region = [](int i) {
+    if (i < 500) return "r" + std::to_string(i % 7);
+    if (i < 750) return "mid-" + std::to_string(i % 13);
+    return "region-" + std::to_string(i % 11);
+  };
+  const auto insert = [&](int from, int to) {
+    for (int i = from; i < to; ++i)
+      ASSERT_TRUE(
+          db->InsertRow("orders", Order(i, i % 5, region(i), 1.0 + i % 3))
+              .ok());
+  };
+  insert(0, 500);
+  QueryPlan warm;
+  warm.table = "orders";
+  warm.where = Predicate::Gt(1, Value(int64_t{-1}));
+  warm.projection = {0, 1};
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(db->Query(warm).ok());
+  insert(500, 750);
+  auto* engine = static_cast<LocalHtapEngine*>(db->engine());
+  const TableInfo* info = db->catalog()->Find("orders");
+  ASSERT_TRUE(engine->RefreshColumnSelection(*info).ok());
+  ASSERT_EQ(engine->LoadedColumns(info->id), (std::vector<int>{0, 1}));
+  insert(750, 1000);
+
+  double width_sum = 0;
+  for (int i = 0; i < 1000; ++i)
+    width_sum += static_cast<double>(region(i).size());
+  QueryExecInfo xi;
+  ASSERT_TRUE(db->Query(warm, &xi).ok());  // merges on scan
+  EXPECT_EQ(xi.access_path, "imcs-pushdown");
+
+  PublishedTableStats published;
+  ASSERT_TRUE(db->catalog()->GetStats("orders", &published));
+  const TableStats& st = published.stats;
+  EXPECT_EQ(st.row_count, 1000u);
+  ASSERT_EQ(st.columns.size(), 4u);
+  EXPECT_EQ(st.columns[1].ndv, 5);
+  EXPECT_EQ(st.columns[2].ndv, 7 + 13 + 11);  // region: not loaded
+  EXPECT_DOUBLE_EQ(st.columns[2].avg_width, width_sum / 1000);
+  EXPECT_EQ(st.columns[3].ndv, 3);  // amount: not loaded
+  EXPECT_EQ(st.columns[3].max.AsDouble(), 3.0);
+}
+
+// Delete drift makes a merge compact the column side and recompute the
+// stats of the columns it holds. After a reselection the column side holds
+// base columns {0, 2} in its columns 0 and 1; the recompute must write
+// them back to base columns 0 and 2 and leave the others as merged.
+TEST(DiskEngineTest, RecomputeAfterReselectionKeepsBaseColumns) {
+  DatabaseOptions opts;
+  opts.architecture = ArchitectureKind::kDiskRowPlusDistributedColumn;
+  opts.background_sync = false;
+  opts.column_memory_budget_bytes = 1 << 20;
+  auto db = std::move(*Database::Open(opts));
+  ASSERT_TRUE(db->CreateTable("orders", OrdersSchema()).ok());
+  constexpr int kRows = 10000;
+  constexpr int kDeleted = 9000;  // past the 8,192-delete drift bound
+  {
+    auto txn = db->Begin();
+    for (int i = 0; i < kRows; ++i)
+      ASSERT_TRUE(txn->Insert("orders", Order(i, i % 5,
+                                              "r" + std::to_string(i % 3),
+                                              0.5 * i))
+                      .ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  QueryPlan warm;
+  warm.table = "orders";
+  warm.where = Predicate::Eq(2, Value("r1"));
+  warm.projection = {0, 2};
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(db->Query(warm).ok());
+  auto* engine = static_cast<LocalHtapEngine*>(db->engine());
+  const TableInfo* info = db->catalog()->Find("orders");
+  ASSERT_TRUE(engine->RefreshColumnSelection(*info).ok());
+  ASSERT_EQ(engine->LoadedColumns(info->id), (std::vector<int>{0, 2}));
+
+  {
+    auto txn = db->Begin();
+    for (int i = 0; i < kDeleted; ++i)
+      ASSERT_TRUE(txn->Delete("orders", i).ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  ASSERT_TRUE(db->ForceSync("orders").ok());  // compacts and recomputes
+  PublishedTableStats published;
+  ASSERT_TRUE(db->catalog()->GetStats("orders", &published));
+  const TableStats& st = published.stats;
+  EXPECT_EQ(st.row_count, static_cast<size_t>(kRows - kDeleted));
+  ASSERT_EQ(st.columns.size(), 4u);
+  // Recomputed from the survivors: id starts past the deleted keys.
+  EXPECT_EQ(st.columns[0].min.AsInt64(), kDeleted);
+  EXPECT_EQ(st.columns[0].max.AsInt64(), kRows - 1);
+  ASSERT_TRUE(st.columns[2].min.is_string());
+  EXPECT_EQ(st.columns[2].min.AsString(), "r0");
+  EXPECT_EQ(st.columns[2].ndv, 3);
+  // Not loaded: qty and amount still describe every row merged.
+  ASSERT_TRUE(st.columns[1].min.is_int64());
+  EXPECT_EQ(st.columns[1].min.AsInt64(), 0);
+  EXPECT_EQ(st.columns[1].max.AsInt64(), 4);
+  EXPECT_EQ(st.columns[1].ndv, 5);
+  EXPECT_EQ(st.columns[3].min.AsDouble(), 0.0);
+
+  // The recompute reset the drift count, so one more delete does not
+  // compact and recompute again: the sketches only widen, and id's minimum
+  // stays at the first survivor.
+  ASSERT_TRUE(db->DeleteRow("orders", kDeleted).ok());
+  ASSERT_TRUE(db->ForceSync("orders").ok());
+  ASSERT_TRUE(db->catalog()->GetStats("orders", &published));
+  EXPECT_EQ(published.stats.row_count, static_cast<size_t>(kRows - kDeleted - 1));
+  EXPECT_EQ(published.stats.columns[0].min.AsInt64(), kDeleted);
 }
 
 TEST(DiskEngineTest, LoadedColumnMergesAreCounted) {

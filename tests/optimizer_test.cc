@@ -85,57 +85,57 @@ TEST(SelectivityTest, MisestimatesCorrelatedData) {
 }
 
 TEST(AccessPathTest, PointLookupPrefersIndex) {
-  const auto stats = TableStats::Compute(TestSchema(), UniformRows(1000));
   AccessQuery q;
-  q.stats = &stats;
-  auto pred = Predicate::Eq(0, Value(int64_t{7}));
-  q.pred = &pred;
+  q.row_count = 1000;
   q.columns_needed = 3;
   q.total_columns = 3;
   q.pk_point_lookup = true;
-  const auto choice = ChooseAccessPath(CostModel{}, q);
-  EXPECT_EQ(choice.path, AccessPath::kRowIndexLookup);
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kRowIndexLookup);
 }
 
 TEST(AccessPathTest, WideAnalyticalScanPrefersColumns) {
-  auto stats = TableStats::Compute(TestSchema(), UniformRows(1000));
-  stats.row_count = 1000000;
   AccessQuery q;
-  q.stats = &stats;
-  auto pred = Predicate::Gt(1, Value(int64_t{50}));
-  q.pred = &pred;
+  q.row_count = 1000000;
   q.columns_needed = 1;  // touches 1 of 20 columns
   q.total_columns = 20;
-  const auto choice = ChooseAccessPath(CostModel{}, q);
+  const auto choice = ChooseAccessPath(q);
   EXPECT_EQ(choice.path, AccessPath::kColumnScan);
   EXPECT_LT(choice.cost, 1000000.0 * 1.0);  // cheaper than the row scan
 }
 
 TEST(AccessPathTest, ColumnUnavailableFallsBackToRows) {
-  auto stats = TableStats::Compute(TestSchema(), UniformRows(100));
   AccessQuery q;
-  q.stats = &stats;
-  auto pred = Predicate::True();
-  q.pred = &pred;
+  q.row_count = 100;
   q.columns_needed = 1;
   q.total_columns = 3;
   q.column_store_available = false;
-  EXPECT_EQ(ChooseAccessPath(CostModel{}, q).path, AccessPath::kRowFullScan);
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kRowFullScan);
 }
 
 TEST(AccessPathTest, HugeDeltaPenalizesColumnScan) {
-  auto stats = TableStats::Compute(TestSchema(), UniformRows(100));
-  stats.row_count = 1000;
   AccessQuery q;
-  q.stats = &stats;
-  auto pred = Predicate::True();
-  q.pred = &pred;
+  q.row_count = 1000;
   q.columns_needed = 1;
   q.total_columns = 3;
   q.delta_entries = 0;
-  EXPECT_EQ(ChooseAccessPath(CostModel{}, q).path, AccessPath::kColumnScan);
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kColumnScan);
   q.delta_entries = 1000000;  // unmerged backlog makes the union expensive
-  EXPECT_EQ(ChooseAccessPath(CostModel{}, q).path, AccessPath::kRowFullScan);
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kRowFullScan);
+}
+
+// An empty table scans its rows, and a column scan wins only while it
+// reads less per row than a row read does (fewer than 12.5 columns).
+TEST(AccessPathTest, RowCountAndWidthDecideRowVersusColumn) {
+  AccessQuery q;
+  q.columns_needed = 12;
+  q.total_columns = 12;
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kRowFullScan);
+  q.columns_needed = 2;
+  q.row_count = 10;
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kColumnScan);
+  q.columns_needed = 13;  // 13 x 0.08 per row is more than one row read
+  q.row_count = 1000000;
+  EXPECT_EQ(ChooseAccessPath(q).path, AccessPath::kRowFullScan);
 }
 
 TEST(ColumnAdvisorTest, SelectsHotColumnsUnderBudget) {
@@ -246,7 +246,7 @@ TEST(TableStatsBuilderTest, DeletesAccumulateDriftUntilRecompute) {
   ColumnTable survivors(TestSchema());
   survivors.AppendBatch({Row{Value(int64_t{5}), Value(int64_t{1}), Value("y")}},
                         1);
-  builder.RecomputeFromColumnTable(survivors);
+  builder.RecomputeFromColumnTable(survivors, {0, 1, 2});
   EXPECT_EQ(builder.deletes_since_recompute(), 0u);
   const TableStats st2 = builder.Snapshot(1);
   EXPECT_EQ(st2.columns[0].min.AsInt64(), 5);

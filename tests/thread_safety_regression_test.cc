@@ -15,9 +15,10 @@
 //  - DiskHeapCountersRaceWrites:    DiskRowStore::num_pages() and the
 //    then-exposed BufferPool reference were read without mu_ while Put()
 //    mutated the pool and page counters.
-//  - StatsRefreshRacesConcurrentScans:  both per-table stats refreshers
-//    mutated TableStats in place while concurrent scans pointed the cost
-//    model directly at the shared struct.
+//  - MergesRaceConcurrentScans:  per-table stats refreshers once mutated
+//    TableStats in place while concurrent scans pointed the cost model at
+//    the shared struct (those sampled stats are gone); now scans race
+//    ForceSync's merges and stats publication, and each sees every row.
 //  - ColumnSelectionRefreshRacesScans:  RefreshColumnSelection destroyed
 //    the IMCS ColumnTable (then a unique_ptr) that a concurrent scan was
 //    reading, and unserialized delta drains could apply out of order. A
@@ -167,7 +168,6 @@ class EngineRaceTest : public ::testing::Test {
     opts.data_dir = dir_;
     opts.background_sync = true;    // merge daemon runs during the race
     opts.sync_interval_micros = 500;
-    opts.stats_refresh_interval = 1;  // force a stats refresh per scan
     auto res = Database::Open(opts);
     ASSERT_TRUE(res.ok());
     db_ = std::move(*res);
@@ -181,8 +181,8 @@ class EngineRaceTest : public ::testing::Test {
     std::system(("rm -rf " + dir_).c_str());
   }
 
-  /// N scanner threads running SELECTs (each triggering a stats refresh)
-  /// while the caller-provided mutator runs on the main thread.
+  /// N scanner threads running SELECTs while the caller-provided mutator
+  /// runs on the main thread.
   void RaceScansAgainst(const std::function<void()>& mutate) {
     std::atomic<bool> stop{false};
     std::vector<std::thread> scanners;
@@ -204,7 +204,7 @@ class EngineRaceTest : public ::testing::Test {
   std::unique_ptr<Database> db_;
 };
 
-TEST_F(EngineRaceTest, StatsRefreshRacesConcurrentScans) {
+TEST_F(EngineRaceTest, MergesRaceConcurrentScans) {
   Open(ArchitectureKind::kRowPlusInMemoryColumn);
   RaceScansAgainst([&] {
     for (int i = 0; i < 100; ++i) {

@@ -587,9 +587,9 @@ TEST(CompressionAdvisorTest, ChoiceEqualsChoiceFromFullStats) {
   EXPECT_GT(checked, 20000u);
 }
 
-TEST(CompressionAdvisorTest, ColumnTableReencodesSegmentsWhenEnabled) {
-  // Ints in [0, 2^33): ChooseEncoding's fixed range<2^32 gate rejects FOR,
-  // but the advisor's size estimate (33 bits/value vs 64) picks it.
+TEST(CompressionAdvisorTest, ColumnTableEncodesSegmentsAsAdvised) {
+  // Ints in [0, 2^33): the advisor's size estimate (33 bits/value vs 64)
+  // picks FOR bit-packing.
   const Schema schema({{"id", Type::kInt64}, {"w", Type::kInt64}});
   std::vector<Row> rows;
   for (Key id = 0; id < 1000; ++id)
@@ -597,24 +597,18 @@ TEST(CompressionAdvisorTest, ColumnTableReencodesSegmentsWhenEnabled) {
         Row{Value(id), Value(static_cast<int64_t>(
                            static_cast<int64_t>(id) * 4294967311LL %
                            (int64_t{1} << 33)))});
-  ColumnTable plain_t(schema), advised_t(schema);
-  advised_t.EnableCompressionAdvisor(true);
-  plain_t.AppendBatch(rows, 1);
-  advised_t.AppendBatch(rows, 1);
-  EXPECT_EQ(plain_t.group(0)->columns[1].encoding(), EncodingType::kPlain);
-  EXPECT_EQ(advised_t.group(0)->columns[1].encoding(),
+  ColumnTable table(schema);
+  table.AppendBatch(rows, 1);
+  EXPECT_EQ(table.group(0)->columns[1].encoding(),
             EncodingType::kForBitPack);
-  EXPECT_LT(advised_t.group(0)->columns[1].MemoryBytes(),
-            plain_t.group(0)->columns[1].MemoryBytes());
-  // Scans read the re-encoded segments back as the appended rows.
-  for (const ColumnTable* t : {&plain_t, &advised_t})
-    EXPECT_EQ(BatchesToRows(ScanHtapBatches(*t, nullptr, kMaxCSN - 1,
-                                            Predicate::True(), {},
-                                            ExecContext{})),
-              rows);
+  // Scans read the encoded segments back as the appended rows.
+  EXPECT_EQ(BatchesToRows(ScanHtapBatches(table, nullptr, kMaxCSN - 1,
+                                          Predicate::True(), {},
+                                          ExecContext{})),
+            rows);
 
   // The per-encoding breakdown reflects what was built.
-  const EncodingBreakdown bd = advised_t.EncodingStats();
+  const EncodingBreakdown bd = table.EncodingStats();
   size_t total_segments = 0, total_bytes = 0;
   for (size_t e = 0; e < kNumEncodings; ++e) {
     total_segments += bd.segments[e];
